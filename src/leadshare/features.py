@@ -1,10 +1,15 @@
 """Per-author temporal profiles and the nine lead-prediction features.
 
-The index is built in one chronological sweep (records are sorted
-internally by year, date, then paper id).  "Prior" state for a focal paper
-means papers dated strictly earlier: a paper sharing the focal paper's
-exact date is not prior, so feature vectors are invariant to how same-day
-ties are ordered.  Papers without a publication date sort at July 1.
+`build_profiles` walks the corpus once in (sort date, paper id) order,
+keeping a running history per author: prior references, paper ids and
+concept names, the prior paper count, first prior year, first-or-last
+count, and a histogram of the years in which corpus papers cited the
+prior papers.  "Prior" means dated strictly earlier than the focal paper:
+the sweep reads f1-f8 for a whole date group before promoting the group
+into the histories, so same-day papers are not prior and feature vectors
+are invariant to how same-day ties are ordered.  Papers without a
+publication date sort at July 1.  `extract_features` looks f1-f8 up and
+computes f9 from a per-year snapshot built on first use.
 
 Features, for author a on focal paper P:
 
@@ -26,14 +31,22 @@ prestige source.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left
+from collections import defaultdict
+from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import AuthorNotOnPaper, DuplicatePaperId, MalformedRecord
+from .errors import (
+    AuthorNotOnPaper,
+    DuplicatePaperId,
+    MalformedRecord,
+    PaperNotIndexed,
+)
 from .records import PublicationRecord
 
 FEATURE_NAMES = (
@@ -78,40 +91,31 @@ class LeadFeatureVector:
         )
 
 
-@dataclass(frozen=True)
-class _AuthorPaper:
-    date: tuple[int, int, int]
-    year: int
-    paper_id: str
-    first_or_last: bool
-    references: frozenset[str]
-    concept_names: frozenset[str]
+@dataclass(slots=True)
+class _History:
+    """One author's papers dated before the sweep's current date group."""
+
+    refs: set[str] = field(default_factory=set)
+    ids: set[str] = field(default_factory=set)
+    concepts: set[str] = field(default_factory=set)
+    count: int = 0
+    first_year: int = 0
+    first_or_last: int = 0
+    # citing year -> citations these papers received from corpus papers
+    cited_in: dict[int, int] = field(default_factory=dict)
 
 
 class AuthorProfileIndex:
-    """Frozen corpus index answering prior-state queries per author×paper."""
+    """Frozen corpus index: f1-f8 per authorship, f9 per institution×year."""
 
     def __init__(self) -> None:
-        self._papers_by_author: dict[str, list[_AuthorPaper]] = {}
-        # years of corpus papers citing each paper, sorted
-        self._citing_years: dict[str, list[int]] = {}
+        # (paper_id, author_id) -> (f1, ..., f8), filled by build_profiles
+        self._swept: dict[tuple[str, str], tuple[int, ...]] = {}
         # years of each institution's papers (one entry per paper), sorted
         self._institution_years: dict[str, list[int]] = {}
         # focal year -> sorted counts of papers-before-year, one per
         # institution that has any; built lazily, queries repeat few years
         self._rank_snapshots: dict[int, np.ndarray] = {}
-
-    def prior_papers(self, author_id: str, date: tuple[int, int, int]) -> list[_AuthorPaper]:
-        papers = self._papers_by_author.get(author_id, [])
-        prior = []
-        for p in papers:
-            if p.date >= date:
-                break
-            prior.append(p)
-        return prior
-
-    def citations_before(self, paper_id: str, year: int) -> int:
-        return bisect_left(self._citing_years.get(paper_id, []), year)
 
     def institution_rank(self, institution_id: str, year: int) -> float:
         snapshot = self._rank_snapshots.get(year)
@@ -130,6 +134,16 @@ class AuthorProfileIndex:
         return float(np.searchsorted(snapshot, own, side="right")) / snapshot.size
 
 
+def _authors_once(record: PublicationRecord) -> Iterator[tuple[str, bool]]:
+    """(author_id, first or last) per author, at the author's first position."""
+    last_pos = len(record.authorships) - 1
+    placed: set[str] = set()
+    for a in record.authorships:
+        if a.author_id not in placed:
+            placed.add(a.author_id)
+            yield a.author_id, a.position == 0 or a.position == last_pos
+
+
 def build_profiles(corpus: Iterable[PublicationRecord]) -> AuthorProfileIndex:
     """Index the full corpus; records need not be pre-sorted."""
     index = AuthorProfileIndex()
@@ -141,72 +155,61 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> AuthorProfileIndex:
         seen.add(record.paper_id)
         ordered.append((record.sort_date(), record.paper_id, record))
     ordered.sort(key=lambda t: (t[0], t[1]))
-    for date, paper_id, record in ordered:
-        refs = frozenset(record.references)
-        names = frozenset(record.concept_names())
-        last_pos = len(record.authorships) - 1
-        placed: set[str] = set()
-        institutions: set[str] = set()
-        for a in record.authorships:
-            if a.institution_id:
-                institutions.add(a.institution_id)
-            if a.author_id in placed:
-                continue
-            placed.add(a.author_id)
-            index._papers_by_author.setdefault(a.author_id, []).append(
-                _AuthorPaper(
-                    date=date,
-                    year=record.year,
-                    paper_id=paper_id,
-                    first_or_last=(a.position == 0 or a.position == last_pos),
-                    references=refs,
-                    concept_names=names,
-                )
-            )
-        for inst in institutions:
+    # years of corpus papers citing each paper; complete before the sweep,
+    # since later papers cite earlier ones
+    citing_years: dict[str, list[int]] = {}
+    for _, _, record in ordered:
+        for inst in {a.institution_id for a in record.authorships if a.institution_id}:
             index._institution_years.setdefault(inst, []).append(record.year)
-        for cited in refs:
-            index._citing_years.setdefault(cited, []).append(record.year)
+        for cited in record.references:
+            citing_years.setdefault(cited, []).append(record.year)
     for years in index._institution_years.values():
         years.sort()
-    for years in index._citing_years.values():
-        years.sort()
+
+    histories: defaultdict[str, _History] = defaultdict(_History)
+    for _, group in groupby(ordered, key=itemgetter(0)):
+        promote = []
+        for _, paper_id, record in group:
+            refs, names, year = record.references, record.concept_names(), record.year
+            for author_id, first_or_last in _authors_once(record):
+                h = histories[author_id]
+                index._swept[(paper_id, author_id)] = (
+                    len(refs & h.refs),
+                    len(names & h.concepts),
+                    len(refs & h.ids),
+                    (year - h.first_year) if h.count else 0,
+                    h.count,
+                    sum(n for y, n in h.cited_in.items() if y < year),
+                    len(h.concepts),
+                    h.first_or_last,
+                )
+                promote.append((h, record, names, first_or_last))
+        # promote the date group only now: same-day papers are not prior
+        for h, record, names, first_or_last in promote:
+            if not h.count:
+                h.first_year = record.year
+            h.count += 1
+            h.first_or_last += first_or_last
+            h.refs |= record.references
+            h.ids.add(record.paper_id)
+            h.concepts |= names
+            for y in citing_years.get(record.paper_id, ()):
+                h.cited_in[y] = h.cited_in.get(y, 0) + 1
     return index
 
 
 def extract_features(
     record: PublicationRecord, author_id: str, index: AuthorProfileIndex
 ) -> LeadFeatureVector:
-    authorship = None
-    for a in record.authorships:
-        if a.author_id == author_id:
-            authorship = a
-            break
+    authorship = next((a for a in record.authorships if a.author_id == author_id), None)
     if authorship is None:
         raise AuthorNotOnPaper(author_id, record.paper_id)
-    prior = index.prior_papers(author_id, record.sort_date())
-    prior_refs: set[str] = set()
-    prior_ids: set[str] = set()
-    prior_concepts: set[str] = set()
-    first_or_last = 0
-    citations = 0
-    for p in prior:
-        prior_refs |= p.references
-        prior_ids.add(p.paper_id)
-        prior_concepts |= p.concept_names
-        if p.first_or_last:
-            first_or_last += 1
-        citations += index.citations_before(p.paper_id, record.year)
-    focal_names = record.concept_names()
+    try:
+        swept = index._swept[(record.paper_id, author_id)]
+    except KeyError:
+        raise PaperNotIndexed(record.paper_id, author_id) from None
     return LeadFeatureVector(
-        f1_refs_previously_cited=len(record.references & prior_refs),
-        f2_keyword_overlap=len(focal_names & prior_concepts),
-        f3_self_citations=len(record.references & prior_ids),
-        f4_career_age=(record.year - prior[0].year) if prior else 0,
-        f5_prior_pub_count=len(prior),
-        f6_citations_received=citations,
-        f7_unique_keywords=len(prior_concepts),
-        f8_first_or_last_count=first_or_last,
+        *swept,
         f9_affiliation_score=index.institution_rank(
             authorship.institution_id, record.year
         ),
@@ -218,14 +221,8 @@ def extract_all(
 ) -> Iterator[tuple[str, str, LeadFeatureVector]]:
     """One row per authorship, in corpus order then author position."""
     for record in corpus:
-        emitted: set[str] = set()
-        for a in record.authorships:
-            if a.author_id in emitted:
-                continue
-            emitted.add(a.author_id)
-            yield record.paper_id, a.author_id, extract_features(
-                record, a.author_id, index
-            )
+        for author_id, _ in _authors_once(record):
+            yield record.paper_id, author_id, extract_features(record, author_id, index)
 
 
 _FEATURES_HEADER = "paper_id\tauthor_id\t" + "\t".join(FEATURE_NAMES)

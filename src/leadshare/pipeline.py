@@ -44,6 +44,7 @@ from .corpus import (
 from .errors import (
     BelowRange,
     ConfigError,
+    DataError,
     HashMismatch,
     MissingUpstream,
     TooFewPoints,
@@ -200,8 +201,11 @@ def read_manifest(path: Path) -> dict[str, ManifestEntry]:
         return {}
     entries: dict[str, ManifestEntry] = {}
     lines = path.read_text(encoding="utf-8").splitlines()
-    for raw in lines[1:]:
-        stage, inputs, config_hash, outputs = raw.split("\t")
+    for line_no, raw in enumerate(lines[1:], start=2):
+        fields = raw.split("\t")
+        if len(fields) != 4:
+            raise DataError(f"{path}: line {line_no}: expected 4 tab-separated fields")
+        stage, inputs, config_hash, outputs = fields
         entries[stage] = ManifestEntry(
             stage=stage,
             inputs=_decode_hashes(inputs),

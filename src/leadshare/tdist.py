@@ -3,11 +3,13 @@
 The regularized incomplete beta function is evaluated with the modified
 Lentz continued fraction; the quantile inverts the CDF by bisection.
 Accuracy is better than 1e-10 over the degrees of freedom this package
-uses (n-2 for yearly regression windows).
+uses (n-2 for yearly regression windows).  Quantiles are memoized: export
+asks for a handful of (level, dof) pairs thousands of times.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 _MAX_CF_ITER = 300
@@ -83,6 +85,7 @@ def t_cdf(t: float, dof: float) -> float:
     return 1.0 - tail if t > 0 else tail
 
 
+@functools.lru_cache(maxsize=None)
 def t_quantile(p: float, dof: float) -> float:
     """Inverse CDF of Student t by bisection on a doubling bracket."""
     if dof <= 0:

@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_record, oracle_features, vector_as_tuple
-from leadshare.errors import AuthorNotOnPaper, DuplicatePaperId, MalformedRecord
+from leadshare.errors import (
+    AuthorNotOnPaper,
+    DuplicatePaperId,
+    MalformedRecord,
+    PaperNotIndexed,
+)
 from leadshare.features import (
     build_profiles,
     extract_all,
@@ -116,7 +121,10 @@ def test_duplicate_paper_id():
 
 def test_empty_corpus_index():
     index = build_profiles([])
-    assert index.prior_papers("A1", (2020, 1, 1)) == []
+    assert list(extract_all([], index)) == []
+    # a DataError (CLI exit 3), not a bare KeyError
+    with pytest.raises(PaperNotIndexed, match="P1"):
+        extract_features(hand_corpus()[0], "A1", index)
 
 
 def test_input_order_is_irrelevant():
@@ -150,6 +158,21 @@ def test_oracle_equivalence_random(seed):
             expected = oracle_features(corpus, rec, a.author_id)
             assert vector_as_tuple(v)[:8] == expected[:8]
             assert abs(v.f9_affiliation_score - expected[8]) <= 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10_000))
+def test_oracle_equivalence_long_histories(seed):
+    # two or three authors share up to 120 papers, so each author carries
+    # dozens of prior papers, undated July 1 ties and citations across years
+    corpus = random_corpus(seed, max_papers=120, max_authors=3)
+    by_id = {rec.paper_id: rec for rec in corpus}
+    rows = list(extract_all(corpus, build_profiles(corpus)))
+    assert len(rows) == sum(len(rec.authorships) for rec in corpus)
+    for paper_id, author_id, v in rows:
+        expected = oracle_features(corpus, by_id[paper_id], author_id)
+        assert vector_as_tuple(v)[:8] == expected[:8]
+        assert abs(v.f9_affiliation_score - expected[8]) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)

@@ -107,6 +107,13 @@ class TestTDist:
             scipy.stats.t.ppf(p, dof), abs=1e-9
         )
 
+    def test_quantile_memo_matches_uncached(self):
+        for p in (0.025, 0.05, 0.6, 0.9, 0.95, 0.975, 0.995):
+            for dof in (1, 2, 3.5, 5, 10, 30, 100):
+                cached = t_quantile(p, dof)
+                assert t_quantile(p, dof) == cached
+                assert t_quantile.__wrapped__(p, dof) == cached
+
     @pytest.mark.parametrize("dof", [1, 4, 25])
     @pytest.mark.parametrize("x", [-6.0, -1.5, -0.3, 0.0, 0.7, 2.0, 8.0])
     def test_cdf_against_scipy(self, x, dof):

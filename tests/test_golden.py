@@ -1,0 +1,79 @@
+"""Golden test: a fresh run of the bundled fixture reproduces the committed
+outputs in fixtures/synthetic_200/out byte for byte.
+
+Every refactor must keep these bytes; a change that alters an artifact on
+purpose says so and regenerates the fixture outputs.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from leadshare.cli import main
+from leadshare.pipeline import ARTIFACTS, STAGES
+
+FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "synthetic_200"
+COMMITTED = FIXTURE / "out"
+
+STAGE_ARTIFACTS = tuple(name for stage in STAGES for name in ARTIFACTS[stage])
+
+# The committed sweep_threshold.tsv holds only a header, and its manifest
+# line carries config hash 1df78cfc..., which matches neither the config's
+# threshold_sweep nor any documented sweep values, so no run reproduces it.
+STALE_THRESHOLD_SWEEP = pytest.mark.xfail(
+    strict=True,
+    reason="committed sweep_threshold.tsv is stale: its manifest config hash "
+    "1df78cfc... matches no documented threshold_sweep",
+)
+
+
+@pytest.fixture(scope="module")
+def produced(tmp_path_factory) -> Path:
+    """Output dir of `all`, `sweep --axis if_bin` and `sweep --axis threshold`
+    run on a copy of the fixture config."""
+    root = tmp_path_factory.mktemp("golden")
+    lines = []
+    for line in (FIXTURE / "config.cfg").read_text(encoding="utf-8").splitlines():
+        key, sep, value = line.partition("=")
+        if sep and key.strip() in ("corpus", "contributions"):
+            # relative paths resolve against the config file's directory
+            line = f"{key.strip()} = {FIXTURE / value.strip()}"
+        lines.append(line)
+    cfg = root / "config.cfg"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for command in (["all"], ["sweep", "--axis", "if_bin"], ["sweep", "--axis", "threshold"]):
+        assert main(["--config", str(cfg), *command]) == 0
+    return root / "out"
+
+
+def _manifest_lines(path: Path) -> dict[str, str]:
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    return {line.split("\t", 1)[0]: line for line in lines}
+
+
+def test_stage_artifact_list_matches_committed():
+    committed = {
+        p.relative_to(COMMITTED).as_posix() for p in COMMITTED.rglob("*") if p.is_file()
+    }
+    assert len(STAGE_ARTIFACTS) == 18
+    assert committed == set(STAGE_ARTIFACTS) | {
+        "manifest.tsv", "sweep_if_bin.tsv", "sweep_threshold.tsv",
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    STAGE_ARTIFACTS
+    + ("sweep_if_bin.tsv", pytest.param("sweep_threshold.tsv", marks=STALE_THRESHOLD_SWEEP)),
+)
+def test_artifact_bytes(produced, name):
+    assert (produced / name).read_bytes() == (COMMITTED / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "stage",
+    STAGES + ("sweep-if_bin", pytest.param("sweep-threshold", marks=STALE_THRESHOLD_SWEEP)),
+)
+def test_manifest_line(produced, stage):
+    ours = _manifest_lines(produced / "manifest.tsv")
+    assert ours[stage] == _manifest_lines(COMMITTED / "manifest.tsv")[stage]

@@ -359,6 +359,18 @@ class TestCli:
         assert main(["--config", str(cfg_file), "ingest"]) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_damaged_manifest_is_data_error(self, tmp_path, fixture_dir, capsys):
+        cfg_file = self.write_config(tmp_path, fixture_dir)
+        assert main(["--config", str(cfg_file), "ingest"]) == 0
+        manifest = tmp_path / "out" / "manifest.tsv"
+        header, line = manifest.read_text(encoding="utf-8").splitlines()
+        damaged = line.rsplit("\t", 1)[0]  # drop the outputs field
+        manifest.write_text(f"{header}\n{damaged}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--config", str(cfg_file), "ingest"]) == 3
+        err = capsys.readouterr().err
+        assert "manifest.tsv" in err and "line 2" in err
+
     def test_tiny_vocabulary_is_numeric_error(self, tmp_path, capsys):
         contributions = tmp_path / "thin.jsonl"
         contributions.write_text(
