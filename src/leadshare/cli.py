@@ -14,18 +14,7 @@ from typing import Optional, Sequence
 
 from .config import PipelineConfig, load_config
 from .errors import ConfigError, DataError, NumericError
-from .pipeline import STAGES, SWEEP_AXES, run_all, run_stage, run_sweep
-
-_STAGE_HELP = {
-    "ingest": "validate the corpus and select bilateral publications",
-    "train-roles": "cluster contribution verbs and label statements",
-    "build-profiles": "extract per-authorship feature vectors",
-    "fit-model": "fit and evaluate the lead-probability model",
-    "score": "score every bilateral authorship",
-    "aggregate": "tally leader/supporter counts and build metric series",
-    "forecast": "fit trends and solve parity years",
-    "export": "write plot-ready per-figure CSV tables",
-}
+from .pipeline import STAGE_TABLE, STAGES, SWEEP_AXES, run_all, run_stage, run_sweep
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -37,10 +26,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument(
         "--seed", type=int, default=argparse.SUPPRESS,
         help="override the random seed",
-    )
-    common.add_argument(
-        "--workers", type=int, default=argparse.SUPPRESS,
-        help="override the worker count",
     )
     common.add_argument(
         "--strict", action="store_true", default=argparse.SUPPRESS,
@@ -68,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for stage in STAGES:
-        sub.add_parser(stage, help=_STAGE_HELP[stage], parents=[common])
+        sub.add_parser(stage, help=STAGE_TABLE[stage].help, parents=[common])
     sub.add_parser(
         "all", help="run every stage in order", parents=[common]
     )
@@ -94,8 +79,6 @@ def _assemble_config(args: argparse.Namespace) -> PipelineConfig:
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
     if getattr(args, "strict", False):
         overrides["strict"] = True
     return config.replace(**overrides) if overrides else config

@@ -36,7 +36,6 @@ class PipelineConfig:
     confidence_level: float = 0.95
     horizon: float = 2200.0
     seed: int = 0
-    workers: int = 1
     strict: bool = False
     counting_mode: str = COUNT_AUTHOR_PAPER
     model_family: str = FAMILY_LINEAR
@@ -67,8 +66,6 @@ class PipelineConfig:
             )
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError(f"split_ratio must be in (0,1), got {self.split_ratio}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.counting_mode not in (COUNT_AUTHOR_PAPER, COUNT_UNIQUE_AUTHOR):
             raise ConfigError(f"unknown counting_mode {self.counting_mode!r}")
         if self.model_family not in (FAMILY_LINEAR, FAMILY_LOGISTIC):
@@ -92,7 +89,7 @@ _PATH_KEYS = (
     "areas_table", "fields_table",
 )
 _BOOL_KEYS = ("strict", "strict_binary_labels")
-_INT_KEYS = ("window_start", "window_end", "seed", "workers")
+_INT_KEYS = ("window_start", "window_end", "seed")
 _FLOAT_KEYS = ("lead_threshold", "confidence_level", "horizon", "split_ratio")
 _STR_KEYS = ("counting_mode", "model_family", "focal_region")
 _KNOWN_KEYS = frozenset(

@@ -17,15 +17,6 @@ MIN_YEAR_EXCLUSIVE = 1990
 MIN_IMPACT_FACTOR = 1.0
 
 
-def assign_region(country: str, region_map: RegionMap) -> str:
-    """Resolve a country name to its global region.
-
-    Raises UnknownCountry for countries outside the region table; the caller
-    decides whether that skips the record or aborts the run.
-    """
-    return region_map.region_of(country)
-
-
 def bilateral_pair(
     record: PublicationRecord, region_map: RegionMap
 ) -> Optional[tuple[str, str]]:

@@ -22,22 +22,27 @@ class NumericError(LeadshareError):
     """Algorithmic preconditions not met (too few points, degenerate input)."""
 
 
-class MalformedRecord(DataError):
+class RecordError(DataError):
+    """A bad input line; source names the file once a reader knows it."""
+
+    def __init__(self, line_no, field, message, source=None):
+        self.line_no = line_no
+        self.field = field
+        self.message = message
+        self.source = source
+        super().__init__(line_no, field, message)
+
+    def __str__(self):
+        where = f"{self.source}: " if self.source else ""
+        return f"{where}line {self.line_no}, field {self.field!r}: {self.message}"
+
+
+class MalformedRecord(RecordError):
     """Syntactically bad input line."""
 
-    def __init__(self, line_no, field, message):
-        self.line_no = line_no
-        self.field = field
-        super().__init__(f"line {line_no}, field {field!r}: {message}")
 
-
-class InvariantViolation(DataError):
+class InvariantViolation(RecordError):
     """Syntactically valid record that breaks a domain invariant."""
-
-    def __init__(self, line_no, field, message):
-        self.line_no = line_no
-        self.field = field
-        super().__init__(f"line {line_no}, field {field!r}: {message}")
 
 
 class UnknownCountry(DataError):
@@ -104,10 +109,6 @@ class NoKnownVerbs(NumericError):
 
 
 class TooFewExamples(NumericError):
-    pass
-
-
-class SingularDesign(NumericError):
     pass
 
 

@@ -16,9 +16,8 @@ a crossing earlier than the fit window is legitimate output and pairs
 with the already_reached flag.
 
 Band-edge crossings solve the squared band equation, a quadratic in x,
-and keep the root where the edge moves with the trend; bisection over
-[window start, horizon] is the fallback when the quadratic is numerically
-degenerate.
+and keep the root where the edge moves with the trend; an edge with no
+such root never crosses.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ PARITY_THRESHOLDS = {
     LEAD_PREMIUM: 0.0,
 }
 
-_BISECT_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class RegressionFit:
@@ -55,8 +52,8 @@ class RegressionFit:
     residual_variance: float
     dof: int
     confidence_level: float = DEFAULT_CONFIDENCE
-    # data range of the fitted window; parity uses it for the
-    # already-reached test and as the bisection bracket start
+    # data range of the fitted window; parity uses x_max for the
+    # already-reached test
     x_min: float = 0.0
     x_max: float = 0.0
 
@@ -139,10 +136,6 @@ def _line_crossing(fit: RegressionFit, threshold: float) -> Optional[float]:
     return (threshold - fit.intercept) / fit.slope
 
 
-def _edge_value(fit: RegressionFit, x: float, sign: int, t_crit: float) -> float:
-    return fit.value_at(x) + sign * _half_width(fit, x, t_crit)
-
-
 def _edge_slope(
     fit: RegressionFit, x: float, sign: int, alpha: float, beta: float
 ) -> float:
@@ -152,31 +145,13 @@ def _edge_slope(
     return fit.slope + sign * beta * (x - fit.x_mean) / width
 
 
-def _bisect_edge(
-    fit: RegressionFit, threshold: float, sign: int, t_crit: float, horizon: float
-) -> Optional[float]:
-    lo = fit.x_min
-    steps = 256
-    f_lo = _edge_value(fit, lo, sign, t_crit) - threshold
-    for i in range(1, steps + 1):
-        hi = fit.x_min + (horizon - fit.x_min) * i / steps
-        f_hi = _edge_value(fit, hi, sign, t_crit) - threshold
-        if f_lo == 0.0:
-            return lo
-        if f_lo * f_hi < 0.0:
-            a, b = lo, hi
-            while b - a > _BISECT_TOL:
-                mid = 0.5 * (a + b)
-                f_mid = _edge_value(fit, mid, sign, t_crit) - threshold
-                if f_mid == 0.0:
-                    return mid
-                if (f_mid < 0.0) == (f_lo < 0.0):
-                    a = mid
-                else:
-                    b = mid
-            return 0.5 * (a + b)
-        lo, f_lo = hi, f_hi
-    return None
+def _quadratic_roots(qa: float, qb: float, qc: float, disc: float) -> list[float]:
+    if abs(qa) > 1e-300:
+        if disc < 0.0:
+            return []
+        sq = math.sqrt(disc)
+        return [(-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)]
+    return [-qc / qb] if qb != 0.0 else []
 
 
 def _edge_crossing(
@@ -193,28 +168,29 @@ def _edge_crossing(
     alpha = t_crit * t_crit * fit.residual_variance / fit.n
     beta = t_crit * t_crit * fit.residual_variance / fit.s_xx
     b = fit.slope
-    d0 = fit.intercept - threshold
+
+    def on_edge(x: float) -> bool:
+        # the squared equation merges both edges; keep this edge's roots,
+        # where the line sits sign*width on the far side of the threshold
+        diff = fit.value_at(x) - threshold
+        width = math.sqrt(alpha + beta * (x - fit.x_mean) ** 2)
+        return abs(diff + sign * width) <= 1e-9 * (1.0 + width)
+
     # (line - threshold)^2 = alpha + beta (x - x_mean)^2, quadratic in x
+    d0 = fit.intercept - threshold
     qa = b * b - beta
     qb = 2.0 * b * d0 + 2.0 * beta * fit.x_mean
     qc = d0 * d0 - alpha - beta * fit.x_mean * fit.x_mean
-    roots: list[float] = []
-    if abs(qa) > 1e-300:
-        disc = qb * qb - 4.0 * qa * qc
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            roots = [(-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)]
-    elif qb != 0.0:
-        roots = [-qc / qb]
-    valid: list[float] = []
-    for x in roots:
-        diff = fit.value_at(x) - threshold
-        width = math.sqrt(alpha + beta * (x - fit.x_mean) ** 2)
-        # the squared equation merges both edges; keep this edge's roots,
-        # where the line sits sign*width on the far side of the threshold
-        if abs(diff + sign * width) > 1e-6 * (1.0 + width):
-            continue
-        valid.append(x)
+    roots = _quadratic_roots(qa, qb, qc, qb * qb - 4.0 * qa * qc)
+    valid = [x for x in roots if on_edge(x)]
+    if not valid:
+        # a near-exact fit (band about 0) cancels the digits of the terms
+        # above; in u = x - x_mean the discriminant is a sum of products
+        d = fit.value_at(fit.x_mean) - threshold
+        us = _quadratic_roots(
+            qa, 2.0 * b * d, d * d - alpha, 4.0 * (alpha * qa + beta * d * d)
+        )
+        valid = [x for x in (fit.x_mean + u for u in us) if on_edge(x)]
     pick: Optional[float] = None
     if b != 0.0:
         matching = [
@@ -230,9 +206,7 @@ def _edge_crossing(
         forward = [x for x in valid if x >= fit.x_mean]
         if forward:
             pick = min(forward)
-    if pick is None:
-        return _bisect_edge(fit, threshold, sign, t_crit, horizon)
-    return pick if pick <= horizon else None
+    return pick if pick is not None and pick <= horizon else None
 
 
 def parity_year(

@@ -12,18 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import bri_income_class, classify_topics, impact_factor_bin
-from .errors import ConfigError, MalformedRecord, TooFewExamples
-from .features import (
-    FEATURE_NAMES,
-    AuthorProfileIndex,
-    LeadFeatureVector,
-    extract_features,
+from .errors import (
+    BelowRange,
+    ConfigError,
+    MalformedRecord,
+    MissingUpstream,
+    TooFewExamples,
 )
+from .features import FEATURE_NAMES, LeadFeatureVector
 from .metrics import ScoredAuthorship
 from .records import PublicationRecord
 from .tables import BriClassification, RegionMap, TopicMap
@@ -199,27 +200,52 @@ def fit(
 
 def score_corpus(
     model: LinearLeadModel,
-    filtered: Iterable[tuple[PublicationRecord, tuple[str, str]]],
-    index: AuthorProfileIndex,
+    records: Iterable[PublicationRecord],
+    vectors: Mapping[tuple[str, str], LeadFeatureVector],
     region_map: RegionMap,
     topics: TopicMap,
     bri: BriClassification,
     if_edges: Sequence[float],
     *,
     threshold: float = DEFAULT_THRESHOLD,
-) -> Iterator[ScoredAuthorship]:
-    """One scored row per author of each bilateral paper, in input order."""
-    for record, _pair in filtered:
+) -> tuple[list[ScoredAuthorship], int]:
+    """One scored row per author of each paper, in input order.
+
+    vectors maps (paper_id, author_id) to its feature row; all rows are
+    predicted in one batch.  Papers below the first impact-factor edge
+    are skipped; the second return value counts them.
+    """
+    metas = []
+    arrays = []
+    below = 0
+    for record in records:
+        try:
+            if_bin = impact_factor_bin(record.impact_factor, if_edges)
+        except BelowRange:
+            below += 1
+            continue
         areas, fields = classify_topics(record, topics)
-        if_bin = impact_factor_bin(record.impact_factor, if_edges)
         emitted: set[str] = set()
         for a in record.authorships:
             if a.author_id in emitted:
                 continue
             emitted.add(a.author_id)
-            vector = extract_features(record, a.author_id, index)
-            prob = predict(model, vector)
-            yield ScoredAuthorship(
+            vec = vectors.get((record.paper_id, a.author_id))
+            if vec is None:
+                raise MissingUpstream(
+                    f"no feature row for {a.author_id} on "
+                    f"{record.paper_id}; re-run build-profiles"
+                )
+            metas.append((record, a, areas, fields, if_bin))
+            arrays.append(vec.as_array())
+    if not metas:
+        return [], below
+    probs = predict_many(model, np.array(arrays))
+    rows = []
+    for (record, a, areas, fields, if_bin), prob in zip(metas, probs):
+        prob = float(prob)
+        rows.append(
+            ScoredAuthorship(
                 paper_id=record.paper_id,
                 author_id=a.author_id,
                 region=region_map.region_of(a.country),
@@ -232,6 +258,8 @@ def score_corpus(
                 bri_class=bri_income_class(a.country, bri),
                 country=a.country,
             )
+        )
+    return rows, below
 
 
 _MODEL_KEYS = ("family", "seed", "split", "n_train", "damping", "intercept",

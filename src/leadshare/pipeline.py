@@ -1,15 +1,9 @@
 """Stage orchestration with content-hash caching.
 
-Eight stages form a fixed dependency chain:
-
-    ingest          raw corpus -> corpus.jsonl, bilateral.jsonl
-    train-roles     raw statements -> roles.tsv, labels.tsv
-    build-profiles  corpus.jsonl -> features.tsv
-    fit-model       labels.tsv + features.tsv -> model.tsv, eval.tsv
-    score           bilateral.jsonl + features.tsv + model.tsv -> scored.tsv
-    aggregate       scored.tsv -> counts.tsv, series.tsv
-    forecast        series.tsv -> forecast.tsv
-    export          series.tsv + forecast.tsv + scored.tsv -> export/fig*.csv
+Eight stages (ingest through export) form a fixed dependency chain, and
+two sweeps re-forecast along one axis.  `STAGE_TABLE` declares each one:
+its function, raw input, packaged tables, upstream artifacts, config
+slice and outputs.
 
 Every stage records (input hashes, config-slice hash, output hashes) in
 manifest.tsv.  A stage whose recorded line still matches is skipped, so
@@ -23,26 +17,17 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
 from .config import PipelineConfig
-from .corpus import (
-    FilterStats,
-    bri_income_class,
-    classify_topics,
-    filter_corpus,
-    impact_factor_bin,
-)
+from .corpus import FilterStats, filter_corpus
 from .errors import (
-    BelowRange,
     ConfigError,
     DataError,
     HashMismatch,
@@ -55,10 +40,10 @@ from .forecast import ForecastRow, confidence_band, forecast_series, write_forec
 from .leadmodel import (
     ScoredAuthorship,
     fit,
-    predict_many,
     read_model,
     read_scored,
     rescore,
+    score_corpus,
     write_eval,
     write_model,
     write_scored,
@@ -102,63 +87,26 @@ log = logging.getLogger("leadshare.pipeline")
 MANIFEST_NAME = "manifest.tsv"
 _MANIFEST_HEADER = "stage\tinputs\tconfig\toutputs"
 
-STAGES = (
-    "ingest", "train-roles", "build-profiles", "fit-model",
-    "score", "aggregate", "forecast", "export",
-)
-SWEEP_AXES = ("threshold", "if_bin")
 
-_FIGURES = ("fig1c", "fig1d", "fig2a", "fig2b", "fig3", "fig4a", "fig4b")
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline step: what it hashes, what it reads and what it writes.
 
-ARTIFACTS: dict[str, tuple[str, ...]] = {
-    "ingest": ("corpus.jsonl", "bilateral.jsonl"),
-    "train-roles": ("roles.tsv", "labels.tsv"),
-    "build-profiles": ("features.tsv",),
-    "fit-model": ("model.tsv", "eval.tsv"),
-    "score": ("scored.tsv",),
-    "aggregate": ("counts.tsv", "series.tsv"),
-    "forecast": ("forecast.tsv",),
-    "export": tuple(f"export/{name}.csv" for name in _FIGURES),
-    "sweep-threshold": ("sweep_threshold.tsv",),
-    "sweep-if_bin": ("sweep_if_bin.tsv",),
-}
+    `fn` takes the config (a sweep also its values), `help` is the CLI
+    help line, `raw` names the config key of a raw input file, `tables`
+    the packaged tables the stage reads, `reads` its upstream artifacts
+    and `config_keys` the config slice its behavior depends on; changing
+    any other key leaves the stage cached.
+    """
 
-_PRODUCER = {
-    artifact: stage
-    for stage, artifacts in ARTIFACTS.items()
-    for artifact in artifacts
-}
-
-# config keys each stage's behavior depends on; changing any other key
-# leaves the stage cached
-_CONFIG_KEYS: dict[str, tuple[str, ...]] = {
-    "ingest": ("strict",),
-    "train-roles": ("seed", "strict_binary_labels"),
-    "build-profiles": (),
-    "fit-model": ("seed", "split_ratio", "model_family", "lead_threshold"),
-    "score": ("lead_threshold", "if_bin_edges"),
-    "aggregate": (
-        "counting_mode", "focal_region", "pairs", "areas", "fields",
-        "if_bins", "bri_classes",
-    ),
-    "forecast": ("window_start", "window_end", "confidence_level", "horizon"),
-    "export": (
-        "window_start", "window_end", "confidence_level", "horizon",
-        "threshold_sweep", "focal_region", "pairs", "counting_mode",
-    ),
-    "sweep-threshold": (
-        "counting_mode", "focal_region", "pairs",
-        "window_start", "window_end", "confidence_level", "horizon",
-    ),
-    "sweep-if_bin": (
-        "counting_mode", "focal_region", "pairs",
-        "window_start", "window_end", "confidence_level", "horizon",
-    ),
-}
-
-_MANIFEST_ORDER = {name: i for i, name in enumerate(
-    STAGES + ("sweep-threshold", "sweep-if_bin")
-)}
+    name: str
+    fn: Callable[..., None]
+    help: str
+    raw: Optional[str] = None
+    tables: tuple[str, ...] = ()
+    reads: tuple[str, ...] = ()
+    config_keys: tuple[str, ...] = ()
+    writes: tuple[str, ...] = ()
 
 
 def _sha256_bytes(data: bytes) -> str:
@@ -217,7 +165,8 @@ def read_manifest(path: Path) -> dict[str, ManifestEntry]:
 
 def write_manifest(entries: dict[str, ManifestEntry], path: Path) -> None:
     lines = [_MANIFEST_HEADER]
-    for stage in sorted(entries, key=lambda s: _MANIFEST_ORDER.get(s, 99)):
+    order = {name: i for i, name in enumerate(STAGE_TABLE)}
+    for stage in sorted(entries, key=lambda s: order.get(s, len(order))):
         e = entries[stage]
         lines.append(
             f"{stage}\t{_encode_hashes(e.inputs)}\t{e.config_hash}\t"
@@ -227,25 +176,16 @@ def write_manifest(entries: dict[str, ManifestEntry], path: Path) -> None:
 
 
 def _config_slice_hash(
-    config: PipelineConfig, stage: str, extra: Optional[dict] = None
+    config: PipelineConfig, stage: Stage, values: Optional[tuple] = None
 ) -> str:
-    pieces = {key: getattr(config, key) for key in _CONFIG_KEYS[stage]}
-    if extra:
-        pieces.update(extra)
+    pieces = {key: getattr(config, key) for key in stage.config_keys}
+    if values is not None:
+        pieces["values"] = values
     text = repr(sorted(pieces.items()))
     return _sha256_bytes(text.encode("utf-8"))
 
 
-def _raw_input(name: str, path: Optional[Path]) -> tuple[str, str]:
-    if path is None:
-        raise ConfigError(f"config key {name!r} is required for this stage")
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{name} file not found: {path}")
-    return f"raw:{name}", _sha256_file(path)
-
-
-def _table_inputs(config: PipelineConfig, *names: str) -> dict[str, str]:
+def _table_inputs(config: PipelineConfig, names: Sequence[str]) -> dict[str, str]:
     paths = {
         "regions": ("regions.tsv", config.regions),
         "bri": ("bri_countries.tsv", config.bri),
@@ -259,85 +199,62 @@ def _table_inputs(config: PipelineConfig, *names: str) -> dict[str, str]:
     return out
 
 
+def _producer(rel: str) -> str:
+    return next(stage.name for stage in STAGE_TABLE.values() if rel in stage.writes)
+
+
 def _artifact_inputs(
     config: PipelineConfig,
     manifest: dict[str, ManifestEntry],
-    *relpaths: str,
+    relpaths: Sequence[str],
 ) -> dict[str, str]:
     out = {}
     for rel in relpaths:
         path = config.output_dir / rel
+        producer = _producer(rel)
         if not path.exists():
-            raise MissingUpstream(
-                f"missing {rel}; run the {_PRODUCER[rel]!r} stage first"
-            )
+            raise MissingUpstream(f"missing {rel}; run the {producer!r} stage first")
         digest = _sha256_file(path)
-        producer = manifest.get(_PRODUCER[rel])
-        if producer is not None:
-            recorded = producer.outputs.get(rel)
+        entry = manifest.get(producer)
+        if entry is not None:
+            recorded = entry.outputs.get(rel)
             if recorded is not None and recorded != digest:
                 raise HashMismatch(
                     f"{rel} does not match the manifest; it was modified "
-                    f"outside the pipeline (re-run {_PRODUCER[rel]!r})"
+                    f"outside the pipeline (re-run {producer!r})"
                 )
         out[rel] = digest
     return out
 
 
-def _collect_inputs(
-    stage: str, config: PipelineConfig, manifest: dict[str, ManifestEntry]
+def _stage_inputs(
+    stage: Stage, config: PipelineConfig, manifest: dict[str, ManifestEntry]
 ) -> dict[str, str]:
-    if stage == "ingest":
-        name, digest = _raw_input("corpus", config.corpus)
-        inputs = {name: digest}
-        inputs.update(_table_inputs(config, "regions"))
-        return inputs
-    if stage == "train-roles":
-        name, digest = _raw_input("contributions", config.contributions)
-        return {name: digest}
-    if stage == "build-profiles":
-        return _artifact_inputs(config, manifest, "corpus.jsonl")
-    if stage == "fit-model":
-        return _artifact_inputs(config, manifest, "labels.tsv", "features.tsv")
-    if stage == "score":
-        inputs = _artifact_inputs(
-            config, manifest, "bilateral.jsonl", "features.tsv", "model.tsv"
-        )
-        inputs.update(
-            _table_inputs(config, "regions", "bri", "areas", "fields")
-        )
-        return inputs
-    if stage == "aggregate":
-        return _artifact_inputs(config, manifest, "scored.tsv")
-    if stage == "forecast":
-        return _artifact_inputs(config, manifest, "series.tsv")
-    if stage == "export":
-        return _artifact_inputs(
-            config, manifest, "series.tsv", "forecast.tsv", "scored.tsv"
-        )
-    if stage in ("sweep-threshold", "sweep-if_bin"):
-        return _artifact_inputs(config, manifest, "scored.tsv")
-    raise ConfigError(f"unknown stage {stage!r}")
-
-
-def _chunks(items: Sequence, n: int) -> list[Sequence]:
-    if n <= 1 or len(items) <= 1:
-        return [items]
-    size = math.ceil(len(items) / n)
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def _parallel_map(fn: Callable, chunks: list, workers: int) -> list:
-    """Apply fn to each chunk, merging results in chunk order."""
-    if workers <= 1 or len(chunks) <= 1:
-        return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
+    inputs = {}
+    if stage.raw is not None:
+        path = getattr(config, stage.raw)
+        if path is None:
+            raise ConfigError(f"config key {stage.raw!r} is required for this stage")
+        if not Path(path).exists():
+            raise ConfigError(f"{stage.raw} file not found: {path}")
+        inputs[f"raw:{stage.raw}"] = _sha256_file(Path(path))
+    inputs.update(_artifact_inputs(config, manifest, stage.reads))
+    inputs.update(_table_inputs(config, stage.tables))
+    return inputs
 
 
 def _read_corpus_file(path: Path) -> list:
     with open(path, encoding="utf-8") as fh:
-        return list(read_corpus(fh))
+        return list(read_corpus(fh, source=str(path)))
+
+
+def _feature_vectors(config: PipelineConfig) -> dict:
+    return {
+        (paper_id, author_id): vec
+        for paper_id, author_id, vec in read_features(
+            config.output_dir / "features.tsv"
+        )
+    }
 
 
 # ---------------------------------------------------------------- stages
@@ -362,7 +279,10 @@ def _stage_ingest(config: PipelineConfig) -> None:
 
 def _stage_train_roles(config: PipelineConfig) -> None:
     with open(config.contributions, encoding="utf-8") as fh:
-        statements = [normalize_record(r) for r in read_contributions(fh)]
+        statements = [
+            normalize_record(r)
+            for r in read_contributions(fh, source=str(config.contributions))
+        ]
     matrix = build_cooccurrence(statements)
     partition = cluster_roles(matrix, seed=config.seed)
     model = label_clusters(partition)
@@ -389,12 +309,7 @@ def _stage_build_profiles(config: PipelineConfig) -> None:
 
 def _stage_fit_model(config: PipelineConfig) -> None:
     labels = read_training_labels(config.output_dir / "labels.tsv")
-    vectors = {
-        (paper_id, author_id): vec
-        for paper_id, author_id, vec in read_features(
-            config.output_dir / "features.tsv"
-        )
-    }
+    vectors = _feature_vectors(config)
     examples = []
     skipped = 0
     for lab in labels:
@@ -423,72 +338,16 @@ def _stage_fit_model(config: PipelineConfig) -> None:
 
 
 def _stage_score(config: PipelineConfig) -> None:
-    records = _read_corpus_file(config.output_dir / "bilateral.jsonl")
-    region_map = load_region_map(config.regions)
-    topics = load_topic_map(config.areas_table, config.fields_table)
-    bri = load_bri_classification(config.bri)
-    model = read_model(config.output_dir / "model.tsv")
-    vectors = {
-        (paper_id, author_id): vec
-        for paper_id, author_id, vec in read_features(
-            config.output_dir / "features.tsv"
-        )
-    }
-    below = 0
-
-    def score_chunk(chunk) -> list[ScoredAuthorship]:
-        nonlocal below
-        metas = []
-        arrays = []
-        for record in chunk:
-            try:
-                if_bin = impact_factor_bin(
-                    record.impact_factor, config.if_bin_edges
-                )
-            except BelowRange:
-                below += 1
-                continue
-            areas, fields = classify_topics(record, topics)
-            emitted: set[str] = set()
-            for a in record.authorships:
-                if a.author_id in emitted:
-                    continue
-                emitted.add(a.author_id)
-                vec = vectors.get((record.paper_id, a.author_id))
-                if vec is None:
-                    raise MissingUpstream(
-                        f"no feature row for {a.author_id} on "
-                        f"{record.paper_id}; re-run build-profiles"
-                    )
-                metas.append((record, a, areas, fields, if_bin))
-                arrays.append(vec.as_array())
-        if not metas:
-            return []
-        probs = predict_many(model, np.array(arrays))
-        rows = []
-        for (record, a, areas, fields, if_bin), prob in zip(metas, probs):
-            prob = float(prob)
-            rows.append(
-                ScoredAuthorship(
-                    paper_id=record.paper_id,
-                    author_id=a.author_id,
-                    region=region_map.region_of(a.country),
-                    year=record.year,
-                    lead_prob=prob,
-                    is_leader=prob > config.lead_threshold,
-                    areas=areas,
-                    fields=fields,
-                    if_bin=if_bin,
-                    bri_class=bri_income_class(a.country, bri),
-                    country=a.country,
-                )
-            )
-        return rows
-
-    chunked = _parallel_map(
-        score_chunk, _chunks(records, config.workers), config.workers
+    rows, below = score_corpus(
+        read_model(config.output_dir / "model.tsv"),
+        _read_corpus_file(config.output_dir / "bilateral.jsonl"),
+        _feature_vectors(config),
+        load_region_map(config.regions),
+        load_topic_map(config.areas_table, config.fields_table),
+        load_bri_classification(config.bri),
+        config.if_bin_edges,
+        threshold=config.lead_threshold,
     )
-    rows = [row for chunk in chunked for row in chunk]
     write_scored(rows, config.output_dir / "scored.tsv")
     if below:
         log.warning(
@@ -745,16 +604,99 @@ def _stage_export(config: PipelineConfig) -> None:
     )
 
 
-_STAGE_FNS: dict[str, Callable[[PipelineConfig], None]] = {
-    "ingest": _stage_ingest,
-    "train-roles": _stage_train_roles,
-    "build-profiles": _stage_build_profiles,
-    "fit-model": _stage_fit_model,
-    "score": _stage_score,
-    "aggregate": _stage_aggregate,
-    "forecast": _stage_forecast,
-    "export": _stage_export,
-}
+def _stage_sweep(axis: str, config: PipelineConfig, values: Sequence) -> None:
+    scored = list(read_scored(config.output_dir / "scored.tsv"))
+    rows = _forecast_rows(config, _sweep_series(config, scored, axis, values))
+    write_forecast(rows, config.output_dir / f"sweep_{axis}.tsv")
+    log.info(
+        "sweep-%s: %d forecast rows for %d values", axis, len(rows), len(values)
+    )
+
+
+_SWEEP_KEYS = (
+    "counting_mode", "focal_region", "pairs",
+    "window_start", "window_end", "confidence_level", "horizon",
+)
+
+# run order, then the sweeps; manifest lines follow this order
+STAGE_TABLE: dict[str, Stage] = {stage.name: stage for stage in (
+    Stage(
+        "ingest", _stage_ingest,
+        "validate the corpus and select bilateral publications",
+        raw="corpus", tables=("regions",), config_keys=("strict",),
+        writes=("corpus.jsonl", "bilateral.jsonl"),
+    ),
+    Stage(
+        "train-roles", _stage_train_roles,
+        "cluster contribution verbs and label statements",
+        raw="contributions", config_keys=("seed", "strict_binary_labels"),
+        writes=("roles.tsv", "labels.tsv"),
+    ),
+    Stage(
+        "build-profiles", _stage_build_profiles,
+        "extract per-authorship feature vectors",
+        reads=("corpus.jsonl",), writes=("features.tsv",),
+    ),
+    Stage(
+        "fit-model", _stage_fit_model,
+        "fit and evaluate the lead-probability model",
+        reads=("labels.tsv", "features.tsv"),
+        config_keys=("seed", "split_ratio", "model_family", "lead_threshold"),
+        writes=("model.tsv", "eval.tsv"),
+    ),
+    Stage(
+        "score", _stage_score, "score every bilateral authorship",
+        tables=("regions", "bri", "areas", "fields"),
+        reads=("bilateral.jsonl", "features.tsv", "model.tsv"),
+        config_keys=("lead_threshold", "if_bin_edges"),
+        writes=("scored.tsv",),
+    ),
+    Stage(
+        "aggregate", _stage_aggregate,
+        "tally leader/supporter counts and build metric series",
+        reads=("scored.tsv",),
+        config_keys=(
+            "counting_mode", "focal_region", "pairs", "areas", "fields",
+            "if_bins", "bri_classes",
+        ),
+        writes=("counts.tsv", "series.tsv"),
+    ),
+    Stage(
+        "forecast", _stage_forecast, "fit trends and solve parity years",
+        reads=("series.tsv",),
+        config_keys=("window_start", "window_end", "confidence_level", "horizon"),
+        writes=("forecast.tsv",),
+    ),
+    Stage(
+        "export", _stage_export, "write plot-ready per-figure CSV tables",
+        reads=("series.tsv", "forecast.tsv", "scored.tsv"),
+        config_keys=(
+            "window_start", "window_end", "confidence_level", "horizon",
+            "threshold_sweep", "focal_region", "pairs", "counting_mode",
+        ),
+        writes=tuple(
+            f"export/{name}.csv"
+            for name in ("fig1c", "fig1d", "fig2a", "fig2b", "fig3", "fig4a", "fig4b")
+        ),
+    ),
+    Stage(
+        "sweep-threshold", functools.partial(_stage_sweep, "threshold"),
+        "forecast once per lead threshold",
+        reads=("scored.tsv",), config_keys=_SWEEP_KEYS,
+        writes=("sweep_threshold.tsv",),
+    ),
+    Stage(
+        "sweep-if_bin", functools.partial(_stage_sweep, "if_bin"),
+        "forecast once per impact-factor bin",
+        reads=("scored.tsv",), config_keys=_SWEEP_KEYS,
+        writes=("sweep_if_bin.tsv",),
+    ),
+)}
+
+STAGES = tuple(name for name in STAGE_TABLE if not name.startswith("sweep-"))
+SWEEP_AXES = tuple(
+    name.removeprefix("sweep-") for name in STAGE_TABLE if name.startswith("sweep-")
+)
 
 
 def _is_cached(
@@ -777,27 +719,40 @@ def _is_cached(
     return True
 
 
-def run_stage(stage: str, config: PipelineConfig, force: bool = False) -> str:
-    """Run one stage (or skip it when cached); returns 'ran' or 'cached'."""
-    if stage not in _STAGE_FNS:
-        raise ConfigError(f"unknown stage {stage!r}")
+def _run(
+    name: str, config: PipelineConfig, force: bool, values: Optional[tuple] = None
+) -> str:
+    """Hash the inputs, skip when the manifest line still matches, else run
+    the stage (a sweep also gets its values, which join the config slice)
+    and record its line."""
+    stage = STAGE_TABLE[name]
     config.output_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = config.output_dir / MANIFEST_NAME
     manifest = read_manifest(manifest_path)
-    inputs = _collect_inputs(stage, config, manifest)
-    config_hash = _config_slice_hash(config, stage)
+    inputs = _stage_inputs(stage, config, manifest)
+    config_hash = _config_slice_hash(config, stage, values)
     if not force and _is_cached(
-        manifest.get(stage), inputs, config_hash, config, ARTIFACTS[stage]
+        manifest.get(name), inputs, config_hash, config, stage.writes
     ):
-        log.info("%s: cached", stage)
+        log.info("%s: cached", name)
         return "cached"
-    _STAGE_FNS[stage](config)
+    if values is None:
+        stage.fn(config)
+    else:
+        stage.fn(config, values)
     outputs = {
-        rel: _sha256_file(config.output_dir / rel) for rel in ARTIFACTS[stage]
+        rel: _sha256_file(config.output_dir / rel) for rel in stage.writes
     }
-    manifest[stage] = ManifestEntry(stage, inputs, config_hash, outputs)
+    manifest[name] = ManifestEntry(name, inputs, config_hash, outputs)
     write_manifest(manifest, manifest_path)
     return "ran"
+
+
+def run_stage(stage: str, config: PipelineConfig, force: bool = False) -> str:
+    """Run one stage (or skip it when cached); returns 'ran' or 'cached'."""
+    if stage not in STAGES:
+        raise ConfigError(f"unknown stage {stage!r}")
+    return _run(stage, config, force)
 
 
 def run_all(config: PipelineConfig, force: bool = False) -> dict[str, str]:
@@ -813,26 +768,4 @@ def run_sweep(
     """Forecast once per sweep value; writes sweep_<axis>.tsv."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-    stage = f"sweep-{axis}"
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = config.output_dir / MANIFEST_NAME
-    manifest = read_manifest(manifest_path)
-    inputs = _collect_inputs(stage, config, manifest)
-    config_hash = _config_slice_hash(
-        config, stage, extra={"values": tuple(values)}
-    )
-    if not force and _is_cached(
-        manifest.get(stage), inputs, config_hash, config, ARTIFACTS[stage]
-    ):
-        log.info("%s: cached", stage)
-        return "cached"
-    scored = list(read_scored(config.output_dir / "scored.tsv"))
-    series_list = _sweep_series(config, scored, axis, values)
-    rows = _forecast_rows(config, series_list)
-    out_path = config.output_dir / ARTIFACTS[stage][0]
-    write_forecast(rows, out_path)
-    log.info("%s: %d forecast rows for %d values", stage, len(rows), len(values))
-    outputs = {ARTIFACTS[stage][0]: _sha256_file(out_path)}
-    manifest[stage] = ManifestEntry(stage, inputs, config_hash, outputs)
-    write_manifest(manifest, manifest_path)
-    return "ran"
+    return _run(f"sweep-{axis}", config, force, tuple(values))

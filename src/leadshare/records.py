@@ -24,11 +24,15 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, TextIO
 
-from .errors import InvariantViolation, MalformedRecord
+from .errors import InvariantViolation, MalformedRecord, RecordError
 
 # Sort key for papers without an explicit date: mid-year keeps them
 # comparable against dated papers in the same year.
 MISSING_DATE_MONTH_DAY = (7, 1)
+
+# ids and countries end up in TSV columns and packed tag fields, so they
+# must not contain the characters that separate those
+SEPARATORS = ("\t", "\n", ";", "|", "=")
 
 
 @dataclass(frozen=True)
@@ -53,9 +57,6 @@ class PublicationRecord:
     def concept_names(self) -> frozenset[str]:
         return frozenset(name for name, _ in self.concepts)
 
-    def level0_concept_names(self) -> frozenset[str]:
-        return frozenset(name for name, level in self.concepts if level == 0)
-
     def sort_date(self) -> tuple[int, int, int]:
         """Chronological key; missing dates sort as July 1 of their year."""
         if self.pub_date is not None:
@@ -67,6 +68,14 @@ def _require(obj: dict, key: str, line_no: int):
     if key not in obj:
         raise MalformedRecord(line_no, key, "missing field")
     return obj[key]
+
+
+def _no_separators(value: str, line_no: int, field: str) -> None:
+    for sep in SEPARATORS:
+        if sep in value:
+            raise MalformedRecord(
+                line_no, field, f"{value!r} contains the separator {sep!r}"
+            )
 
 
 def _parse_date(raw, line_no: int) -> Optional[datetime.date]:
@@ -95,6 +104,7 @@ def parse_publication_line(line: str, line_no: int = 0) -> PublicationRecord:
     paper_id = _require(obj, "paper_id", line_no)
     if not isinstance(paper_id, str) or not paper_id:
         raise MalformedRecord(line_no, "paper_id", "must be a non-empty string")
+    _no_separators(paper_id, line_no, "paper_id")
 
     year = _require(obj, "year", line_no)
     if not isinstance(year, int) or isinstance(year, bool):
@@ -164,6 +174,8 @@ def parse_publication_line(line: str, line_no: int = 0) -> PublicationRecord:
             raise InvariantViolation(line_no, "authorships", "empty country")
         if not isinstance(rec.position, int) or isinstance(rec.position, bool):
             raise MalformedRecord(line_no, "authorships", "position must be an integer")
+        _no_separators(rec.author_id, line_no, "author_id")
+        _no_separators(rec.country, line_no, "country")
         authorships.append(rec)
     positions = sorted(a.position for a in authorships)
     if positions != list(range(len(authorships))):
@@ -184,12 +196,23 @@ def parse_publication_line(line: str, line_no: int = 0) -> PublicationRecord:
     )
 
 
-def read_corpus(lines: Iterable[str]) -> Iterator[PublicationRecord]:
-    """Parse a corpus stream, skipping blank lines."""
+def _read_lines(parse, lines: Iterable[str], source: Optional[str]) -> Iterator:
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        yield parse_publication_line(line, line_no)
+        try:
+            record = parse(line, line_no)
+        except RecordError as exc:
+            exc.source = source
+            raise
+        yield record
+
+
+def read_corpus(
+    lines: Iterable[str], source: Optional[str] = None
+) -> Iterator[PublicationRecord]:
+    """Parse a corpus stream, skipping blank lines; errors name source."""
+    yield from _read_lines(parse_publication_line, lines, source)
 
 
 def publication_to_json(record: PublicationRecord) -> str:
@@ -239,6 +262,10 @@ def parse_contribution_line(line: str, line_no: int = 0) -> ContributionRecord:
         raise MalformedRecord(line_no, "<line>", "record is not an object")
     paper_id = _require(obj, "paper_id", line_no)
     author_id = _require(obj, "author_id", line_no)
+    for field_name, value in (("paper_id", paper_id), ("author_id", author_id)):
+        if not isinstance(value, str) or not value:
+            raise MalformedRecord(line_no, field_name, "must be a non-empty string")
+        _no_separators(value, line_no, field_name)
     verbs = _require(obj, "verbs", line_no)
     if not isinstance(verbs, list) or not all(isinstance(v, str) for v in verbs):
         raise MalformedRecord(line_no, "verbs", "must be a list of strings")
@@ -247,11 +274,10 @@ def parse_contribution_line(line: str, line_no: int = 0) -> ContributionRecord:
     return ContributionRecord(paper_id=paper_id, author_id=author_id, verbs=tuple(verbs))
 
 
-def read_contributions(lines: Iterable[str]) -> Iterator[ContributionRecord]:
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        yield parse_contribution_line(line, line_no)
+def read_contributions(
+    lines: Iterable[str], source: Optional[str] = None
+) -> Iterator[ContributionRecord]:
+    yield from _read_lines(parse_contribution_line, lines, source)
 
 
 def write_corpus(records: Iterable[PublicationRecord], fh: TextIO) -> int:

@@ -127,10 +127,6 @@ class CooccurrenceMatrix:
     vocabulary: tuple[str, ...]
     counts: np.ndarray
 
-    def index_of(self, verb: str) -> int:
-        # vocabulary is sorted, so bisect would also work; linear is fine
-        return self.vocabulary.index(verb)
-
 
 def build_cooccurrence(records: Iterable[ContributionRecord]) -> CooccurrenceMatrix:
     """Count within-statement verb co-occurrence, deduplicated per unit."""

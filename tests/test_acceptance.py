@@ -22,7 +22,7 @@ from leadshare.metrics import (
     lead_share,
     supporter_share,
 )
-from leadshare.pipeline import ARTIFACTS, MANIFEST_NAME, STAGES, run_all, run_stage
+from leadshare.pipeline import MANIFEST_NAME, STAGE_TABLE, STAGES, run_all, run_stage
 from leadshare.records import write_contributions, write_corpus
 from leadshare.roles import LEAD, build_cooccurrence, cluster_roles, label_clusters
 from leadshare.synth import (
@@ -254,7 +254,7 @@ def test_criterion_8_determinism_and_throughput(fixture_dir, tmp_path):
         )
         run_all(config)
         outputs.append(config.output_dir)
-    artifacts = [rel for stage in STAGES for rel in ARTIFACTS[stage]]
+    artifacts = [rel for stage in STAGES for rel in STAGE_TABLE[stage].writes]
     artifacts.append(MANIFEST_NAME)
     differing = [
         rel for rel in artifacts

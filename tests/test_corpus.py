@@ -24,9 +24,11 @@ from leadshare.errors import (
     UnknownCountry,
 )
 from leadshare.records import (
+    SEPARATORS,
     parse_contribution_line,
     parse_publication_line,
     publication_to_json,
+    read_contributions,
     read_corpus,
 )
 from leadshare.tables import (
@@ -163,6 +165,38 @@ def test_empty_author_or_country_rejected():
     obj["authorships"][0]["country"] = "  "
     with pytest.raises(InvariantViolation):
         parse(obj)
+
+
+@pytest.mark.parametrize("sep", SEPARATORS)
+@pytest.mark.parametrize("field", ["paper_id", "author_id", "country"])
+def test_separators_rejected_in_ids_and_countries(field, sep):
+    obj = base_obj()
+    if field == "paper_id":
+        obj["paper_id"] = f"P{sep}1"
+    else:
+        obj["authorships"][1][field] = f"X{sep}Y"
+    with pytest.raises(MalformedRecord) as exc:
+        parse(obj)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("sep", SEPARATORS)
+@pytest.mark.parametrize("field", ["paper_id", "author_id"])
+def test_separators_rejected_in_contributions(field, sep):
+    obj = {"paper_id": "P1", "author_id": "A1", "verbs": ["led"]}
+    obj[field] = f"X{sep}Y"
+    with pytest.raises(MalformedRecord) as exc:
+        parse_contribution_line(json.dumps(obj), 2)
+    assert (exc.value.field, exc.value.line_no) == (field, 2)
+
+
+def test_reader_errors_name_the_source():
+    good = json.dumps(base_obj())
+    with pytest.raises(MalformedRecord, match=r"^in\.jsonl: line 2, field"):
+        list(read_corpus([good, "{bad"], source="in.jsonl"))
+    with pytest.raises(MalformedRecord, match=r"^st\.jsonl: line 1, field 'verbs'"):
+        list(read_contributions(['{"paper_id":"P1","author_id":"A1","verbs":"x"}'],
+                                source="st.jsonl"))
 
 
 def test_read_corpus_skips_blanks_and_numbers_lines():

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from leadshare.errors import MalformedRecord, TooFewPoints, ZeroVariance
 from leadshare.forecast import (
     PARITY_THRESHOLDS,
+    RegressionFit,
+    _edge_crossing,
     confidence_band,
     fit_points,
     forecast_series,
@@ -256,6 +258,66 @@ class TestParity:
                 lo, hi = confidence_band(fit, est.upper_year)
                 assert lo == pytest.approx(0.5, abs=1e-5)
         assert hits > 10
+
+
+def band_edge_on_grid(fit, sign, grid):
+    """Band edge straight from the band formula, vectorized over grid."""
+    t_crit = t_quantile(0.5 + fit.confidence_level / 2.0, fit.dof)
+    half = t_crit * np.sqrt(
+        fit.residual_variance * (1.0 / fit.n + (grid - fit.x_mean) ** 2 / fit.s_xx)
+    )
+    return fit.intercept + fit.slope * grid + sign * half
+
+
+class TestEdgeCrossingOracle:
+    """The quadratic band-edge solve against a dense grid of the band."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        trend=st.sampled_from((1, -1, 0)),
+        magnitude=st.floats(1e-4, 0.05),
+        n=st.integers(3, 30),
+        start=st.integers(1990, 2015),
+        level=st.floats(-0.5, 1.5),
+        # down to near-exact fits, whose band is almost zero
+        log_sigma=st.floats(-12.0, -0.5),
+        threshold=st.sampled_from((0.5, 0.0)),
+        reach=st.floats(0.0, 300.0),
+        sign=st.sampled_from((1, -1)),
+    )
+    def test_crossing_matches_dense_grid(
+        self, trend, magnitude, n, start, level, log_sigma, threshold, reach, sign
+    ):
+        xs = np.arange(start, start + n, dtype=float)
+        x_mean = float(xs.mean())
+        slope = trend * magnitude
+        fit = RegressionFit(
+            slope=slope, intercept=level - slope * x_mean, n=n, x_mean=x_mean,
+            s_xx=float(((xs - x_mean) ** 2).sum()),
+            residual_variance=10.0 ** (2.0 * log_sigma),
+            dof=n - 2, x_min=float(xs[0]), x_max=float(xs[-1]),
+        )
+        horizon = fit.x_max + reach
+        x = _edge_crossing(fit, threshold, sign, horizon)
+        # crossings count in the trend's direction (for a flat trend, the
+        # edge moving away from the line past x_mean); a crossing against
+        # the trend is no parity
+        direction = trend if trend != 0 else sign
+        if x is not None:
+            assert x <= horizon
+            lo, hi = confidence_band(fit, x)
+            edge = hi if sign == 1 else lo
+            assert edge == pytest.approx(threshold, abs=1e-8 * (1.0 + hi - lo))
+            before, after = band_edge_on_grid(fit, sign, np.array([x - 1e-3, x + 1e-3]))
+            assert direction * (after - before) >= -1e-9
+            return
+        # never: no grid step where the edge crosses in that direction
+        grid = np.linspace(fit.x_min if trend else fit.x_mean, horizon, 20001)
+        g = direction * (band_edge_on_grid(fit, sign, grid) - threshold)
+        clear = np.abs(g) > 1e-9
+        g, grid = g[clear], grid[clear]
+        crossed = np.nonzero((g[:-1] < 0.0) & (g[1:] > 0.0))[0]
+        assert crossed.size == 0, f"edge crosses near {grid[crossed[0]]}"
 
 
 class TestForecastSeries:

@@ -10,12 +10,12 @@ from pathlib import Path
 import pytest
 
 from leadshare.cli import main
-from leadshare.pipeline import ARTIFACTS, STAGES
+from leadshare.pipeline import STAGE_TABLE, STAGES
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "synthetic_200"
 COMMITTED = FIXTURE / "out"
 
-STAGE_ARTIFACTS = tuple(name for stage in STAGES for name in ARTIFACTS[stage])
+STAGE_ARTIFACTS = tuple(name for stage in STAGES for name in STAGE_TABLE[stage].writes)
 
 # The committed sweep_threshold.tsv holds only a header, and its manifest
 # line carries config hash 1df78cfc..., which matches neither the config's

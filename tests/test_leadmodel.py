@@ -8,7 +8,7 @@ import pytest
 from helpers import make_record
 from leadshare.corpus import bri_income_class, classify_topics, filter_corpus, impact_factor_bin
 from leadshare.errors import ConfigError, MalformedRecord, TooFewExamples
-from leadshare.features import LeadFeatureVector, build_profiles, extract_features
+from leadshare.features import LeadFeatureVector, build_profiles, extract_all, extract_features
 from leadshare.leadmodel import (
     LEADER,
     SUPPORTER,
@@ -257,13 +257,19 @@ def scoring_setup(request):
     return corpus, model, region_map, topics, bri
 
 
+def feature_rows(corpus, index):
+    return {(p, a): v for p, a, v in extract_all(corpus, index)}
+
+
 def test_score_corpus_matches_composition(scoring_setup):
     corpus, model, region_map, topics, bri = scoring_setup
     edges = (1, 2, 4, 8, 16)
-    filtered = list(filter_corpus(corpus, region_map))
+    records = [rec for rec, _pair in filter_corpus(corpus, region_map)]
     index = build_profiles(corpus)
-    rows = list(score_corpus(model, filtered, index, region_map, topics, bri, edges))
-    assert len(rows) == 4
+    rows, below = score_corpus(
+        model, records, feature_rows(corpus, index), region_map, topics, bri, edges
+    )
+    assert (len(rows), below) == (4, 0)
     for row in rows:
         rec = next(r for r in corpus if r.paper_id == row.paper_id)
         v = extract_features(rec, row.author_id, index)
@@ -278,9 +284,12 @@ def test_score_corpus_matches_composition(scoring_setup):
 
 def test_scored_file_round_trip(tmp_path, scoring_setup):
     corpus, model, region_map, topics, bri = scoring_setup
-    filtered = list(filter_corpus(corpus, region_map))
+    records = [rec for rec, _pair in filter_corpus(corpus, region_map)]
     index = build_profiles(corpus)
-    rows = list(score_corpus(model, filtered, index, region_map, topics, bri, (1, 2, 4, 8, 16)))
+    rows, _below = score_corpus(
+        model, records, feature_rows(corpus, index), region_map, topics, bri,
+        (1, 2, 4, 8, 16),
+    )
     path = tmp_path / "scored.tsv"
     write_scored(rows, path)
     again = list(read_scored(path))
