@@ -79,6 +79,9 @@ class PipelineConfig:
         for t in self.threshold_sweep:
             if not 0.0 < t < 1.0:
                 raise ConfigError(f"sweep threshold {t} not in (0,1)")
+        for b in self.if_bins:
+            if not 0 <= b < len(self.if_bin_edges):
+                raise ConfigError(f"impact-factor bin {b} out of range")
 
     def replace(self, **changes) -> "PipelineConfig":
         return dataclasses.replace(self, **changes)

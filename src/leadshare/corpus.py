@@ -9,7 +9,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BelowRange, UnknownCountry
 from .records import PublicationRecord
-from .tables import BriClassification, RegionMap, TopicMap
+from .tables import RegionMap, TopicMap
 
 log = logging.getLogger(__name__)
 
@@ -117,8 +117,3 @@ def impact_factor_bin(if_value: float, edges: Sequence[float]) -> int:
     if if_value < edges[0]:
         raise BelowRange(if_value, edges[0])
     return bisect_right(edges, if_value) - 1
-
-
-def bri_income_class(country: str, bri: BriClassification) -> str:
-    """Income class of a Belt-and-Road country; NonSignatory when absent."""
-    return bri.class_of(country)

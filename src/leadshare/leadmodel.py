@@ -10,13 +10,13 @@ model metadata so downstream artifacts show the fallback engaged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import bri_income_class, classify_topics, impact_factor_bin
+from .corpus import classify_topics, impact_factor_bin
 from .errors import (
     BelowRange,
     ConfigError,
@@ -255,7 +255,7 @@ def score_corpus(
                 areas=areas,
                 fields=fields,
                 if_bin=if_bin,
-                bri_class=bri_income_class(a.country, bri),
+                bri_class=bri.class_of(a.country),
                 country=a.country,
             )
         )
@@ -369,11 +369,3 @@ def read_scored(path: Path) -> Iterator[ScoredAuthorship]:
                 bri_class=tag_fields["bri"],
                 country=tag_fields["country"],
             )
-
-
-def rescore(
-    rows: Iterable[ScoredAuthorship], threshold: float
-) -> Iterator[ScoredAuthorship]:
-    """Re-derive is_leader at a new threshold without re-predicting."""
-    for r in rows:
-        yield replace(r, is_leader=r.lead_prob > threshold)

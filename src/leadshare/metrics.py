@@ -63,13 +63,16 @@ class FilterSpec:
     areas/fields keep papers whose tag set intersects the given set;
     if_bins keeps papers whose bin is listed; bri_class keeps only
     (China, partner) papers and restricts partner-side rows to countries
-    of that income class.
+    of that income class.  threshold, when set, counts a row as a leader
+    iff its lead_prob is strictly above it, in place of the row's stored
+    is_leader.
     """
 
     areas: Optional[frozenset[str]] = None
     fields: Optional[frozenset[str]] = None
     if_bins: Optional[frozenset[int]] = None
     bri_class: Optional[str] = None
+    threshold: Optional[float] = None
 
     def describe(self) -> str:
         parts = []
@@ -81,6 +84,8 @@ class FilterSpec:
             parts.append("if_bins=" + "|".join(str(b) for b in sorted(self.if_bins)))
         if self.bri_class is not None:
             parts.append("bri=" + self.bri_class)
+        if self.threshold is not None:
+            parts.append(f"threshold={self.threshold:g}")
         return ";".join(parts) if parts else "all"
 
 
@@ -117,13 +122,15 @@ def aggregate(
 
     Rows must arrive grouped by paper (contiguous paper_id runs).  In
     unique_author mode a scientist counts once per (pair, year, side,
-    role) no matter how many papers they appear on.
+    role) no matter how many papers they appear on.  This is the one place
+    that decides, for counting, whether a row is a leader.
     """
     if filters is None:
         filters = FilterSpec()
     if counting_mode not in (COUNT_AUTHOR_PAPER, COUNT_UNIQUE_AUTHOR):
         raise ConfigError(f"unknown counting mode {counting_mode!r}")
     desc = filters.describe()
+    threshold = filters.threshold
     leaders: dict[tuple[tuple[str, str], int], Counter] = {}
     supporters: dict[tuple[tuple[str, str], int], Counter] = {}
     seen: set[tuple] = set()
@@ -165,12 +172,15 @@ def aggregate(
                 if filters.bri_class is None or row.region == BRI_FOCAL_REGION
                 else f"BRI:{filters.bri_class}"
             )
+            is_leader = (
+                row.is_leader if threshold is None else row.lead_prob > threshold
+            )
             if counting_mode == COUNT_UNIQUE_AUTHOR:
-                key = (pair, row.year, side, row.author_id, row.is_leader)
+                key = (pair, row.year, side, row.author_id, is_leader)
                 if key in seen:
                     continue
                 seen.add(key)
-            bucket = leaders if row.is_leader else supporters
+            bucket = leaders if is_leader else supporters
             bucket.setdefault((pair, row.year), Counter())[side] += 1
 
     out = []

@@ -16,7 +16,6 @@ rather than silently reused.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import hashlib
 import logging
@@ -42,7 +41,6 @@ from .leadmodel import (
     fit,
     read_model,
     read_scored,
-    rescore,
     score_corpus,
     write_eval,
     write_model,
@@ -357,16 +355,15 @@ def _stage_score(config: PipelineConfig) -> None:
     log.info("score: %d authorship rows", len(rows))
 
 
-def _aggregate_filters(config: PipelineConfig) -> list[FilterSpec]:
+def _aggregate_filters(
+    config: PipelineConfig, scored: list[ScoredAuthorship]
+) -> list[FilterSpec]:
     for a in config.areas:
         if a not in AREA_TAGS:
             raise ConfigError(f"unknown technology area {a!r}")
     for f in config.fields:
         if f not in FIELD_TAGS:
             raise ConfigError(f"unknown scientific field {f!r}")
-    for b in config.if_bins:
-        if not 0 <= b < len(config.if_bin_edges):
-            raise ConfigError(f"impact-factor bin {b} out of range")
     for c in config.bri_classes:
         if c not in (HIGH_INCOME, LOW_INCOME):
             raise ConfigError(f"unknown income class {c!r}")
@@ -379,7 +376,10 @@ def _aggregate_filters(config: PipelineConfig) -> list[FilterSpec]:
         FilterSpec(fields=frozenset({f}))
         for f in (config.fields or sorted(FIELD_TAGS))
     )
-    bins = config.if_bins or tuple(range(len(config.if_bin_edges)))
+    # a bin without papers yields no counts, so the bins that have papers
+    # give the same output without reading if_bin_edges, a key outside
+    # this stage's slice
+    bins = config.if_bins or sorted({r.if_bin for r in scored})
     specs.extend(FilterSpec(if_bins=frozenset({b})) for b in bins)
     classes = config.bri_classes or (HIGH_INCOME, LOW_INCOME)
     specs.extend(FilterSpec(bri_class=c) for c in classes)
@@ -396,9 +396,7 @@ def _keep_pair(config: PipelineConfig, pair: tuple[str, str]) -> bool:
     return pair in config.pairs
 
 
-def _series_for_counts(
-    config: PipelineConfig, counts: list, filter_desc: Optional[str] = None
-) -> list[RegionSeries]:
+def _series_for_counts(config: PipelineConfig, counts: list) -> list[RegionSeries]:
     out = []
     for pair in sorted({c.pair for c in counts}):
         if not _keep_pair(config, pair):
@@ -406,22 +404,31 @@ def _series_for_counts(
         focal = config.focal_region if config.focal_region in pair else pair[0]
         for metric in METRIC_NAMES:
             series = build_series(counts, pair, focal, metric)
-            if not series.points:
-                continue
-            if filter_desc is not None:
-                series = dataclasses.replace(series, filter_desc=filter_desc)
-            out.append(series)
+            if series.points:
+                out.append(series)
     return out
+
+
+def _tally(
+    config: PipelineConfig,
+    scored: list[ScoredAuthorship],
+    specs: Iterable[FilterSpec],
+) -> tuple[list, list[RegionSeries]]:
+    """Counts and series of every spec, in spec order."""
+    all_counts = []
+    series_list: list[RegionSeries] = []
+    for spec in specs:
+        counts = aggregate(scored, spec, counting_mode=config.counting_mode)
+        all_counts.extend(counts)
+        series_list.extend(_series_for_counts(config, counts))
+    return all_counts, series_list
 
 
 def _stage_aggregate(config: PipelineConfig) -> None:
     scored = list(read_scored(config.output_dir / "scored.tsv"))
-    all_counts = []
-    series_list: list[RegionSeries] = []
-    for spec in _aggregate_filters(config):
-        counts = aggregate(scored, spec, counting_mode=config.counting_mode)
-        all_counts.extend(counts)
-        series_list.extend(_series_for_counts(config, counts))
+    all_counts, series_list = _tally(
+        config, scored, _aggregate_filters(config, scored)
+    )
     write_counts(all_counts, config.output_dir / "counts.tsv")
     write_series(series_list, config.output_dir / "series.tsv")
     log.info(
@@ -430,23 +437,26 @@ def _stage_aggregate(config: PipelineConfig) -> None:
     )
 
 
+def _forecast(config: PipelineConfig, series: RegionSeries) -> Optional[ForecastRow]:
+    """The series' trend fit and parity years; None when its window holds
+    too few points or no spread in years."""
+    try:
+        return forecast_series(
+            series,
+            window=(config.window_start, config.window_end),
+            confidence_level=config.confidence_level,
+            horizon=config.horizon,
+        )
+    except (TooFewPoints, ZeroVariance):
+        return None
+
+
 def _forecast_rows(
     config: PipelineConfig, series_list: Iterable[RegionSeries]
 ) -> list[ForecastRow]:
-    rows = []
-    skipped = 0
-    for series in series_list:
-        try:
-            rows.append(
-                forecast_series(
-                    series,
-                    window=(config.window_start, config.window_end),
-                    confidence_level=config.confidence_level,
-                    horizon=config.horizon,
-                )
-            )
-        except (TooFewPoints, ZeroVariance):
-            skipped += 1
+    fits = [_forecast(config, series) for series in series_list]
+    rows = [fr for fr in fits if fr is not None]
+    skipped = len(fits) - len(rows)
     if skipped:
         log.warning(
             "forecast: skipped %d series with too few window points", skipped
@@ -480,14 +490,8 @@ def _series_plot_rows(
         head + ("observed", f"{x:d}", f"{y:.9f}", "", "")
         for x, y in series.points
     ]
-    try:
-        fr = forecast_series(
-            series,
-            window=(config.window_start, config.window_end),
-            confidence_level=config.confidence_level,
-            horizon=config.horizon,
-        )
-    except (TooFewPoints, ZeroVariance):
+    fr = _forecast(config, series)
+    if fr is None:
         return rows
     parity = fr.parity
     finite = [
@@ -514,39 +518,20 @@ def _series_plot_rows(
     return rows
 
 
-def _sweep_series(
-    config: PipelineConfig,
-    scored: list[ScoredAuthorship],
-    axis: str,
-    values: Sequence,
-) -> list[RegionSeries]:
-    """One series group per sweep value, tagged through filter_desc."""
-    out: list[RegionSeries] = []
+def _sweep_specs(
+    config: PipelineConfig, axis: str, values: Sequence
+) -> list[FilterSpec]:
+    """One filter per sweep value of a known axis."""
     if axis == "threshold":
         for t in values:
             if not 0.0 < t < 1.0:
                 raise ConfigError(f"sweep threshold {t} not in (0,1)")
-            rescored = list(rescore(scored, t))
-            counts = aggregate(
-                rescored, FilterSpec(), counting_mode=config.counting_mode
-            )
-            out.extend(
-                _series_for_counts(config, counts, f"threshold={t:g}")
-            )
-    elif axis == "if_bin":
-        for b in values:
-            b = int(b)
-            if not 0 <= b < len(config.if_bin_edges):
-                raise ConfigError(f"impact-factor bin {b} out of range")
-            counts = aggregate(
-                scored,
-                FilterSpec(if_bins=frozenset({b})),
-                counting_mode=config.counting_mode,
-            )
-            out.extend(_series_for_counts(config, counts))
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
-    return out
+        return [FilterSpec(threshold=t) for t in values]
+    bins = [int(b) for b in values]
+    for b in bins:
+        if not 0 <= b < len(config.if_bin_edges):
+            raise ConfigError(f"impact-factor bin {b} out of range")
+    return [FilterSpec(if_bins=frozenset({b})) for b in bins]
 
 
 def _write_csv(path: Path, rows: list[tuple[str, ...]]) -> None:
@@ -559,6 +544,9 @@ def _write_csv(path: Path, rows: list[tuple[str, ...]]) -> None:
 def _stage_export(config: PipelineConfig) -> None:
     series_list = read_series(config.output_dir / "series.tsv")
     scored = list(read_scored(config.output_dir / "scored.tsv"))
+    _counts, sweep = _tally(
+        config, scored, _sweep_specs(config, "threshold", config.threshold_sweep)
+    )
     export_dir = config.output_dir / "export"
     export_dir.mkdir(parents=True, exist_ok=True)
 
@@ -576,11 +564,7 @@ def _stage_export(config: PipelineConfig) -> None:
         "fig1c": plot_rows(s for s in flagship if s.metric == LEAD_SHARE),
         "fig1d": plot_rows(s for s in flagship if s.metric == LEAD_PREMIUM),
         "fig2a": plot_rows(
-            s
-            for s in _sweep_series(
-                config, scored, "threshold", config.threshold_sweep
-            )
-            if s.metric in (LEAD_SHARE, LEAD_PREMIUM)
+            s for s in sweep if s.metric in (LEAD_SHARE, LEAD_PREMIUM)
         ),
         "fig2b": plot_rows(
             s for s in series_list
@@ -605,8 +589,10 @@ def _stage_export(config: PipelineConfig) -> None:
 
 
 def _stage_sweep(axis: str, config: PipelineConfig, values: Sequence) -> None:
+    specs = _sweep_specs(config, axis, values)
     scored = list(read_scored(config.output_dir / "scored.tsv"))
-    rows = _forecast_rows(config, _sweep_series(config, scored, axis, values))
+    _counts, series_list = _tally(config, scored, specs)
+    rows = _forecast_rows(config, series_list)
     write_forecast(rows, config.output_dir / f"sweep_{axis}.tsv")
     log.info(
         "sweep-%s: %d forecast rows for %d values", axis, len(rows), len(values)

@@ -11,7 +11,6 @@ from helpers import make_record
 from leadshare.corpus import (
     FilterStats,
     bilateral_pair,
-    bri_income_class,
     classify_topics,
     filter_corpus,
     impact_factor_bin,
@@ -436,7 +435,7 @@ def test_unknown_country_error(region_map):
     ("China", NON_SIGNATORY),
 ])
 def test_bri_spot_checks(bri, country, income):
-    assert bri_income_class(country, bri) == income
+    assert bri.class_of(country) == income
 
 
 def test_topic_tables_complete(topics):

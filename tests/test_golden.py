@@ -17,16 +17,6 @@ COMMITTED = FIXTURE / "out"
 
 STAGE_ARTIFACTS = tuple(name for stage in STAGES for name in STAGE_TABLE[stage].writes)
 
-# The committed sweep_threshold.tsv holds only a header, and its manifest
-# line carries config hash 1df78cfc..., which matches neither the config's
-# threshold_sweep nor any documented sweep values, so no run reproduces it.
-STALE_THRESHOLD_SWEEP = pytest.mark.xfail(
-    strict=True,
-    reason="committed sweep_threshold.tsv is stale: its manifest config hash "
-    "1df78cfc... matches no documented threshold_sweep",
-)
-
-
 @pytest.fixture(scope="module")
 def produced(tmp_path_factory) -> Path:
     """Output dir of `all`, `sweep --axis if_bin` and `sweep --axis threshold`
@@ -62,18 +52,13 @@ def test_stage_artifact_list_matches_committed():
 
 
 @pytest.mark.parametrize(
-    "name",
-    STAGE_ARTIFACTS
-    + ("sweep_if_bin.tsv", pytest.param("sweep_threshold.tsv", marks=STALE_THRESHOLD_SWEEP)),
+    "name", STAGE_ARTIFACTS + ("sweep_if_bin.tsv", "sweep_threshold.tsv")
 )
 def test_artifact_bytes(produced, name):
     assert (produced / name).read_bytes() == (COMMITTED / name).read_bytes()
 
 
-@pytest.mark.parametrize(
-    "stage",
-    STAGES + ("sweep-if_bin", pytest.param("sweep-threshold", marks=STALE_THRESHOLD_SWEEP)),
-)
+@pytest.mark.parametrize("stage", STAGES + ("sweep-if_bin", "sweep-threshold"))
 def test_manifest_line(produced, stage):
     ours = _manifest_lines(produced / "manifest.tsv")
     assert ours[stage] == _manifest_lines(COMMITTED / "manifest.tsv")[stage]

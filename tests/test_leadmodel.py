@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import make_record
-from leadshare.corpus import bri_income_class, classify_topics, filter_corpus, impact_factor_bin
+from leadshare.corpus import classify_topics, filter_corpus, impact_factor_bin
 from leadshare.errors import ConfigError, MalformedRecord, TooFewExamples
 from leadshare.features import LeadFeatureVector, build_profiles, extract_all, extract_features
 from leadshare.leadmodel import (
@@ -20,7 +20,6 @@ from leadshare.leadmodel import (
     predict_many,
     read_model,
     read_scored,
-    rescore,
     score_corpus,
     write_eval,
     write_model,
@@ -279,7 +278,7 @@ def test_score_corpus_matches_composition(scoring_setup):
         areas, fields = classify_topics(rec, topics)
         assert (row.areas, row.fields) == (areas, fields)
         assert row.if_bin == impact_factor_bin(rec.impact_factor, edges)
-        assert row.bri_class == bri_income_class(row.country, bri)
+        assert row.bri_class == bri.class_of(row.country)
 
 
 def test_scored_file_round_trip(tmp_path, scoring_setup):
@@ -310,20 +309,3 @@ def test_scored_file_rejects_missing_tags(tmp_path):
     )
     with pytest.raises(MalformedRecord):
         list(read_scored(path))
-
-
-def test_rescore_flips_classification():
-    from leadshare.metrics import ScoredAuthorship
-
-    def stub(author_id, prob):
-        return ScoredAuthorship(
-            paper_id="P1", author_id=author_id, region="China", year=2020,
-            lead_prob=prob, is_leader=prob > 0.65, areas=frozenset(),
-            fields=frozenset(), if_bin=0, bri_class="NonSignatory", country="China",
-        )
-
-    rows = [stub("A1", 0.6), stub("A2", 0.7)]
-    assert [r.is_leader for r in rescore(rows, 0.5)] == [True, True]
-    high = list(rescore(rows, 0.75))
-    assert [r.is_leader for r in high] == [False, False]
-    assert [r.lead_prob for r in high] == [0.6, 0.7]

@@ -1,5 +1,7 @@
 """Leader/supporter aggregation, the share metrics, and series building."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from leadshare.errors import (
     NoSupporters,
 )
 from leadshare.metrics import (
+    COUNT_AUTHOR_PAPER,
     COUNT_UNIQUE_AUTHOR,
     FilterSpec,
     PairYearCounts,
@@ -145,6 +148,54 @@ def test_unique_author_counting():
     unique = aggregate(rows, counting_mode=COUNT_UNIQUE_AUTHOR)
     assert unique[0].leaders["China"] == 1
     assert unique[0].supporters["U.S."] == 1
+
+
+SWEEP_THRESHOLDS = (0.3, 0.55, 0.7)
+
+
+@st.composite
+def scored_papers(draw):
+    """Papers of two to four authorships over both regions of a pair, with
+    lead probabilities that often equal a sweep threshold exactly and a
+    stored is_leader drawn independently of them."""
+    probs = st.one_of(st.sampled_from(SWEEP_THRESHOLDS), st.floats(0.0, 1.0))
+    rows = []
+    for p in range(draw(st.integers(0, 8))):
+        pair = draw(st.sampled_from([("China", "U.S."), ("China", "EU+")]))
+        year = draw(st.sampled_from([2019, 2020]))
+        extra = draw(st.lists(st.sampled_from(pair), max_size=2))
+        for region in list(pair) + extra:
+            rows.append(
+                ScoredAuthorship(
+                    paper_id=f"P{p}",
+                    author_id=draw(st.sampled_from(["A1", "A2", "A3"])),
+                    region=region,
+                    year=year,
+                    lead_prob=draw(probs),
+                    is_leader=draw(st.booleans()),
+                    areas=frozenset(),
+                    fields=frozenset(),
+                    if_bin=0,
+                    bri_class="NonSignatory",
+                    country=region,
+                )
+            )
+    return rows
+
+
+@settings(max_examples=200)
+@given(
+    scored_papers(),
+    st.sampled_from(SWEEP_THRESHOLDS),
+    st.sampled_from([COUNT_AUTHOR_PAPER, COUNT_UNIQUE_AUTHOR]),
+)
+def test_threshold_spec_matches_relabeled_rows(rows, t, mode):
+    # reference: the rows rebuilt with the threshold's strict rule
+    relabeled = [dataclasses.replace(r, is_leader=r.lead_prob > t) for r in rows]
+    want = aggregate(relabeled, counting_mode=mode)
+    got = aggregate(rows, FilterSpec(threshold=t), counting_mode=mode)
+    assert all(c.filter_desc == f"threshold={t:g}" for c in got)
+    assert [dataclasses.replace(c, filter_desc="all") for c in got] == want
 
 
 def test_unknown_counting_mode():
@@ -305,6 +356,9 @@ def test_filter_descriptions():
     assert FilterSpec(bri_class="LowIncome").describe() == "bri=LowIncome"
     combined = FilterSpec(fields=frozenset({"medicine"}), if_bins=frozenset({1}))
     assert combined.describe() == "fields=medicine;if_bins=1"
+    assert FilterSpec(threshold=0.55).describe() == "threshold=0.55"
+    with_threshold = FilterSpec(areas=frozenset({"Energy"}), threshold=0.5)
+    assert with_threshold.describe() == "areas=Energy;threshold=0.5"
 
 
 def test_group_by_paper_contiguous_runs():

@@ -211,12 +211,13 @@ PATH_KEYS = (
 )
 SWEEP_VALUES = {"sweep-threshold": (0.6, 0.7), "sweep-if_bin": (0, 1, 2, 3, 4)}
 
-# aggregate enumerates, and sweep-if_bin validates, bins by the number of
-# if_bin_edges, which is outside their slices: a new edge count re-runs
-# score, and they re-run only when scored.tsv changes with it
+# sweep-if_bin checks the user's bin values against the number of
+# if_bin_edges, which is outside its slice: with fewer edges a cached sweep
+# stays cached, while a forced one rejects the values it ran with
 BIN_COUNT_UNHASHED = pytest.mark.xfail(
     strict=True,
-    reason="the bin count comes from if_bin_edges, which is not in the slice",
+    reason="sweep-if_bin validates its values against if_bin_edges, "
+    "which is not in its slice",
 )
 
 
@@ -246,8 +247,8 @@ class TestConfigSlice:
     @pytest.mark.parametrize("stage, key", [
         pytest.param(
             stage, key,
-            marks=BIN_COUNT_UNHASHED if key == "if_bin_edges"
-            and stage in ("aggregate", "sweep-if_bin") else (),
+            marks=BIN_COUNT_UNHASHED
+            if (stage, key) == ("sweep-if_bin", "if_bin_edges") else (),
         )
         for stage in STAGE_TABLE
         for key in ALTERNATIVES
@@ -380,6 +381,7 @@ class TestConfig:
             {"if_bin_edges": (2.0, 1.0)},
             {"if_bin_edges": ()},
             {"threshold_sweep": (0.5, 1.2)},
+            {"if_bins": (5,)},
         ],
     )
     def test_validation(self, kwargs):
