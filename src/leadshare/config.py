@@ -15,6 +15,7 @@ from typing import Optional
 from .errors import ConfigError
 from .leadmodel import DEFAULT_THRESHOLD, FAMILY_LINEAR, FAMILY_LOGISTIC
 from .metrics import COUNT_AUTHOR_PAPER, COUNT_UNIQUE_AUTHOR
+from .tables import AREA_TAGS, FIELD_TAGS, HIGH_INCOME, LOW_INCOME
 
 DEFAULT_IF_EDGES = (1.0, 2.0, 4.0, 8.0, 16.0)
 DEFAULT_THRESHOLD_SWEEP = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80)
@@ -82,6 +83,15 @@ class PipelineConfig:
         for b in self.if_bins:
             if not 0 <= b < len(self.if_bin_edges):
                 raise ConfigError(f"impact-factor bin {b} out of range")
+        for a in self.areas:
+            if a not in AREA_TAGS:
+                raise ConfigError(f"unknown technology area {a!r}")
+        for f in self.fields:
+            if f not in FIELD_TAGS:
+                raise ConfigError(f"unknown scientific field {f!r}")
+        for c in self.bri_classes:
+            if c not in (HIGH_INCOME, LOW_INCOME):
+                raise ConfigError(f"unknown income class {c!r}")
 
     def replace(self, **changes) -> "PipelineConfig":
         return dataclasses.replace(self, **changes)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     TooFewExamples,
 )
 from .features import FEATURE_NAMES, LeadFeatureVector
-from .metrics import ScoredAuthorship
+from .metrics import PaperTags, ScoredAuthorship, ScoredTable, code_values
 from .records import PublicationRecord
 from .tables import BriClassification, RegionMap, TopicMap
 
@@ -325,10 +325,14 @@ def write_eval(report: EvalReport, path: Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+_SCORED_HEADER = "paper_id\tauthor_id\tregion\tyear\tlead_prob\tis_leader\ttags"
+_TAG_KEYS = ("areas", "fields", "if_bin", "bri", "country")
+
+
 def write_scored(rows: Iterable[ScoredAuthorship], path: Path) -> None:
     """Scored table; tags are packed into one semicolon-keyed column."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("paper_id\tauthor_id\tregion\tyear\tlead_prob\tis_leader\ttags\n")
+        fh.write(_SCORED_HEADER + "\n")
         for r in rows:
             tags = (
                 f"areas={'|'.join(sorted(r.areas))};"
@@ -341,31 +345,73 @@ def write_scored(rows: Iterable[ScoredAuthorship], path: Path) -> None:
             )
 
 
-def read_scored(path: Path) -> Iterator[ScoredAuthorship]:
+def _parse_tags(text: str) -> PaperTags:
+    """One tags cell; a ValueError says what is wrong with it."""
+    items = dict(item.split("=", 1) for item in text.split(";") if "=" in item)
+    for key in _TAG_KEYS:
+        if key not in items:
+            raise ValueError(f"missing tag {key!r}")
+    try:
+        if_bin = int(items["if_bin"])
+    except ValueError:
+        raise ValueError(f"if_bin {items['if_bin']!r} is not an integer") from None
+    return PaperTags(
+        areas=frozenset(filter(None, items["areas"].split("|"))),
+        fields=frozenset(filter(None, items["fields"].split("|"))),
+        if_bin=if_bin,
+        bri_class=items["bri"],
+        country=items["country"],
+    )
+
+
+def _raise_first_bad_line(lines: list[str], source: str) -> None:
+    """Raise MalformedRecord for the first line of a scored table, after
+    its header, that does not parse."""
+    for line_no, line in enumerate(lines, start=2):
+        cells = line.split("\t")
+        if len(cells) != 7:
+            raise MalformedRecord(
+                line_no, "<line>", f"expected 7 columns, got {len(cells)}", source
+            )
+        for field, parse, value in (
+            ("year", int, cells[3]),
+            ("lead_prob", float, cells[4]),
+            ("tags", _parse_tags, cells[6]),
+        ):
+            try:
+                parse(value)
+            except ValueError as exc:
+                raise MalformedRecord(line_no, field, str(exc), source) from None
+
+
+def read_scored(path: Path) -> ScoredTable:
+    """The scored table as columns, each distinct tags cell parsed once.
+
+    A bad header, a line without seven columns, a tags cell without one
+    of its keys or a non-numeric year, lead_prob or if_bin raises
+    MalformedRecord naming the file and the first bad line.
+    """
+    source = str(path)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
-        if header != "paper_id\tauthor_id\tregion\tyear\tlead_prob\tis_leader\ttags":
-            raise MalformedRecord(1, "header", "unexpected scored header")
-        for line_no, raw in enumerate(fh, start=2):
-            parts = raw.rstrip("\n").split("\t")
-            if len(parts) != 7:
-                raise MalformedRecord(line_no, "<line>", f"expected 7 columns, got {len(parts)}")
-            tag_fields = dict(
-                item.split("=", 1) for item in parts[6].split(";") if "=" in item
-            )
-            for key in ("areas", "fields", "if_bin", "bri", "country"):
-                if key not in tag_fields:
-                    raise MalformedRecord(line_no, "tags", f"missing tag {key!r}")
-            yield ScoredAuthorship(
-                paper_id=parts[0],
-                author_id=parts[1],
-                region=parts[2],
-                year=int(parts[3]),
-                lead_prob=float(parts[4]),
-                is_leader=parts[5] == "true",
-                areas=frozenset(x for x in tag_fields["areas"].split("|") if x),
-                fields=frozenset(x for x in tag_fields["fields"].split("|") if x),
-                if_bin=int(tag_fields["if_bin"]),
-                bri_class=tag_fields["bri"],
-                country=tag_fields["country"],
-            )
+        lines = fh.read().split("\n")
+    if header != _SCORED_HEADER:
+        raise MalformedRecord(1, "header", "unexpected scored header", source)
+    if lines[-1] == "":
+        lines.pop()
+    try:
+        if any(line.count("\t") != 6 for line in lines):
+            raise ValueError("a line without seven columns")
+        cells = "\t".join(lines).split("\t") if lines else []
+        texts, tag = code_values(cells[6::7])
+        tags = [_parse_tags(text) for text in texts]
+        year = np.fromiter(map(int, cells[3::7]), np.int64, len(lines))
+        lead_prob = np.fromiter(map(float, cells[4::7]), np.float64, len(lines))
+    except ValueError:
+        # line by line, to name the first line that does not parse
+        _raise_first_bad_line(lines, source)
+        raise
+    is_leader = np.array([v == "true" for v in cells[5::7]], dtype=bool)
+    return ScoredTable(
+        cells[0::7], cells[1::7], cells[2::7], year, lead_prob, is_leader, tag, tags
+    )

@@ -7,6 +7,9 @@ income class of the partner-side countries.  The BRI restriction collapses
 all partner regions into one synthetic side label ("BRI:HighIncome" or
 "BRI:LowIncome") so each income class yields a single series against China.
 
+Counting runs on a `ScoredTable`, the scored rows as numpy columns: each
+filter is a mask and each tally one np.bincount.
+
 Lead Share of a focal side = leaders[focal] / (leaders[A] + leaders[B]).
 Supporter Share is the same ratio over supporters.  Lead Premium is Lead
 Share minus Supporter Share.  Years where a ratio's denominator is zero
@@ -15,10 +18,11 @@ are undefined and excluded from series rather than imputed.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -88,6 +92,15 @@ class FilterSpec:
             parts.append(f"threshold={self.threshold:g}")
         return ";".join(parts) if parts else "all"
 
+    def admits(self, tags: PaperTags) -> bool:
+        """Whether a paper whose first row has these tags passes the area,
+        field and impact-factor filters."""
+        return (
+            (self.areas is None or not self.areas.isdisjoint(tags.areas))
+            and (self.fields is None or not self.fields.isdisjoint(tags.fields))
+            and (self.if_bins is None or tags.if_bin in self.if_bins)
+        )
+
 
 @dataclass(frozen=True)
 class PairYearCounts:
@@ -98,107 +111,162 @@ class PairYearCounts:
     filter_desc: str = "all"
 
 
-def group_by_paper(
-    rows: Iterable[ScoredAuthorship],
-) -> Iterator[list[ScoredAuthorship]]:
-    """Group a stream whose rows are contiguous per paper."""
-    batch: list[ScoredAuthorship] = []
-    for row in rows:
-        if batch and row.paper_id != batch[0].paper_id:
-            yield batch
-            batch = []
-        batch.append(row)
-    if batch:
-        yield batch
+class PaperTags(NamedTuple):
+    """The tags of one scored row: its paper's topic and impact-factor
+    tags and its author's country with that country's income class."""
+
+    areas: frozenset[str]
+    fields: frozenset[str]
+    if_bin: int
+    bri_class: str
+    country: str
+
+
+def code_values(values: Sequence) -> tuple[tuple, np.ndarray]:
+    """The distinct values in order of first appearance, and per value
+    its index among them."""
+    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    codes = np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+    return tuple(index), codes
+
+
+class ScoredTable:
+    """Scored rows as numpy columns, in row order.
+
+    Paper ids, author ids, regions and tags are stored once each and coded
+    per row; region codes follow string order.  A paper is a contiguous
+    run of rows with one paper_id: `run` numbers the runs per row and
+    `run_starts` holds each run's first row.  A run is bilateral when it
+    spans exactly two regions; then `pair` codes its row's entry in
+    `pairs` and `side` marks rows of the pair's second region.
+    """
+
+    def __init__(
+        self, paper_ids: Sequence[str], author_ids: Sequence[str],
+        regions: Sequence[str], year: np.ndarray, lead_prob: np.ndarray,
+        is_leader: np.ndarray, tag: np.ndarray, tags: Sequence[PaperTags],
+    ):
+        self.papers, self.paper = code_values(paper_ids)
+        self.authors, self.author = code_values(author_ids)
+        names, codes = code_values(regions)
+        self.regions = tuple(sorted(names))
+        self.region = np.array([self.regions.index(n) for n in names], np.int64)[codes]
+        self.year, self.lead_prob, self.is_leader = year, lead_prob, is_leader
+        self.tag, self.tags = tag, tuple(tags)
+
+        starts = np.ones(len(self.paper), dtype=bool)
+        starts[1:] = self.paper[1:] != self.paper[:-1]
+        self.run = np.cumsum(starts) - 1
+        self.run_starts = np.flatnonzero(starts)
+        lo = np.minimum.reduceat(self.region, self.run_starts)[self.run]
+        hi = np.maximum.reduceat(self.region, self.run_starts)[self.run]
+        self.run_bilateral = np.logical_and.reduceat(
+            (lo != hi) & ((self.region == lo) | (self.region == hi)), self.run_starts
+        )
+        n = len(self.regions)
+        pair_codes, self.pair = np.unique(lo * n + hi, return_inverse=True)
+        self.pairs = [
+            (self.regions[c // n], self.regions[c % n]) for c in pair_codes.tolist()
+        ]
+        self.side = self.region == hi
+
+    def __len__(self) -> int:
+        return len(self.paper)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[ScoredAuthorship]) -> "ScoredTable":
+        rows = list(rows)
+        tags, tag = code_values([
+            PaperTags(r.areas, r.fields, r.if_bin, r.bri_class, r.country)
+            for r in rows
+        ])
+
+        def column(name: str) -> list:
+            return [getattr(r, name) for r in rows]
+
+        return cls(
+            column("paper_id"), column("author_id"), column("region"),
+            np.array(column("year"), dtype=np.int64),
+            np.array(column("lead_prob"), dtype=np.float64),
+            np.array(column("is_leader"), dtype=bool), tag, tags,
+        )
 
 
 def aggregate(
-    rows: Iterable[ScoredAuthorship],
+    rows: ScoredTable | Iterable[ScoredAuthorship],
     filters: Optional[FilterSpec] = None,
     *,
     counting_mode: str = COUNT_AUTHOR_PAPER,
 ) -> list[PairYearCounts]:
     """Tally leaders and supporters per (pair, year) under the filters.
 
-    Rows must arrive grouped by paper (contiguous paper_id runs).  In
-    unique_author mode a scientist counts once per (pair, year, side,
-    role) no matter how many papers they appear on.  This is the one place
-    that decides, for counting, whether a row is a leader.
+    A paper is a contiguous run of rows with one paper_id; its filters
+    read the tags of its first row.  In unique_author mode a scientist
+    counts once per (pair, year, side, role) no matter how many papers
+    they appear on.  This is the one place that decides, for counting,
+    whether a row is a leader.
     """
     if filters is None:
         filters = FilterSpec()
     if counting_mode not in (COUNT_AUTHOR_PAPER, COUNT_UNIQUE_AUTHOR):
         raise ConfigError(f"unknown counting mode {counting_mode!r}")
-    desc = filters.describe()
-    threshold = filters.threshold
-    leaders: dict[tuple[tuple[str, str], int], Counter] = {}
-    supporters: dict[tuple[tuple[str, str], int], Counter] = {}
-    seen: set[tuple] = set()
-
-    for paper_rows in group_by_paper(rows):
-        regions = {r.region for r in paper_rows}
-        if len(regions) != 2:
-            raise InconsistentPair(
-                f"paper {paper_rows[0].paper_id!r} rows span regions "
-                f"{sorted(regions)}, expected exactly 2"
-            )
-        first = paper_rows[0]
-        if filters.areas is not None and not (first.areas & filters.areas):
-            continue
-        if filters.fields is not None and not (first.fields & filters.fields):
-            continue
-        if filters.if_bins is not None and first.if_bin not in filters.if_bins:
-            continue
-        pair = tuple(sorted(regions))
-        kept = paper_rows
-        if filters.bri_class is not None:
-            if BRI_FOCAL_REGION not in regions:
-                continue
-            partner_label = f"BRI:{filters.bri_class}"
-            kept = []
-            partner_found = False
-            for row in paper_rows:
-                if row.region == BRI_FOCAL_REGION:
-                    kept.append(row)
-                elif row.bri_class == filters.bri_class:
-                    partner_found = True
-                    kept.append(row)
-            if not partner_found:
-                continue
-            pair = tuple(sorted((BRI_FOCAL_REGION, partner_label)))
-        for row in kept:
-            side = (
-                row.region
-                if filters.bri_class is None or row.region == BRI_FOCAL_REGION
-                else f"BRI:{filters.bri_class}"
-            )
-            is_leader = (
-                row.is_leader if threshold is None else row.lead_prob > threshold
-            )
-            if counting_mode == COUNT_UNIQUE_AUTHOR:
-                key = (pair, row.year, side, row.author_id, is_leader)
-                if key in seen:
-                    continue
-                seen.add(key)
-            bucket = leaders if is_leader else supporters
-            bucket.setdefault((pair, row.year), Counter())[side] += 1
-
-    out = []
-    for pair, year in sorted(set(leaders) | set(supporters)):
-        lead_counts = leaders.get((pair, year), Counter())
-        supp_counts = supporters.get((pair, year), Counter())
-        out.append(
-            PairYearCounts(
-                pair=pair,
-                year=year,
-                leaders={pair[0]: lead_counts[pair[0]], pair[1]: lead_counts[pair[1]]},
-                supporters={
-                    pair[0]: supp_counts[pair[0]],
-                    pair[1]: supp_counts[pair[1]],
-                },
-                filter_desc=desc,
-            )
+    table = rows if isinstance(rows, ScoredTable) else ScoredTable.from_rows(rows)
+    bad = np.flatnonzero(~table.run_bilateral)
+    if bad.size:
+        first = table.run_starts[bad[0]]
+        regions = np.unique(table.region[table.run == bad[0]])
+        raise InconsistentPair(
+            f"paper {table.papers[table.paper[first]]!r} rows span regions "
+            f"{[table.regions[c] for c in regions]}, expected exactly 2"
         )
+    admitted = np.array([filters.admits(t) for t in table.tags], dtype=bool)
+    keep = admitted[table.tag[table.run_starts]][table.run]
+    pairs, pair, side = table.pairs, table.pair, table.side
+    if filters.bri_class is not None:
+        focal = table.region == (
+            table.regions.index(BRI_FOCAL_REGION)
+            if BRI_FOCAL_REGION in table.regions else -1
+        )
+        in_class = [t.bri_class == filters.bri_class for t in table.tags]
+        partner = ~focal & np.array(in_class, dtype=bool)[table.tag]
+        keep &= (focal | partner) & (
+            np.logical_or.reduceat(focal, table.run_starts)
+            & np.logical_or.reduceat(partner, table.run_starts)
+        )[table.run]
+        pairs = [tuple(sorted((BRI_FOCAL_REGION, f"BRI:{filters.bri_class}")))]
+        pair = np.zeros(len(table), dtype=np.int64)
+        side = focal == (pairs[0][1] == BRI_FOCAL_REGION)
+    leader = (
+        table.is_leader if filters.threshold is None
+        else table.lead_prob > filters.threshold
+    )
+
+    # one bincount over the key (pair and year group, side, leader); in
+    # unique_author mode repeats of (key, author) are dropped first
+    kept = np.flatnonzero(keep)
+    years, year_idx = np.unique(table.year[kept], return_inverse=True)
+    groups, group_idx = np.unique(
+        pair[kept] * len(years) + year_idx, return_inverse=True
+    )
+    key = (group_idx * 2 + side[kept]) * 2 + leader[kept]
+    if counting_mode == COUNT_UNIQUE_AUTHOR:
+        n_authors = len(table.authors)
+        key = np.unique(key * n_authors + table.author[kept]) // n_authors
+    counts = np.bincount(key, minlength=4 * len(groups)).reshape(-1, 2, 2)
+    desc = filters.describe()
+    out = []
+    for group, ((supp0, lead0), (supp1, lead1)) in zip(
+        groups.tolist(), counts.tolist()
+    ):
+        pair_idx, year_idx = divmod(group, len(years))
+        names = pairs[pair_idx]
+        out.append(PairYearCounts(
+            pair=names,
+            year=int(years[year_idx]),
+            leaders={names[0]: lead0, names[1]: lead1},
+            supporters={names[0]: supp0, names[1]: supp1},
+            filter_desc=desc,
+        ))
     return out
 
 

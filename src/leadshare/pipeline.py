@@ -37,7 +37,6 @@ from .errors import (
 from .features import build_profiles, extract_all, read_features, write_features
 from .forecast import ForecastRow, confidence_band, forecast_series, write_forecast
 from .leadmodel import (
-    ScoredAuthorship,
     fit,
     read_model,
     read_scored,
@@ -52,6 +51,7 @@ from .metrics import (
     METRIC_NAMES,
     FilterSpec,
     RegionSeries,
+    ScoredTable,
     aggregate,
     build_series,
     read_series,
@@ -356,17 +356,8 @@ def _stage_score(config: PipelineConfig) -> None:
 
 
 def _aggregate_filters(
-    config: PipelineConfig, scored: list[ScoredAuthorship]
+    config: PipelineConfig, scored: ScoredTable
 ) -> list[FilterSpec]:
-    for a in config.areas:
-        if a not in AREA_TAGS:
-            raise ConfigError(f"unknown technology area {a!r}")
-    for f in config.fields:
-        if f not in FIELD_TAGS:
-            raise ConfigError(f"unknown scientific field {f!r}")
-    for c in config.bri_classes:
-        if c not in (HIGH_INCOME, LOW_INCOME):
-            raise ConfigError(f"unknown income class {c!r}")
     specs = [FilterSpec()]
     specs.extend(
         FilterSpec(areas=frozenset({a}))
@@ -379,7 +370,7 @@ def _aggregate_filters(
     # a bin without papers yields no counts, so the bins that have papers
     # give the same output without reading if_bin_edges, a key outside
     # this stage's slice
-    bins = config.if_bins or sorted({r.if_bin for r in scored})
+    bins = config.if_bins or sorted({t.if_bin for t in scored.tags})
     specs.extend(FilterSpec(if_bins=frozenset({b})) for b in bins)
     classes = config.bri_classes or (HIGH_INCOME, LOW_INCOME)
     specs.extend(FilterSpec(bri_class=c) for c in classes)
@@ -411,7 +402,7 @@ def _series_for_counts(config: PipelineConfig, counts: list) -> list[RegionSerie
 
 def _tally(
     config: PipelineConfig,
-    scored: list[ScoredAuthorship],
+    scored: ScoredTable,
     specs: Iterable[FilterSpec],
 ) -> tuple[list, list[RegionSeries]]:
     """Counts and series of every spec, in spec order."""
@@ -425,7 +416,7 @@ def _tally(
 
 
 def _stage_aggregate(config: PipelineConfig) -> None:
-    scored = list(read_scored(config.output_dir / "scored.tsv"))
+    scored = read_scored(config.output_dir / "scored.tsv")
     all_counts, series_list = _tally(
         config, scored, _aggregate_filters(config, scored)
     )
@@ -543,7 +534,7 @@ def _write_csv(path: Path, rows: list[tuple[str, ...]]) -> None:
 
 def _stage_export(config: PipelineConfig) -> None:
     series_list = read_series(config.output_dir / "series.tsv")
-    scored = list(read_scored(config.output_dir / "scored.tsv"))
+    scored = read_scored(config.output_dir / "scored.tsv")
     _counts, sweep = _tally(
         config, scored, _sweep_specs(config, "threshold", config.threshold_sweep)
     )
@@ -590,7 +581,7 @@ def _stage_export(config: PipelineConfig) -> None:
 
 def _stage_sweep(axis: str, config: PipelineConfig, values: Sequence) -> None:
     specs = _sweep_specs(config, axis, values)
-    scored = list(read_scored(config.output_dir / "scored.tsv"))
+    scored = read_scored(config.output_dir / "scored.tsv")
     _counts, series_list = _tally(config, scored, specs)
     rows = _forecast_rows(config, series_list)
     write_forecast(rows, config.output_dir / f"sweep_{axis}.tsv")
@@ -754,4 +745,6 @@ def run_sweep(
     """Forecast once per sweep value; writes sweep_<axis>.tsv."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+    if not values:
+        raise ConfigError(f"the {axis} sweep needs at least one value")
     return _run(f"sweep-{axis}", config, force, tuple(values))

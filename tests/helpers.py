@@ -3,8 +3,18 @@
 from __future__ import annotations
 
 import datetime
+from collections import Counter
 from typing import Optional, Sequence
 
+from leadshare.errors import InconsistentPair
+from leadshare.metrics import (
+    BRI_FOCAL_REGION,
+    COUNT_AUTHOR_PAPER,
+    COUNT_UNIQUE_AUTHOR,
+    FilterSpec,
+    PairYearCounts,
+    ScoredAuthorship,
+)
 from leadshare.records import AuthorshipRecord, PublicationRecord
 
 
@@ -120,3 +130,95 @@ def vector_as_tuple(v) -> tuple:
         v.f8_first_or_last_count,
         v.f9_affiliation_score,
     )
+
+
+def oracle_aggregate(
+    rows: Sequence[ScoredAuthorship],
+    filters: Optional[FilterSpec] = None,
+    *,
+    counting_mode: str = COUNT_AUTHOR_PAPER,
+) -> list[PairYearCounts]:
+    """Row-at-a-time tally over paper runs, the reference for `aggregate`.
+
+    A paper is a contiguous run of one paper_id; the filters read its
+    first row.  Every row goes through Python sets and Counters, nothing
+    is vectorized.
+    """
+    if filters is None:
+        filters = FilterSpec()
+    runs: list[list[ScoredAuthorship]] = []
+    for row in rows:
+        if runs and row.paper_id == runs[-1][0].paper_id:
+            runs[-1].append(row)
+        else:
+            runs.append([row])
+    threshold = filters.threshold
+    leaders: dict[tuple[tuple[str, str], int], Counter] = {}
+    supporters: dict[tuple[tuple[str, str], int], Counter] = {}
+    seen: set[tuple] = set()
+
+    for paper_rows in runs:
+        regions = {r.region for r in paper_rows}
+        if len(regions) != 2:
+            raise InconsistentPair(
+                f"paper {paper_rows[0].paper_id!r} rows span regions "
+                f"{sorted(regions)}, expected exactly 2"
+            )
+        first = paper_rows[0]
+        if filters.areas is not None and not (first.areas & filters.areas):
+            continue
+        if filters.fields is not None and not (first.fields & filters.fields):
+            continue
+        if filters.if_bins is not None and first.if_bin not in filters.if_bins:
+            continue
+        pair = tuple(sorted(regions))
+        kept = paper_rows
+        if filters.bri_class is not None:
+            if BRI_FOCAL_REGION not in regions:
+                continue
+            partner_label = f"BRI:{filters.bri_class}"
+            kept = []
+            partner_found = False
+            for row in paper_rows:
+                if row.region == BRI_FOCAL_REGION:
+                    kept.append(row)
+                elif row.bri_class == filters.bri_class:
+                    partner_found = True
+                    kept.append(row)
+            if not partner_found:
+                continue
+            pair = tuple(sorted((BRI_FOCAL_REGION, partner_label)))
+        for row in kept:
+            side = (
+                row.region
+                if filters.bri_class is None or row.region == BRI_FOCAL_REGION
+                else f"BRI:{filters.bri_class}"
+            )
+            is_leader = (
+                row.is_leader if threshold is None else row.lead_prob > threshold
+            )
+            if counting_mode == COUNT_UNIQUE_AUTHOR:
+                key = (pair, row.year, side, row.author_id, is_leader)
+                if key in seen:
+                    continue
+                seen.add(key)
+            bucket = leaders if is_leader else supporters
+            bucket.setdefault((pair, row.year), Counter())[side] += 1
+
+    out = []
+    for pair, year in sorted(set(leaders) | set(supporters)):
+        lead_counts = leaders.get((pair, year), Counter())
+        supp_counts = supporters.get((pair, year), Counter())
+        out.append(
+            PairYearCounts(
+                pair=pair,
+                year=year,
+                leaders={pair[0]: lead_counts[pair[0]], pair[1]: lead_counts[pair[1]]},
+                supporters={
+                    pair[0]: supp_counts[pair[0]],
+                    pair[1]: supp_counts[pair[1]],
+                },
+                filter_desc=filters.describe(),
+            )
+        )
+    return out

@@ -1,14 +1,19 @@
 """Golden test: a fresh run of the bundled fixture reproduces the committed
-outputs in fixtures/synthetic_200/out byte for byte.
+outputs in fixtures/synthetic_200/out byte for byte, and the fixture
+generator reproduces the committed inputs.
 
 Every refactor must keep these bytes; a change that alters an artifact on
 purpose says so and regenerates the fixture outputs.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import leadshare
 from leadshare.cli import main
 from leadshare.pipeline import STAGE_TABLE, STAGES
 
@@ -62,3 +67,16 @@ def test_artifact_bytes(produced, name):
 def test_manifest_line(produced, stage):
     ours = _manifest_lines(produced / "manifest.tsv")
     assert ours[stage] == _manifest_lines(COMMITTED / "manifest.tsv")[stage]
+
+
+def test_fixture_generator_reproduces_inputs(tmp_path):
+    script = FIXTURE.parent.parent / "scripts" / "make_fixture.py"
+    env = dict(os.environ)
+    src = str(Path(leadshare.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    subprocess.run(
+        [sys.executable, str(script), "--dest", str(tmp_path)],
+        env=env, check=True, capture_output=True, timeout=120,
+    )
+    for name in ("corpus.jsonl", "contributions.jsonl", "config.cfg"):
+        assert (tmp_path / name).read_bytes() == (FIXTURE / name).read_bytes(), name

@@ -9,6 +9,7 @@ from helpers import make_record
 from leadshare.corpus import classify_topics, filter_corpus, impact_factor_bin
 from leadshare.errors import ConfigError, MalformedRecord, TooFewExamples
 from leadshare.features import LeadFeatureVector, build_profiles, extract_all, extract_features
+from leadshare.metrics import PaperTags
 from leadshare.leadmodel import (
     LEADER,
     SUPPORTER,
@@ -291,13 +292,19 @@ def test_scored_file_round_trip(tmp_path, scoring_setup):
     )
     path = tmp_path / "scored.tsv"
     write_scored(rows, path)
-    again = list(read_scored(path))
-    assert len(again) == len(rows)
-    for before, after in zip(rows, again):
-        assert after.lead_prob == pytest.approx(before.lead_prob, abs=1e-9)
-        assert dataclasses.replace(after, lead_prob=0.0) == dataclasses.replace(
-            before, lead_prob=0.0
-        )
+    table = read_scored(path)
+    assert len(table) == len(rows)
+    assert [table.papers[c] for c in table.paper] == [r.paper_id for r in rows]
+    assert [table.authors[c] for c in table.author] == [r.author_id for r in rows]
+    assert [table.regions[c] for c in table.region] == [r.region for r in rows]
+    assert list(table.regions) == sorted(table.regions)
+    assert table.year.tolist() == [r.year for r in rows]
+    assert table.lead_prob == pytest.approx([r.lead_prob for r in rows], abs=1e-9)
+    assert table.is_leader.tolist() == [r.is_leader for r in rows]
+    assert [table.tags[c] for c in table.tag] == [
+        PaperTags(r.areas, r.fields, r.if_bin, r.bri_class, r.country) for r in rows
+    ]
+    assert len(table.tags) == len(set(table.tags))
 
 
 def test_scored_file_rejects_missing_tags(tmp_path):
@@ -309,3 +316,41 @@ def test_scored_file_rejects_missing_tags(tmp_path):
     )
     with pytest.raises(MalformedRecord):
         list(read_scored(path))
+
+
+SCORED_HEADER = "paper_id\tauthor_id\tregion\tyear\tlead_prob\tis_leader\ttags\n"
+GOOD_TAGS = "areas=Energy;fields=physics;if_bin=1;bri=NonSignatory;country=China"
+GOOD_LINE = f"P1\tA1\tChina\t2020\t0.5\tfalse\t{GOOD_TAGS}\n"
+
+
+@pytest.mark.parametrize(
+    "text, line_no, field",
+    [
+        ("paper_id\tauthor_id\tregion\n" + GOOD_LINE, 1, "header"),
+        (SCORED_HEADER + GOOD_LINE + "P1\tA1\tChina\t2020\t0.5\tfalse\n", 3, "<line>"),
+        (SCORED_HEADER + GOOD_LINE + GOOD_LINE.replace("\t0.5", "\t0.5\t"), 3, "<line>"),
+        (SCORED_HEADER + GOOD_LINE + "\n" + GOOD_LINE, 3, "<line>"),
+        (SCORED_HEADER + GOOD_LINE + GOOD_LINE.replace(";country=China", ""), 3, "tags"),
+        (SCORED_HEADER + GOOD_LINE + GOOD_LINE.replace("2020", "20x0"), 3, "year"),
+        (SCORED_HEADER + GOOD_LINE + GOOD_LINE.replace("0.5", "high"), 3, "lead_prob"),
+        (SCORED_HEADER + GOOD_LINE + GOOD_LINE.replace("if_bin=1", "if_bin=two"), 3, "tags"),
+    ],
+    ids=[
+        "header", "six-columns", "eight-columns", "blank-line", "missing-tag",
+        "year", "lead_prob", "if_bin",
+    ],
+)
+def test_scored_file_errors_name_file_and_line(tmp_path, text, line_no, field):
+    path = tmp_path / "scored.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        read_scored(path)
+    assert (err.value.line_no, err.value.field) == (line_no, field)
+    assert str(err.value).startswith(f"{path}: line {line_no}, ")
+
+
+def test_scored_file_header_only(tmp_path):
+    path = tmp_path / "scored.tsv"
+    path.write_text(SCORED_HEADER, encoding="utf-8")
+    table = read_scored(path)
+    assert len(table) == 0 and table.tags == ()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import oracle_aggregate
 from leadshare.errors import (
     ConfigError,
     InconsistentPair,
@@ -22,7 +23,6 @@ from leadshare.metrics import (
     ScoredAuthorship,
     aggregate,
     build_series,
-    group_by_paper,
     lead_premium,
     lead_share,
     read_counts,
@@ -198,6 +198,77 @@ def test_threshold_spec_matches_relabeled_rows(rows, t, mode):
     assert [dataclasses.replace(c, filter_desc="all") for c in got] == want
 
 
+AREAS = ("Biotech", "Energy", "Quantum Technology")
+FIELDS = ("medicine", "physics")
+INCOME = ("HighIncome", "LowIncome", "NonSignatory")
+# one pair per id, so adjacent runs of an id merge into a bilateral run
+PAPER_PAIRS = {"P1": ("China", "U.S."), "P2": ("China", "EU+"), "P3": ("EU+", "U.S.")}
+
+
+@st.composite
+def scored_runs(draw):
+    """Paper runs drawn from three reused ids, so one paper can return as
+    a later, separate run.  Tags vary per row, so the filters see which
+    row comes first.  When the draw allows it, some runs span one or three
+    regions."""
+    probs = st.one_of(st.sampled_from(SWEEP_THRESHOLDS), st.floats(0.0, 1.0))
+    inconsistent = draw(st.integers(0, 3)) == 0
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        paper = draw(st.sampled_from(sorted(PAPER_PAIRS)))
+        pair = PAPER_PAIRS[paper]
+        regions = list(pair) + draw(st.lists(st.sampled_from(pair), max_size=2))
+        if inconsistent and draw(st.integers(0, 5)) == 0:
+            regions = draw(st.sampled_from(
+                [[pair[0]], [pair[0], pair[0]], ["China", "EU+", "U.S."]]
+            ))
+        regions = draw(st.permutations(regions))
+        for region in regions:
+            rows.append(
+                ScoredAuthorship(
+                    paper_id=paper,
+                    author_id=draw(st.sampled_from(["A1", "A2", "A3"])),
+                    region=region,
+                    year=draw(st.sampled_from([2019, 2020, 2021])),
+                    lead_prob=draw(probs),
+                    is_leader=draw(st.booleans()),
+                    areas=draw(st.frozensets(st.sampled_from(AREAS), max_size=2)),
+                    fields=draw(st.frozensets(st.sampled_from(FIELDS))),
+                    if_bin=draw(st.integers(0, 2)),
+                    bri_class=draw(st.sampled_from(INCOME)),
+                    country=region,
+                )
+            )
+    return rows
+
+
+filter_specs = st.builds(
+    FilterSpec,
+    areas=st.none() | st.frozensets(st.sampled_from(AREAS), min_size=1, max_size=2),
+    fields=st.none() | st.frozensets(st.sampled_from(FIELDS), min_size=1),
+    if_bins=st.none() | st.frozensets(st.integers(0, 2), min_size=1, max_size=2),
+    bri_class=st.none() | st.sampled_from(INCOME[:2]),
+    threshold=st.none() | st.sampled_from(SWEEP_THRESHOLDS),
+)
+
+
+@settings(max_examples=200)
+@given(
+    scored_runs(),
+    filter_specs,
+    st.sampled_from([COUNT_AUTHOR_PAPER, COUNT_UNIQUE_AUTHOR]),
+)
+def test_aggregate_matches_oracle(rows, spec, mode):
+    try:
+        want = oracle_aggregate(rows, spec, counting_mode=mode)
+    except InconsistentPair as exc:
+        with pytest.raises(InconsistentPair) as err:
+            aggregate(rows, spec, counting_mode=mode)
+        assert str(err.value) == str(exc)
+        return
+    assert aggregate(rows, spec, counting_mode=mode) == want
+
+
 def test_unknown_counting_mode():
     with pytest.raises(ConfigError):
         aggregate([], counting_mode="per_city")
@@ -361,10 +432,22 @@ def test_filter_descriptions():
     assert with_threshold.describe() == "areas=Energy;threshold=0.5"
 
 
-def test_group_by_paper_contiguous_runs():
-    rows = [row("P1", "China"), row("P1", "U.S."), row("P2", "China"), row("P1", "U.S.")]
-    groups = [[r.paper_id for r in g] for g in group_by_paper(rows)]
-    assert groups == [["P1", "P1"], ["P2"], ["P1"]]
+def test_aggregate_counts_contiguous_runs():
+    # P1 comes back after P2: each contiguous run is a paper of its own
+    rows = [
+        row("P1", "China", leader=True),
+        row("P1", "U.S.", author="A2"),
+        row("P2", "China"),
+        row("P2", "U.S.", author="A2"),
+        row("P1", "China"),
+        row("P1", "U.S.", author="A2", leader=True),
+    ]
+    (c,) = aggregate(rows)
+    assert c.leaders == {"China": 1, "U.S.": 1}
+    assert c.supporters == {"China": 2, "U.S.": 2}
+    # the id P1 spans two regions overall, but its last run only one
+    with pytest.raises(InconsistentPair, match="'P1'.*'China'"):
+        aggregate(rows + [row("P3", "China"), row("P3", "U.S."), row("P1", "China")])
 
 
 def test_counts_file_round_trip(tmp_path):

@@ -21,6 +21,7 @@ from leadshare.pipeline import (
     MANIFEST_NAME,
     STAGE_TABLE,
     STAGES,
+    SWEEP_AXES,
     ManifestEntry,
     read_manifest,
     run_all,
@@ -162,14 +163,15 @@ class TestSweep:
         for line in lines[1:]:
             assert line.split("\t")[3].startswith("if_bins=")
 
-    def test_empty_values_writes_header_only(self, pristine, tmp_path):
+    def test_empty_values_rejected(self, pristine, tmp_path):
         config, _ = pristine
         cfg = clone(config, tmp_path)
-        run_sweep(cfg, "threshold", ())
-        lines = (cfg.output_dir / "sweep_threshold.tsv").read_text(
-            encoding="utf-8"
-        ).splitlines()
-        assert len(lines) == 1
+        manifest = (cfg.output_dir / MANIFEST_NAME).read_bytes()
+        for axis in SWEEP_AXES:
+            with pytest.raises(ConfigError, match="at least one value"):
+                run_sweep(cfg, axis, ())
+            assert not (cfg.output_dir / f"sweep_{axis}.tsv").exists()
+        assert (cfg.output_dir / MANIFEST_NAME).read_bytes() == manifest
 
     def test_bad_axis_and_values(self, pristine, tmp_path):
         config, _ = pristine
@@ -382,6 +384,9 @@ class TestConfig:
             {"if_bin_edges": ()},
             {"threshold_sweep": (0.5, 1.2)},
             {"if_bins": (5,)},
+            {"areas": ("Nope",)},
+            {"fields": ("Nope",)},
+            {"bri_classes": ("MiddleIncome",)},
         ],
     )
     def test_validation(self, kwargs):
@@ -430,6 +435,49 @@ class TestCli:
             ["--config", str(cfg_file), "sweep", "--axis", "threshold",
              "--values", "fast"]
         ) == 2
+
+    def test_empty_sweep_is_config_error(self, tmp_path, fixture_dir, capsys):
+        cfg_file = self.write_config(tmp_path, fixture_dir)
+        assert main(["--config", str(cfg_file), "all"]) == 0
+        capsys.readouterr()
+        code = main(
+            ["--config", str(cfg_file), "sweep", "--axis", "threshold",
+             "--values", ""]
+        )
+        assert code == 2
+        assert "at least one value" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not (out / "sweep_threshold.tsv").exists()
+        assert "sweep-threshold" not in read_manifest(out / MANIFEST_NAME)
+
+    @pytest.mark.parametrize(
+        "line", ["areas = Nope", "fields = Nope", "bri_classes = MiddleIncome"]
+    )
+    def test_unknown_group_fails_before_ingest(
+        self, tmp_path, fixture_dir, capsys, line
+    ):
+        cfg_file = self.write_config(tmp_path, fixture_dir)
+        with open(cfg_file, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        assert main(["--config", str(cfg_file), "all"]) == 2
+        assert "unknown" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "corpus.jsonl").exists()
+
+    def test_malformed_scored_is_data_error(self, tmp_path, capsys):
+        # no manifest line vouches for this scored.tsv, so aggregate reads it
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "scored.tsv").write_text(
+            "paper_id\tauthor_id\tregion\tyear\tlead_prob\tis_leader\ttags\n"
+            "P1\tA1\tChina\t20x0\t0.5\tfalse\t"
+            "areas=;fields=;if_bin=0;bri=NonSignatory;country=China\n",
+            encoding="utf-8",
+        )
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"output_dir = {out}\n", encoding="utf-8")
+        assert main(["--config", str(cfg_file), "aggregate"]) == 3
+        err = capsys.readouterr().err
+        assert "scored.tsv" in err and "line 2" in err and "'year'" in err
 
     def test_missing_corpus_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
