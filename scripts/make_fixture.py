@@ -6,10 +6,14 @@ must reproduce the committed files byte for byte.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from leadshare.records import write_contributions, write_corpus
-from leadshare.synth import demo_corpus
+from leadshare.records import write_corpus
+
+# the generators live with the tests, outside the package
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from synth import demo_corpus, write_contributions  # noqa: E402
 
 FIXTURE_SEED = 20240811
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .errors import ConfigError
 from .leadmodel import DEFAULT_THRESHOLD, FAMILY_LINEAR, FAMILY_LOGISTIC
@@ -77,6 +77,8 @@ class PipelineConfig:
             raise ConfigError("if_bin_edges must be strictly increasing")
         if not self.if_bin_edges:
             raise ConfigError("if_bin_edges must not be empty")
+        if not self.threshold_sweep:
+            raise ConfigError("threshold_sweep must not be empty")
         for t in self.threshold_sweep:
             if not 0.0 < t < 1.0:
                 raise ConfigError(f"sweep threshold {t} not in (0,1)")
@@ -97,76 +99,62 @@ class PipelineConfig:
         return dataclasses.replace(self, **changes)
 
 
-_PATH_KEYS = (
-    "corpus", "contributions", "output_dir", "regions", "bri",
-    "areas_table", "fields_table",
-)
-_BOOL_KEYS = ("strict", "strict_binary_labels")
-_INT_KEYS = ("window_start", "window_end", "seed")
-_FLOAT_KEYS = ("lead_threshold", "confidence_level", "horizon", "split_ratio")
-_STR_KEYS = ("counting_mode", "model_family", "focal_region")
-_KNOWN_KEYS = frozenset(
-    _PATH_KEYS + _BOOL_KEYS + _INT_KEYS + _FLOAT_KEYS + _STR_KEYS
-    + ("if_bin_edges", "pairs", "areas", "fields", "if_bins",
-       "bri_classes", "threshold_sweep")
-)
-
-
-def _parse_bool(key: str, value: str) -> bool:
-    if value in ("true", "false"):
-        return value == "true"
-    raise ConfigError(f"{key} must be 'true' or 'false', got {value!r}")
-
-
 def _split_list(value: str) -> list[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
-def _parse_pairs(value: str) -> tuple[tuple[str, str], ...]:
-    pairs = []
-    for chunk in _split_list(value):
-        sides = chunk.split("|")
-        if len(sides) != 2:
-            raise ConfigError(f"pair {chunk!r} must be 'RegionA|RegionB'")
-        pairs.append(tuple(sorted((sides[0].strip(), sides[1].strip()))))
-    return tuple(pairs)
+def _items(parse):
+    return lambda value: tuple(parse(v) for v in _split_list(value))
+
+
+def _pair(chunk: str) -> tuple[str, str]:
+    sides = chunk.split("|")
+    if len(sides) != 2:
+        raise ConfigError(f"pair {chunk!r} must be 'RegionA|RegionB'")
+    return tuple(sorted((sides[0].strip(), sides[1].strip())))
+
+
+# a config key's parser follows its PipelineConfig field type; path types
+# are resolved per file in config_from_mapping
+_FIELD_TYPES = get_type_hints(PipelineConfig)
+_PARSERS = {
+    bool: {"true": True, "false": False}.__getitem__,
+    int: int,
+    float: float,
+    str: str,
+    tuple[float, ...]: _items(float),
+    tuple[int, ...]: _items(int),
+    tuple[str, ...]: _items(str),
+    tuple[tuple[str, str], ...]: _items(_pair),
+}
 
 
 def config_from_mapping(
     mapping: dict[str, str], base_dir: Optional[Path] = None
 ) -> PipelineConfig:
+    def path(value: str) -> Optional[Path]:
+        # an empty path keeps the default
+        if not value:
+            return None
+        p = Path(value)
+        return p if base_dir is None or p.is_absolute() else base_dir / p
+
+    parsers = {**_PARSERS, Path: path, Optional[Path]: path}
     kwargs: dict = {}
     for key, value in mapping.items():
-        if key not in _KNOWN_KEYS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
+        parse = parsers[_FIELD_TYPES[key]]
         try:
-            if key in _PATH_KEYS:
-                if value == "":
-                    continue
-                p = Path(value)
-                if base_dir is not None and not p.is_absolute():
-                    p = base_dir / p
-                kwargs[key] = p
-            elif key in _BOOL_KEYS:
-                kwargs[key] = _parse_bool(key, value)
-            elif key in _INT_KEYS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
-            elif key in _STR_KEYS:
-                kwargs[key] = value
-            elif key == "if_bin_edges":
-                kwargs[key] = tuple(float(v) for v in _split_list(value))
-            elif key == "threshold_sweep":
-                kwargs[key] = tuple(float(v) for v in _split_list(value))
-            elif key == "pairs":
-                kwargs[key] = _parse_pairs(value)
-            elif key == "if_bins":
-                kwargs[key] = tuple(int(v) for v in _split_list(value))
-            else:  # areas, fields, bri_classes
-                kwargs[key] = tuple(_split_list(value))
+            parsed = parse(value)
+        except KeyError:  # only the bool parser raises it
+            raise ConfigError(
+                f"{key} must be 'true' or 'false', got {value!r}"
+            ) from None
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
+        if parsed is not None:
+            kwargs[key] = parsed
     return PipelineConfig(**kwargs)
 
 

@@ -41,13 +41,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import (
-    AuthorNotOnPaper,
-    DuplicatePaperId,
-    MalformedRecord,
-    PaperNotIndexed,
-)
-from .records import PublicationRecord
+from .errors import AuthorNotOnPaper, DuplicatePaperId, PaperNotIndexed
+from .records import PublicationRecord, read_tsv, tsv_rows, write_tsv
 
 FEATURE_NAMES = (
     "f1_refs_previously_cited",
@@ -231,33 +226,24 @@ _FEATURES_HEADER = "paper_id\tauthor_id\t" + "\t".join(FEATURE_NAMES)
 def write_features(
     rows: Iterable[tuple[str, str, LeadFeatureVector]], path: Path
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_FEATURES_HEADER + "\n")
-        for paper_id, author_id, v in rows:
-            fh.write(
-                f"{paper_id}\t{author_id}\t"
-                f"{v.f1_refs_previously_cited}\t{v.f2_keyword_overlap}\t"
-                f"{v.f3_self_citations}\t{v.f4_career_age}\t"
-                f"{v.f5_prior_pub_count}\t{v.f6_citations_received}\t"
-                f"{v.f7_unique_keywords}\t{v.f8_first_or_last_count}\t"
-                f"{v.f9_affiliation_score:.9f}\n"
-            )
+    write_tsv(path, _FEATURES_HEADER, (
+        f"{paper_id}\t{author_id}\t"
+        f"{v.f1_refs_previously_cited}\t{v.f2_keyword_overlap}\t"
+        f"{v.f3_self_citations}\t{v.f4_career_age}\t"
+        f"{v.f5_prior_pub_count}\t{v.f6_citations_received}\t"
+        f"{v.f7_unique_keywords}\t{v.f8_first_or_last_count}\t"
+        f"{v.f9_affiliation_score:.9f}"
+        for paper_id, author_id, v in rows
+    ))
 
 
-def read_features(path: Path) -> list[tuple[str, str, LeadFeatureVector]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != _FEATURES_HEADER:
-        raise MalformedRecord(1, "header", "unexpected feature-file header")
-    out: list[tuple[str, str, LeadFeatureVector]] = []
-    for line_no, raw in enumerate(lines[1:], start=2):
-        parts = raw.split("\t")
-        if len(parts) != 11:
-            raise MalformedRecord(line_no, "<line>", f"expected 11 columns, got {len(parts)}")
-        try:
-            vector = LeadFeatureVector(
-                *(int(x) for x in parts[2:10]), float(parts[10])
-            )
-        except ValueError as exc:
-            raise MalformedRecord(line_no, "features", str(exc))
-        out.append((parts[0], parts[1], vector))
-    return out
+def _feature_rows(lines: list[str]) -> dict[tuple[str, str], LeadFeatureVector]:
+    return {
+        (cells[0], cells[1]): LeadFeatureVector(*map(int, cells[2:10]), float(cells[10]))
+        for cells in tsv_rows(lines)
+    }
+
+
+def read_features(path: Path) -> dict[tuple[str, str], LeadFeatureVector]:
+    """Feature vectors by (paper_id, author_id), in file order."""
+    return read_tsv(path, _FEATURES_HEADER, _feature_rows)

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .errors import MalformedRecord, TooFewPoints, ZeroVariance
-from .metrics import LEAD_PREMIUM, LEAD_SHARE, METRIC_NAMES, SUPPORTER_SHARE, RegionSeries
+from .errors import TooFewPoints, ZeroVariance
+from .metrics import LEAD_PREMIUM, LEAD_SHARE, SUPPORTER_SHARE, RegionSeries
+from .records import write_tsv
 from .tdist import t_quantile
 
 DEFAULT_WINDOW = (2010, 2021)
@@ -272,48 +273,11 @@ def _fmt_year(x: Optional[float]) -> str:
 
 
 def write_forecast(rows: Iterable[ForecastRow], path: Path) -> None:
-    lines = [_FORECAST_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.pair[0]}|{r.pair[1]}\t{r.focal}\t{r.metric}\t{r.filter_desc}\t"
-            f"{r.parity.threshold:.9f}\t{r.fit.slope:.9f}\t{r.fit.intercept:.9f}\t"
-            f"{_fmt_year(r.parity.point_year)}\t{_fmt_year(r.parity.lower_year)}\t"
-            f"{_fmt_year(r.parity.upper_year)}\t"
-            f"{'true' if r.parity.already_reached else 'false'}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_forecast(path: Path) -> list[dict]:
-    """Forecast rows as dicts; the fit is not reconstructed from this file."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != _FORECAST_HEADER:
-        raise MalformedRecord(1, "header", "unexpected forecast header")
-    out = []
-    for line_no, raw in enumerate(lines[1:], start=2):
-        parts = raw.split("\t")
-        if len(parts) != 11:
-            raise MalformedRecord(line_no, "<line>", f"expected 11 columns, got {len(parts)}")
-        sides = parts[0].split("|")
-        if len(sides) != 2 or parts[2] not in METRIC_NAMES:
-            raise MalformedRecord(line_no, "<line>", f"bad forecast row {raw!r}")
-
-        def year(value: str) -> Optional[float]:
-            return None if value == "never" else float(value)
-
-        out.append(
-            {
-                "pair": (sides[0], sides[1]),
-                "focal": parts[1],
-                "metric": parts[2],
-                "filter": parts[3],
-                "threshold": float(parts[4]),
-                "slope": float(parts[5]),
-                "intercept": float(parts[6]),
-                "point_year": year(parts[7]),
-                "lower_year": year(parts[8]),
-                "upper_year": year(parts[9]),
-                "already_reached": parts[10] == "true",
-            }
-        )
-    return out
+    write_tsv(path, _FORECAST_HEADER, (
+        f"{r.pair[0]}|{r.pair[1]}\t{r.focal}\t{r.metric}\t{r.filter_desc}\t"
+        f"{r.parity.threshold:.9f}\t{r.fit.slope:.9f}\t{r.fit.intercept:.9f}\t"
+        f"{_fmt_year(r.parity.point_year)}\t{_fmt_year(r.parity.lower_year)}\t"
+        f"{_fmt_year(r.parity.upper_year)}\t"
+        f"{'true' if r.parity.already_reached else 'false'}"
+        for r in rows
+    ))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .features import FEATURE_NAMES, LeadFeatureVector
 from .metrics import PaperTags, ScoredAuthorship, ScoredTable, code_values
-from .records import PublicationRecord
+from .records import FieldError, PublicationRecord, read_tsv, tsv_rows, write_tsv
 from .tables import BriClassification, RegionMap, TopicMap
 
 LEADER = "Leader"
@@ -262,67 +262,64 @@ def score_corpus(
     return rows, below
 
 
-_MODEL_KEYS = ("family", "seed", "split", "n_train", "damping", "intercept",
-               "weights", "means", "stds")
+def _vector(text: str) -> tuple[float, ...]:
+    values = tuple(map(float, text.split()))
+    if len(values) != len(FEATURE_NAMES):
+        raise ValueError(f"expected {len(FEATURE_NAMES)} values")
+    return values
+
+
+def _format_vector(values: Iterable[float]) -> str:
+    return " ".join(f"{v:.17g}" for v in values)
+
+
+# model.tsv holds one key-value line per row, in this order: the key, the
+# LinearLeadModel attribute, its text and the parser of that text; floats
+# at 17 significant digits round-trip
+_MODEL_LINES = (
+    ("family", "family", str, str),
+    ("seed", "seed", str, int),
+    ("split", "split_ratio", "{:.17g}".format, float),
+    ("n_train", "n_train", str, int),
+    ("damping", "damping", "{:.17g}".format, float),
+    ("intercept", "intercept", "{:.17g}".format, float),
+    ("weights", "weights", _format_vector, _vector),
+    ("means", "feature_means", _format_vector, _vector),
+    ("stds", "feature_stds", _format_vector, _vector),
+)
+_MODEL_PARSERS = {key: parse for key, _, _, parse in _MODEL_LINES}
 
 
 def write_model(model: LinearLeadModel, path: Path) -> None:
-    """Flat key-value file; floats at 17 significant digits round-trip."""
-    def fmt(values: Iterable[float]) -> str:
-        return " ".join(f"{v:.17g}" for v in values)
+    write_tsv(path, None, (
+        f"{key}\t{fmt(getattr(model, attr))}" for key, attr, fmt, _ in _MODEL_LINES
+    ))
 
-    lines = [
-        f"family\t{model.family}",
-        f"seed\t{model.seed}",
-        f"split\t{model.split_ratio:.17g}",
-        f"n_train\t{model.n_train}",
-        f"damping\t{model.damping:.17g}",
-        f"intercept\t{model.intercept:.17g}",
-        f"weights\t{fmt(model.weights)}",
-        f"means\t{fmt(model.feature_means)}",
-        f"stds\t{fmt(model.feature_stds)}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+def _model_value(key: str, text: str):
+    try:
+        return _MODEL_PARSERS.get(key, str)(text)
+    except ValueError as exc:
+        raise FieldError(key, str(exc)) from None
 
 
 def read_model(path: Path) -> LinearLeadModel:
-    fields: dict[str, str] = {}
-    for line_no, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        key, sep, value = raw.partition("\t")
-        if not sep:
-            raise MalformedRecord(line_no, "<line>", f"expected key\\tvalue, got {raw!r}")
-        fields[key] = value
-    missing = [k for k in _MODEL_KEYS if k not in fields]
-    if missing:
-        raise MalformedRecord(0, missing[0], "missing model field")
-    def vec(key: str) -> tuple[float, ...]:
-        values = tuple(float(x) for x in fields[key].split())
-        if len(values) != len(FEATURE_NAMES):
-            raise MalformedRecord(0, key, f"expected {len(FEATURE_NAMES)} values")
-        return values
-
-    return LinearLeadModel(
-        weights=vec("weights"),
-        intercept=float(fields["intercept"]),
-        feature_means=vec("means"),
-        feature_stds=vec("stds"),
-        seed=int(fields["seed"]),
-        split_ratio=float(fields["split"]),
-        n_train=int(fields["n_train"]),
-        damping=float(fields["damping"]),
-        family=fields["family"],
+    values = read_tsv(
+        path, None,
+        lambda lines: {key: _model_value(key, text) for key, text in tsv_rows(lines)},
+        columns=2,
     )
+    for key in _MODEL_PARSERS:
+        if key not in values:
+            raise MalformedRecord(0, key, "missing model field", str(path))
+    return LinearLeadModel(**{attr: values[key] for key, attr, _, _ in _MODEL_LINES})
 
 
 def write_eval(report: EvalReport, path: Path) -> None:
-    lines = [
-        "threshold\tprecision\trecall\ttp\tfp\tfn\ttn",
+    write_tsv(path, "threshold\tprecision\trecall\ttp\tfp\tfn\ttn", [
         f"{report.threshold:.9f}\t{report.precision:.9f}\t{report.recall:.9f}\t"
         f"{report.tp}\t{report.fp}\t{report.fn}\t{report.tn}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ])
 
 
 _SCORED_HEADER = "paper_id\tauthor_id\tregion\tyear\tlead_prob\tis_leader\ttags"
@@ -331,18 +328,14 @@ _TAG_KEYS = ("areas", "fields", "if_bin", "bri", "country")
 
 def write_scored(rows: Iterable[ScoredAuthorship], path: Path) -> None:
     """Scored table; tags are packed into one semicolon-keyed column."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_SCORED_HEADER + "\n")
-        for r in rows:
-            tags = (
-                f"areas={'|'.join(sorted(r.areas))};"
-                f"fields={'|'.join(sorted(r.fields))};"
-                f"if_bin={r.if_bin};bri={r.bri_class};country={r.country}"
-            )
-            fh.write(
-                f"{r.paper_id}\t{r.author_id}\t{r.region}\t{r.year}\t"
-                f"{r.lead_prob:.9f}\t{'true' if r.is_leader else 'false'}\t{tags}\n"
-            )
+    write_tsv(path, _SCORED_HEADER, (
+        f"{r.paper_id}\t{r.author_id}\t{r.region}\t{r.year}\t"
+        f"{r.lead_prob:.9f}\t{'true' if r.is_leader else 'false'}\t"
+        f"areas={'|'.join(sorted(r.areas))};"
+        f"fields={'|'.join(sorted(r.fields))};"
+        f"if_bin={r.if_bin};bri={r.bri_class};country={r.country}"
+        for r in rows
+    ))
 
 
 def _parse_tags(text: str) -> PaperTags:
@@ -351,67 +344,47 @@ def _parse_tags(text: str) -> PaperTags:
     for key in _TAG_KEYS:
         if key not in items:
             raise ValueError(f"missing tag {key!r}")
-    try:
-        if_bin = int(items["if_bin"])
-    except ValueError:
-        raise ValueError(f"if_bin {items['if_bin']!r} is not an integer") from None
     return PaperTags(
         areas=frozenset(filter(None, items["areas"].split("|"))),
         fields=frozenset(filter(None, items["fields"].split("|"))),
-        if_bin=if_bin,
+        if_bin=int(items["if_bin"]),
         bri_class=items["bri"],
         country=items["country"],
     )
 
 
-def _raise_first_bad_line(lines: list[str], source: str) -> None:
-    """Raise MalformedRecord for the first line of a scored table, after
-    its header, that does not parse."""
-    for line_no, line in enumerate(lines, start=2):
-        cells = line.split("\t")
-        if len(cells) != 7:
-            raise MalformedRecord(
-                line_no, "<line>", f"expected 7 columns, got {len(cells)}", source
-            )
-        for field, parse, value in (
-            ("year", int, cells[3]),
-            ("lead_prob", float, cells[4]),
-            ("tags", _parse_tags, cells[6]),
-        ):
-            try:
-                parse(value)
-            except ValueError as exc:
-                raise MalformedRecord(line_no, field, str(exc), source) from None
+def _parse_column(field: str, parse: Callable, cells: Sequence[str]) -> list:
+    try:
+        return list(map(parse, cells))
+    except ValueError as exc:
+        raise FieldError(field, str(exc)) from None
+
+
+def _scored_columns(lines: list[str]) -> tuple:
+    """ScoredTable's arguments, each distinct tags cell parsed once."""
+    cells = "\t".join(lines).split("\t") if lines else []
+    paper_ids, author_ids, regions, years, probs, leaders, texts = (
+        cells[j::7] for j in range(7)
+    )
+    bad = set(leaders) - {"true", "false"}
+    if bad:
+        raise FieldError("is_leader", f"expected true or false, got {min(bad)!r}")
+    tag_texts, tag = code_values(texts)
+    return (
+        paper_ids, author_ids, regions,
+        np.array(_parse_column("year", int, years), dtype=np.int64),
+        np.array(_parse_column("lead_prob", float, probs), dtype=np.float64),
+        np.array([v == "true" for v in leaders], dtype=bool),
+        tag, _parse_column("tags", _parse_tags, tag_texts),
+    )
 
 
 def read_scored(path: Path) -> ScoredTable:
-    """The scored table as columns, each distinct tags cell parsed once.
+    """The scored table as columns.
 
     A bad header, a line without seven columns, a tags cell without one
-    of its keys or a non-numeric year, lead_prob or if_bin raises
-    MalformedRecord naming the file and the first bad line.
+    of its keys, a non-numeric year, lead_prob or if_bin or an is_leader
+    other than true or false raises MalformedRecord naming the file and
+    the first bad line.
     """
-    source = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        lines = fh.read().split("\n")
-    if header != _SCORED_HEADER:
-        raise MalformedRecord(1, "header", "unexpected scored header", source)
-    if lines[-1] == "":
-        lines.pop()
-    try:
-        if any(line.count("\t") != 6 for line in lines):
-            raise ValueError("a line without seven columns")
-        cells = "\t".join(lines).split("\t") if lines else []
-        texts, tag = code_values(cells[6::7])
-        tags = [_parse_tags(text) for text in texts]
-        year = np.fromiter(map(int, cells[3::7]), np.int64, len(lines))
-        lead_prob = np.fromiter(map(float, cells[4::7]), np.float64, len(lines))
-    except ValueError:
-        # line by line, to name the first line that does not parse
-        _raise_first_bad_line(lines, source)
-        raise
-    is_leader = np.array([v == "true" for v in cells[5::7]], dtype=bool)
-    return ScoredTable(
-        cells[0::7], cells[1::7], cells[2::7], year, lead_prob, is_leader, tag, tags
-    )
+    return ScoredTable(*read_tsv(path, _SCORED_HEADER, _scored_columns))

@@ -27,10 +27,10 @@ import numpy as np
 from .errors import (
     ConfigError,
     InconsistentPair,
-    MalformedRecord,
     NoLeaders,
     NoSupporters,
 )
+from .records import read_tsv, tsv_rows, write_tsv
 
 LEAD_SHARE = "LeadShare"
 SUPPORTER_SHARE = "SupporterShare"
@@ -338,77 +338,41 @@ def build_series(
 
 
 def write_counts(countsets: Iterable[PairYearCounts], path: Path) -> None:
-    lines = ["pair\tyear\tregion\tleaders\tsupporters\tfilter"]
-    for c in countsets:
-        for region in c.pair:
-            lines.append(
-                f"{c.pair[0]}|{c.pair[1]}\t{c.year}\t{region}\t"
-                f"{c.leaders[region]}\t{c.supporters[region]}\t{c.filter_desc}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_tsv(path, "pair\tyear\tregion\tleaders\tsupporters\tfilter", (
+        f"{c.pair[0]}|{c.pair[1]}\t{c.year}\t{region}\t"
+        f"{c.leaders[region]}\t{c.supporters[region]}\t{c.filter_desc}"
+        for c in countsets
+        for region in c.pair
+    ))
 
 
-def read_counts(path: Path) -> list[PairYearCounts]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "pair\tyear\tregion\tleaders\tsupporters\tfilter":
-        raise MalformedRecord(1, "header", "unexpected counts header")
-    acc: dict[tuple[tuple[str, str], int, str], dict[str, tuple[int, int]]] = {}
-    for line_no, raw in enumerate(lines[1:], start=2):
-        parts = raw.split("\t")
-        if len(parts) != 6:
-            raise MalformedRecord(line_no, "<line>", f"expected 6 columns, got {len(parts)}")
-        sides = parts[0].split("|")
-        if len(sides) != 2:
-            raise MalformedRecord(line_no, "pair", f"bad pair {parts[0]!r}")
-        key = ((sides[0], sides[1]), int(parts[1]), parts[5])
-        acc.setdefault(key, {})[parts[2]] = (int(parts[3]), int(parts[4]))
-    out = []
-    for (pair, year, desc), per_region in sorted(acc.items()):
-        if set(per_region) != set(pair):
-            raise MalformedRecord(0, "region", f"incomplete rows for {pair} {year}")
-        out.append(
-            PairYearCounts(
-                pair=pair,
-                year=year,
-                leaders={r: per_region[r][0] for r in pair},
-                supporters={r: per_region[r][1] for r in pair},
-                filter_desc=desc,
-            )
-        )
-    return out
+_SERIES_HEADER = "pair\tfocal\tmetric\tfilter\tyear\tvalue"
 
 
 def write_series(series_list: Iterable[RegionSeries], path: Path) -> None:
-    lines = ["pair\tfocal\tmetric\tfilter\tyear\tvalue"]
-    for s in series_list:
-        for year, value in s.points:
-            lines.append(
-                f"{s.pair[0]}|{s.pair[1]}\t{s.focal}\t{s.metric}\t"
-                f"{s.filter_desc}\t{year}\t{value:.9f}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_tsv(path, _SERIES_HEADER, (
+        f"{s.pair[0]}|{s.pair[1]}\t{s.focal}\t{s.metric}\t"
+        f"{s.filter_desc}\t{year}\t{value:.9f}"
+        for s in series_list
+        for year, value in s.points
+    ))
+
+
+def _series(lines: list[str]) -> list[RegionSeries]:
+    acc: dict[tuple, list[tuple[int, float]]] = {}
+    for pair, focal, metric, desc, year, value in tsv_rows(lines):
+        sides = tuple(pair.split("|"))
+        if len(sides) != 2 or metric not in METRIC_NAMES:
+            raise ValueError(f"bad pair {pair!r} or metric {metric!r}")
+        acc.setdefault((sides, focal, metric, desc), []).append((int(year), float(value)))
+    return [
+        RegionSeries(
+            pair=pair, focal=focal, metric=metric,
+            points=tuple(sorted(points)), filter_desc=desc,
+        )
+        for (pair, focal, metric, desc), points in acc.items()
+    ]
 
 
 def read_series(path: Path) -> list[RegionSeries]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "pair\tfocal\tmetric\tfilter\tyear\tvalue":
-        raise MalformedRecord(1, "header", "unexpected series header")
-    acc: dict[tuple, list[tuple[int, float]]] = {}
-    for line_no, raw in enumerate(lines[1:], start=2):
-        parts = raw.split("\t")
-        if len(parts) != 6:
-            raise MalformedRecord(line_no, "<line>", f"expected 6 columns, got {len(parts)}")
-        sides = parts[0].split("|")
-        if len(sides) != 2 or parts[2] not in METRIC_NAMES:
-            raise MalformedRecord(line_no, "<line>", f"bad series row {raw!r}")
-        key = ((sides[0], sides[1]), parts[1], parts[2], parts[3])
-        acc.setdefault(key, []).append((int(parts[4]), float(parts[5])))
-    out = []
-    for (pair, focal, metric, desc), points in acc.items():
-        out.append(
-            RegionSeries(
-                pair=pair, focal=focal, metric=metric,
-                points=tuple(sorted(points)), filter_desc=desc,
-            )
-        )
-    return out
+    return read_tsv(path, _SERIES_HEADER, _series)

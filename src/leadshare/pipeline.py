@@ -28,7 +28,6 @@ from .config import PipelineConfig
 from .corpus import FilterStats, filter_corpus
 from .errors import (
     ConfigError,
-    DataError,
     HashMismatch,
     MissingUpstream,
     TooFewPoints,
@@ -58,7 +57,14 @@ from .metrics import (
     write_counts,
     write_series,
 )
-from .records import read_contributions, read_corpus, write_corpus
+from .records import (
+    read_contributions,
+    read_corpus,
+    read_tsv,
+    tsv_rows,
+    write_corpus,
+    write_tsv,
+)
 from .roles import (
     build_cooccurrence,
     cluster_roles,
@@ -142,35 +148,23 @@ def _decode_hashes(text: str) -> dict[str, str]:
 
 
 def read_manifest(path: Path) -> dict[str, ManifestEntry]:
-    path = Path(path)
-    if not path.exists():
+    if not Path(path).exists():
         return {}
-    entries: dict[str, ManifestEntry] = {}
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for line_no, raw in enumerate(lines[1:], start=2):
-        fields = raw.split("\t")
-        if len(fields) != 4:
-            raise DataError(f"{path}: line {line_no}: expected 4 tab-separated fields")
-        stage, inputs, config_hash, outputs = fields
-        entries[stage] = ManifestEntry(
-            stage=stage,
-            inputs=_decode_hashes(inputs),
-            config_hash=config_hash,
-            outputs=_decode_hashes(outputs),
-        )
-    return entries
+    return read_tsv(path, _MANIFEST_HEADER, lambda lines: {
+        stage: ManifestEntry(stage, _decode_hashes(i), config_hash, _decode_hashes(o))
+        for stage, i, config_hash, o in tsv_rows(lines)
+    })
 
 
 def write_manifest(entries: dict[str, ManifestEntry], path: Path) -> None:
-    lines = [_MANIFEST_HEADER]
     order = {name: i for i, name in enumerate(STAGE_TABLE)}
-    for stage in sorted(entries, key=lambda s: order.get(s, len(order))):
-        e = entries[stage]
-        lines.append(
-            f"{stage}\t{_encode_hashes(e.inputs)}\t{e.config_hash}\t"
-            f"{_encode_hashes(e.outputs)}"
+    write_tsv(path, _MANIFEST_HEADER, (
+        f"{stage}\t{_encode_hashes(e.inputs)}\t{e.config_hash}\t"
+        f"{_encode_hashes(e.outputs)}"
+        for stage, e in sorted(
+            entries.items(), key=lambda item: order.get(item[0], len(order))
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ))
 
 
 def _config_slice_hash(
@@ -246,15 +240,6 @@ def _read_corpus_file(path: Path) -> list:
         return list(read_corpus(fh, source=str(path)))
 
 
-def _feature_vectors(config: PipelineConfig) -> dict:
-    return {
-        (paper_id, author_id): vec
-        for paper_id, author_id, vec in read_features(
-            config.output_dir / "features.tsv"
-        )
-    }
-
-
 # ---------------------------------------------------------------- stages
 
 
@@ -307,7 +292,7 @@ def _stage_build_profiles(config: PipelineConfig) -> None:
 
 def _stage_fit_model(config: PipelineConfig) -> None:
     labels = read_training_labels(config.output_dir / "labels.tsv")
-    vectors = _feature_vectors(config)
+    vectors = read_features(config.output_dir / "features.tsv")
     examples = []
     skipped = 0
     for lab in labels:
@@ -339,7 +324,7 @@ def _stage_score(config: PipelineConfig) -> None:
     rows, below = score_corpus(
         read_model(config.output_dir / "model.tsv"),
         _read_corpus_file(config.output_dir / "bilateral.jsonl"),
-        _feature_vectors(config),
+        read_features(config.output_dir / "features.tsv"),
         load_region_map(config.regions),
         load_topic_map(config.areas_table, config.fields_table),
         load_bri_classification(config.bri),

@@ -15,14 +15,21 @@ fields
 
 Contribution statements use the same framing with fields paper_id,
 author_id, verbs[].
+
+The stages pass their results to each other as tab-separated artifacts:
+`write_tsv` writes one and `read_tsv` reads one back, checking its header
+and column count and naming the file and line of any cell that does not
+parse.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, TextIO
+from dataclasses import dataclass
+from itertools import repeat
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from .errors import InvariantViolation, MalformedRecord, RecordError
 
@@ -208,6 +215,73 @@ def _read_lines(parse, lines: Iterable[str], source: Optional[str]) -> Iterator:
         yield record
 
 
+class FieldError(ValueError):
+    """A cell that does not parse, naming its field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+T = TypeVar("T")
+
+
+def read_tsv(
+    path: Path, header: Optional[str], parse: Callable[[list[str]], T],
+    columns: int = 0,
+) -> T:
+    """A TSV artifact, handed to parse as its lines after the header.
+
+    The first line must equal header; with header None the file has no
+    header line and `columns` columns.  The first line with another number
+    of columns, or else the first line on which parse raises ValueError,
+    raises MalformedRecord naming the file and line; parse names the field
+    by raising FieldError.
+    """
+    source = str(path)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    first = 1
+    if header is not None:
+        if not lines or lines[0] != header:
+            raise MalformedRecord(1, "header", f"expected {header!r}", source)
+        del lines[0]
+        first = 2
+        columns = header.count("\t") + 1
+    for line_no, line in enumerate(lines, start=first):
+        got = line.count("\t") + 1
+        if got != columns:
+            raise MalformedRecord(
+                line_no, "<line>", f"expected {columns} columns, got {got}", source
+            )
+    try:
+        return parse(lines)
+    except ValueError:
+        # line by line, to name the first line that does not parse
+        for line_no, line in enumerate(lines, start=first):
+            try:
+                parse([line])
+            except ValueError as exc:
+                field = getattr(exc, "field", "<line>")
+                raise MalformedRecord(line_no, field, str(exc), source) from None
+        raise
+
+
+def tsv_rows(lines: Iterable[str]) -> Iterator[list[str]]:
+    """The cells of each line."""
+    return map(str.split, lines, repeat("\t"))
+
+
+def write_tsv(path: Path, header: Optional[str], lines: Iterable[str]) -> None:
+    """Header (unless None), then each line, each ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
 def read_corpus(
     lines: Iterable[str], source: Optional[str] = None
 ) -> Iterator[PublicationRecord]:
@@ -284,22 +358,5 @@ def write_corpus(records: Iterable[PublicationRecord], fh: TextIO) -> int:
     n = 0
     for rec in records:
         fh.write(publication_to_json(rec) + "\n")
-        n += 1
-    return n
-
-
-def contribution_to_json(record: ContributionRecord) -> str:
-    obj = {
-        "paper_id": record.paper_id,
-        "author_id": record.author_id,
-        "verbs": list(record.verbs),
-    }
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
-
-
-def write_contributions(records: Iterable[ContributionRecord], fh: TextIO) -> int:
-    n = 0
-    for rec in records:
-        fh.write(contribution_to_json(rec) + "\n")
         n += 1
     return n

@@ -24,12 +24,11 @@ from .errors import (
     AmbiguousLabeling,
     ConfigError,
     EmptyCorpus,
-    MalformedRecord,
     NoKnownVerbs,
     VocabularyTooSmall,
 )
 from .kmeans import kmeans
-from .records import ContributionRecord
+from .records import ContributionRecord, FieldError, read_tsv, tsv_rows, write_tsv
 
 log = logging.getLogger(__name__)
 
@@ -326,71 +325,37 @@ def training_labels(
 
 
 def write_role_model(model: RoleClusterModel, path: Path) -> None:
-    lines = [
+    write_tsv(path, None, [
         f"# seed\t{model.seed}",
         f"# k\t{model.k}",
         f"# iterations\t{model.n_iter}",
         f"# converged\t{'true' if model.converged else 'false'}",
         "verb\tcluster",
-    ]
-    for verb in sorted(model.by_verb):
-        lines.append(f"{verb}\t{model.by_verb[verb]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        *(f"{verb}\t{model.by_verb[verb]}" for verb in sorted(model.by_verb)),
+    ])
 
 
-def read_role_model(path: Path) -> RoleClusterModel:
-    meta: dict[str, str] = {}
-    by_verb: dict[str, str] = {}
-    header_seen = False
-    for line_no, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if raw.startswith("# "):
-            key, _, value = raw[2:].partition("\t")
-            meta[key] = value
-            continue
-        if not header_seen:
-            if raw != "verb\tcluster":
-                raise MalformedRecord(line_no, "header", f"unexpected {raw!r}")
-            header_seen = True
-            continue
-        verb, sep, label = raw.partition("\t")
-        if not sep or label not in ROLE_LABELS:
-            raise MalformedRecord(line_no, "cluster", f"bad row {raw!r}")
-        by_verb[verb] = label
-    for key in ("seed", "k", "iterations", "converged"):
-        if key not in meta:
-            raise MalformedRecord(0, key, "missing metadata line")
-    return RoleClusterModel(
-        by_verb=by_verb,
-        seed=int(meta["seed"]),
-        k=int(meta["k"]),
-        n_iter=int(meta["iterations"]),
-        converged=meta["converged"] == "true",
-    )
+_LABELS_HEADER = "paper_id\tauthor_id\tlead_value"
 
 
 def write_training_labels(labels: Iterable[TrainingLabel], path: Path) -> None:
-    lines = ["paper_id\tauthor_id\tlead_value"]
-    for lab in labels:
-        lines.append(f"{lab.paper_id}\t{lab.author_id}\t{lab.lead_value:.9f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_tsv(path, _LABELS_HEADER, (
+        f"{lab.paper_id}\t{lab.author_id}\t{lab.lead_value:.9f}" for lab in labels
+    ))
+
+
+def _lead_value(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise FieldError("lead_value", str(exc)) from None
+    if not 0.0 <= value <= 1.0:
+        raise FieldError("lead_value", f"outside [0,1]: {value}")
+    return value
 
 
 def read_training_labels(path: Path) -> list[TrainingLabel]:
-    out: list[TrainingLabel] = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "paper_id\tauthor_id\tlead_value":
-        raise MalformedRecord(1, "header", "expected paper_id\\tauthor_id\\tlead_value")
-    for line_no, raw in enumerate(lines[1:], start=2):
-        parts = raw.split("\t")
-        if len(parts) != 3:
-            raise MalformedRecord(line_no, "<line>", f"expected 3 columns, got {len(parts)}")
-        try:
-            value = float(parts[2])
-        except ValueError:
-            raise MalformedRecord(line_no, "lead_value", f"not a number: {parts[2]!r}")
-        if not 0.0 <= value <= 1.0:
-            raise MalformedRecord(line_no, "lead_value", f"outside [0,1]: {value}")
-        out.append(TrainingLabel(parts[0], parts[1], value))
-    return out
+    return read_tsv(path, _LABELS_HEADER, lambda lines: [
+        TrainingLabel(paper_id, author_id, _lead_value(value))
+        for paper_id, author_id, value in tsv_rows(lines)
+    ])

@@ -1,4 +1,4 @@
-"""Seeded synthetic corpora for fixtures, tests, and benchmarks.
+"""Seeded synthetic corpora for the committed fixture and the tests.
 
 Everything here is driven by random.Random(seed) only, so a given seed
 reproduces the same corpus byte for byte on any platform.
@@ -7,12 +7,13 @@ reproduces the same corpus byte for byte on any platform.
 from __future__ import annotations
 
 import datetime
+import json
 import random
-from typing import Optional, Sequence
+from typing import Iterable, Sequence, TextIO
 
-from .features import LeadFeatureVector
-from .records import AuthorshipRecord, ContributionRecord, PublicationRecord
-from .roles import (
+from leadshare.features import LeadFeatureVector
+from leadshare.records import AuthorshipRecord, ContributionRecord, PublicationRecord
+from leadshare.roles import (
     DIRECT_SUPPORT_SEED_VERBS,
     INDIRECT_SUPPORT_SEED_VERBS,
     LEAD_SEED_VERBS,
@@ -408,3 +409,20 @@ def separable_examples(
             )
             examples.append((v, 0.0))
     return examples
+
+
+def contribution_to_json(record: ContributionRecord) -> str:
+    obj = {
+        "paper_id": record.paper_id,
+        "author_id": record.author_id,
+        "verbs": list(record.verbs),
+    }
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+
+
+def write_contributions(records: Iterable[ContributionRecord], fh: TextIO) -> int:
+    n = 0
+    for rec in records:
+        fh.write(contribution_to_json(rec) + "\n")
+        n += 1
+    return n

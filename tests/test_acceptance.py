@@ -23,14 +23,15 @@ from leadshare.metrics import (
     supporter_share,
 )
 from leadshare.pipeline import MANIFEST_NAME, STAGE_TABLE, STAGES, run_all, run_stage
-from leadshare.records import write_contributions, write_corpus
+from leadshare.records import write_corpus
 from leadshare.roles import LEAD, build_cooccurrence, cluster_roles, label_clusters
-from leadshare.synth import (
+from synth import (
     perf_corpus,
     planted_blocks,
     planted_contributions,
     random_corpus,
     separable_examples,
+    write_contributions,
 )
 from leadshare.tables import AREA_TAGS, FIELD_TAGS, GLOBAL_REGIONS
 

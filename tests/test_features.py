@@ -26,7 +26,7 @@ from leadshare.features import (
     write_features,
 )
 from leadshare.records import AuthorshipRecord, PublicationRecord
-from leadshare.synth import random_corpus
+from synth import random_corpus
 
 
 def hand_corpus():
@@ -252,7 +252,7 @@ def test_features_file_round_trip(tmp_path, hand_index):
     write_features(rows, path)
     again = read_features(path)
     assert len(again) == len(rows)
-    for (p1, a1, v1), (p2, a2, v2) in zip(rows, again):
+    for (p1, a1, v1), ((p2, a2), v2) in zip(rows, again.items()):
         assert (p1, a1) == (p2, a2)
         assert vector_as_tuple(v1)[:8] == vector_as_tuple(v2)[:8]
         assert v2.f9_affiliation_score == pytest.approx(

@@ -8,7 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leadshare.errors import MalformedRecord, TooFewPoints, ZeroVariance
+from leadshare.errors import TooFewPoints, ZeroVariance
 from leadshare.forecast import (
     PARITY_THRESHOLDS,
     RegressionFit,
@@ -18,7 +18,6 @@ from leadshare.forecast import (
     forecast_series,
     ols_fit,
     parity_year,
-    read_forecast,
     write_forecast,
 )
 from leadshare.metrics import RegionSeries
@@ -353,40 +352,6 @@ class TestForecastSeries:
         with pytest.raises(TooFewPoints):
             forecast_series(series([(2010, 0.1), (2011, 0.2)]), horizon=2100)
 
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        noisy = [
-            (y, 0.01 * y - 19.9 + rng.normal(0, 0.01)) for y in range(2008, 2022)
-        ]
-        rows = [
-            forecast_series(series(noisy), window=(2008, 2021), horizon=2100),
-            forecast_series(
-                series(exact_line(0.0001, -0.1, range(2010, 2022)),
-                       metric="LeadPremium"),
-                horizon=2100,
-            ),
-        ]
-        path = tmp_path / "forecast.tsv"
-        write_forecast(rows, path)
-        again = {d["metric"]: d for d in read_forecast(path)}
-        assert len(again) == len(rows)
-        for r in rows:
-            d = again[r.metric]
-            assert d["pair"] == r.pair and d["focal"] == r.focal
-            assert d["filter"] == r.filter_desc
-            assert d["slope"] == pytest.approx(r.fit.slope, abs=1e-9)
-            assert d["intercept"] == pytest.approx(r.fit.intercept, abs=1e-9)
-            assert d["already_reached"] == r.parity.already_reached
-            for key, value in (
-                ("point_year", r.parity.point_year),
-                ("lower_year", r.parity.lower_year),
-                ("upper_year", r.parity.upper_year),
-            ):
-                if value is None:
-                    assert d[key] is None
-                else:
-                    assert d[key] == pytest.approx(value, abs=1e-6)
-
     def test_never_serialized_as_word(self, tmp_path):
         row = forecast_series(
             series(exact_line(0.0001, -0.1, range(2010, 2022))), horizon=2100
@@ -396,27 +361,6 @@ class TestForecastSeries:
         write_forecast([row], path)
         body = path.read_text(encoding="utf-8").splitlines()[1]
         assert body.split("\t")[7:10] == ["never", "never", "never"]
-
-    def test_read_rejects_bad_rows(self, tmp_path):
-        header = (
-            "pair\tfocal\tmetric\tfilter\tthreshold\tslope\tintercept\t"
-            "point_year\tlower_year\tupper_year\talready_reached\n"
-        )
-        good = (
-            "China|U.S.\tChina\tLeadShare\tall\t0.500000000\t0.012000000\t"
-            "-24.250000000\t2062.500000000\tnever\tnever\tfalse\n"
-        )
-        path = tmp_path / "forecast.tsv"
-        path.write_text(header + good.replace("LeadShare", "Dominance"),
-                        encoding="utf-8")
-        with pytest.raises(MalformedRecord):
-            read_forecast(path)
-        path.write_text(header + good.replace("\tfalse", ""), encoding="utf-8")
-        with pytest.raises(MalformedRecord):
-            read_forecast(path)
-        path.write_text("not a header\n" + good, encoding="utf-8")
-        with pytest.raises(MalformedRecord):
-            read_forecast(path)
 
     def test_coverage_near_nominal(self):
         # the 95% band should contain the true mean response at x_mean

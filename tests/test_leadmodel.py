@@ -26,7 +26,7 @@ from leadshare.leadmodel import (
     write_model,
     write_scored,
 )
-from leadshare.synth import separable_examples
+from synth import separable_examples
 
 
 def vec(**overrides) -> LeadFeatureVector:

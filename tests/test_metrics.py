@@ -25,10 +25,8 @@ from leadshare.metrics import (
     build_series,
     lead_premium,
     lead_share,
-    read_counts,
     read_series,
     supporter_share,
-    write_counts,
     write_series,
 )
 
@@ -448,30 +446,6 @@ def test_aggregate_counts_contiguous_runs():
     # the id P1 spans two regions overall, but its last run only one
     with pytest.raises(InconsistentPair, match="'P1'.*'China'"):
         aggregate(rows + [row("P3", "China"), row("P3", "U.S."), row("P1", "China")])
-
-
-def test_counts_file_round_trip(tmp_path):
-    original = [
-        counts_of(("China", "U.S."), 2019, {"China": 3, "U.S.": 1}, {"China": 0, "U.S.": 4}),
-        counts_of(("China", "U.S."), 2020, {"China": 1, "U.S.": 1}, {"China": 2, "U.S.": 2},
-                  desc="areas=Energy"),
-    ]
-    path = tmp_path / "counts.tsv"
-    write_counts(original, path)
-    assert sorted(read_counts(path), key=lambda c: (c.year, c.filter_desc)) == sorted(
-        original, key=lambda c: (c.year, c.filter_desc)
-    )
-
-
-def test_counts_file_rejects_incomplete_pairs(tmp_path):
-    path = tmp_path / "counts.tsv"
-    path.write_text(
-        "pair\tyear\tregion\tleaders\tsupporters\tfilter\n"
-        "China|U.S.\t2020\tChina\t1\t2\tall\n",
-        encoding="utf-8",
-    )
-    with pytest.raises(MalformedRecord):
-        read_counts(path)
 
 
 def test_series_file_round_trip(tmp_path):

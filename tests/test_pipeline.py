@@ -387,6 +387,7 @@ class TestConfig:
             {"areas": ("Nope",)},
             {"fields": ("Nope",)},
             {"bri_classes": ("MiddleIncome",)},
+            {"threshold_sweep": ()},
         ],
     )
     def test_validation(self, kwargs):
@@ -478,6 +479,45 @@ class TestCli:
         assert main(["--config", str(cfg_file), "aggregate"]) == 3
         err = capsys.readouterr().err
         assert "scored.tsv" in err and "line 2" in err and "'year'" in err
+
+    @pytest.mark.parametrize(
+        "rel, line_no, column, value, stage",
+        [
+            ("features.tsv", 5, 10, None, "fit-model"),
+            ("labels.tsv", 5, 2, None, "fit-model"),
+            ("series.tsv", 5, 4, "20x15", "forecast"),
+            ("model.tsv", 6, 1, "abc", "score"),
+            ("scored.tsv", 5, 5, "yes", "aggregate"),
+            ("manifest.tsv", 2, 3, None, "aggregate"),
+        ],
+        ids=["features-columns", "labels-columns", "series-year", "model-intercept",
+             "scored-is_leader", "manifest-fields"],
+    )
+    def test_damaged_artifact_names_file_and_line(
+        self, pristine, tmp_path, capsys, rel, line_no, column, value, stage
+    ):
+        # the cell at `column` of line `line_no` becomes `value`, or with
+        # value None the line is cut before that column
+        out = clone(pristine[0], tmp_path).output_dir
+        path = out / rel
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[line_no - 1].split("\t")
+        cut = cells[:column] if value is None else [*cells[:column], value, *cells[column + 1:]]
+        lines[line_no - 1] = "\t".join(cut)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if rel != MANIFEST_NAME:
+            # without its producer's manifest line the artifact is read as is
+            producer = next(s for s in STAGE_TABLE.values() if rel in s.writes).name
+            manifest = out / MANIFEST_NAME
+            kept = [
+                line for line in manifest.read_text(encoding="utf-8").splitlines()
+                if not line.startswith(producer + "\t")
+            ]
+            manifest.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"output_dir = {out}\n", encoding="utf-8")
+        assert main(["--config", str(cfg_file), stage]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {path}: line {line_no}, ")
 
     def test_missing_corpus_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -28,13 +28,11 @@ from leadshare.roles import (
     normalize_record,
     normalize_verb,
     ppmi_embedding,
-    read_role_model,
     read_training_labels,
     training_labels,
-    write_role_model,
     write_training_labels,
 )
-from leadshare.synth import planted_blocks, planted_contributions
+from synth import planted_blocks, planted_contributions
 
 
 def stmt(*verbs, paper="P1", author="A1"):
@@ -254,24 +252,6 @@ def test_training_labels_skip_unknown_only(planted_model):
     ]
     labels = list(training_labels(records, planted_model))
     assert [(l.paper_id, l.lead_value) for l in labels] == [("P1", 0.5), ("P3", 0.0)]
-
-
-def test_role_model_round_trip(tmp_path, planted_model):
-    path = tmp_path / "roles.tsv"
-    write_role_model(planted_model, path)
-    again = read_role_model(path)
-    assert again == planted_model
-
-
-def test_role_model_rejects_bad_rows(tmp_path):
-    path = tmp_path / "roles.tsv"
-    path.write_text(
-        "# seed\t0\n# k\t3\n# iterations\t1\n# converged\ttrue\n"
-        "verb\tcluster\nconceive\tBoss\n",
-        encoding="utf-8",
-    )
-    with pytest.raises(MalformedRecord):
-        read_role_model(path)
 
 
 def test_training_labels_round_trip(tmp_path):
