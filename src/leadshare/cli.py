@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .config import PipelineConfig, load_config
+from .config import _PARSERS, PipelineConfig, load_config
 from .errors import ConfigError, DataError, NumericError
 from .pipeline import STAGE_TABLE, STAGES, SWEEP_AXES, run_all, run_stage, run_sweep
 
@@ -86,15 +86,14 @@ def _assemble_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _sweep_values(args: argparse.Namespace, config: PipelineConfig) -> tuple:
     raw = getattr(args, "values", None)
+    threshold = args.axis == "threshold"
     if raw is not None:
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        parse = _PARSERS[tuple[float, ...] if threshold else tuple[int, ...]]
         try:
-            if args.axis == "threshold":
-                return tuple(float(p) for p in parts)
-            return tuple(int(p) for p in parts)
+            return parse(raw)
         except ValueError as exc:
             raise ConfigError(f"bad sweep values {raw!r}: {exc}") from exc
-    if args.axis == "threshold":
+    if threshold:
         return config.threshold_sweep
     return tuple(range(len(config.if_bin_edges)))
 

@@ -37,28 +37,17 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import AuthorNotOnPaper, DuplicatePaperId, PaperNotIndexed
+from .errors import AuthorNotOnPaper, DuplicatePaperId, MalformedRecord, PaperNotIndexed
 from .records import PublicationRecord, read_tsv, tsv_rows, write_tsv
 
-FEATURE_NAMES = (
-    "f1_refs_previously_cited",
-    "f2_keyword_overlap",
-    "f3_self_citations",
-    "f4_career_age",
-    "f5_prior_pub_count",
-    "f6_citations_received",
-    "f7_unique_keywords",
-    "f8_first_or_last_count",
-    "f9_affiliation_score",
-)
 
+class LeadFeatureVector(NamedTuple):
+    """One authorship's nine features, in features.tsv's column order."""
 
-@dataclass(frozen=True)
-class LeadFeatureVector:
     f1_refs_previously_cited: int
     f2_keyword_overlap: int
     f3_self_citations: int
@@ -70,20 +59,17 @@ class LeadFeatureVector:
     f9_affiliation_score: float
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.f1_refs_previously_cited,
-                self.f2_keyword_overlap,
-                self.f3_self_citations,
-                self.f4_career_age,
-                self.f5_prior_pub_count,
-                self.f6_citations_received,
-                self.f7_unique_keywords,
-                self.f8_first_or_last_count,
-                self.f9_affiliation_score,
-            ],
-            dtype=np.float64,
-        )
+        return np.array(self, dtype=np.float64)
+
+
+FEATURE_NAMES = LeadFeatureVector._fields
+
+
+class FeatureTable(NamedTuple):
+    """features.tsv: the row of each (paper_id, author_id) in `X`."""
+
+    rows: dict[tuple[str, str], int]
+    X: np.ndarray
 
 
 @dataclass(slots=True)
@@ -204,10 +190,7 @@ def extract_features(
     except KeyError:
         raise PaperNotIndexed(record.paper_id, author_id) from None
     return LeadFeatureVector(
-        *swept,
-        f9_affiliation_score=index.institution_rank(
-            authorship.institution_id, record.year
-        ),
+        *swept, index.institution_rank(authorship.institution_id, record.year)
     )
 
 
@@ -227,23 +210,38 @@ def write_features(
     rows: Iterable[tuple[str, str, LeadFeatureVector]], path: Path
 ) -> None:
     write_tsv(path, _FEATURES_HEADER, (
-        f"{paper_id}\t{author_id}\t"
-        f"{v.f1_refs_previously_cited}\t{v.f2_keyword_overlap}\t"
-        f"{v.f3_self_citations}\t{v.f4_career_age}\t"
-        f"{v.f5_prior_pub_count}\t{v.f6_citations_received}\t"
-        f"{v.f7_unique_keywords}\t{v.f8_first_or_last_count}\t"
-        f"{v.f9_affiliation_score:.9f}"
+        "\t".join((paper_id, author_id, *map(str, v[:8]), f"{v[8]:.9f}"))
         for paper_id, author_id, v in rows
     ))
 
 
-def _feature_rows(lines: list[str]) -> dict[tuple[str, str], LeadFeatureVector]:
-    return {
-        (cells[0], cells[1]): LeadFeatureVector(*map(int, cells[2:10]), float(cells[10]))
-        for cells in tsv_rows(lines)
-    }
+def _feature_table(lines: list[str], source: str) -> FeatureTable:
+    rows: dict[tuple[str, str], int] = {}
+
+    def values() -> Iterator[float]:
+        for row, cells in enumerate(tsv_rows(lines)):
+            key = (cells[0], cells[1])
+            first = rows.setdefault(key, row)
+            if first != row:
+                # raised directly: read_tsv retries a ValueError line by
+                # line, and no one line shows a repeat; line 1 is the header
+                raise MalformedRecord(
+                    row + 2, "<line>",
+                    f"paper_id {key[0]!r} and author_id {key[1]!r} "
+                    f"repeat line {first + 2}",
+                    source,
+                )
+            yield from map(int, cells[2:10])
+            yield float(cells[10])
+
+    width = len(FEATURE_NAMES)
+    X = np.fromiter(values(), dtype=np.float64, count=len(lines) * width)
+    return FeatureTable(rows, X.reshape(len(lines), width))
 
 
-def read_features(path: Path) -> dict[tuple[str, str], LeadFeatureVector]:
-    """Feature vectors by (paper_id, author_id), in file order."""
-    return read_tsv(path, _FEATURES_HEADER, _feature_rows)
+def read_features(path: Path) -> FeatureTable:
+    """features.tsv as one matrix; f1-f8 must parse as int, f9 as float,
+    and each (paper_id, author_id) may appear once."""
+    return read_tsv(
+        path, _FEATURES_HEADER, lambda lines: _feature_table(lines, str(path))
+    )

@@ -23,11 +23,9 @@ _ATTEMPT_FACTOR = 8
 @dataclass(frozen=True)
 class KMeansResult:
     labels: np.ndarray
-    centers: np.ndarray
     inertia: float
     n_iter: int
     converged: bool
-    attempts: int
 
 
 def _farthest_point_init(
@@ -92,11 +90,9 @@ def kmeans(
         if best is None or inertia < best.inertia:
             best = KMeansResult(
                 labels=labels,
-                centers=centers,
                 inertia=inertia,
                 n_iter=n_iter,
                 converged=bool(state),
-                attempts=attempts,
             )
     if best is None:
         raise NonConvergence(

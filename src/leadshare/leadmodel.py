@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     MissingUpstream,
     TooFewExamples,
 )
-from .features import FEATURE_NAMES, LeadFeatureVector
+from .features import FEATURE_NAMES, FeatureTable, LeadFeatureVector
 from .metrics import PaperTags, ScoredAuthorship, ScoredTable, code_values
 from .records import FieldError, PublicationRecord, read_tsv, tsv_rows, write_tsv
 from .tables import BriClassification, RegionMap, TopicMap
@@ -143,14 +143,15 @@ def evaluate(
 
 
 def fit(
-    examples: Sequence[tuple[LeadFeatureVector, float]],
+    examples: Sequence[tuple[Sequence[float], float]],
     split_ratio: float = 0.9,
     seed: int = 0,
     *,
     threshold: float = DEFAULT_THRESHOLD,
     family: str = FAMILY_LINEAR,
 ) -> tuple[LinearLeadModel, EvalReport]:
-    """Seeded shuffle split, standardize on train, fit, evaluate held-out."""
+    """Seeded shuffle split, standardize on train, fit, evaluate held-out.
+    An example is nine values in LeadFeatureVector order and a lead value."""
     if family not in (FAMILY_LINEAR, FAMILY_LOGISTIC):
         raise ConfigError(f"unknown model family {family!r}")
     if not 0.0 < split_ratio < 1.0:
@@ -158,7 +159,7 @@ def fit(
     n = len(examples)
     if n < MIN_EXAMPLES:
         raise TooFewExamples(f"need at least {MIN_EXAMPLES} examples, got {n}")
-    X = np.array([v.as_array() for v, _ in examples], dtype=np.float64)
+    X = np.array([v for v, _ in examples], dtype=np.float64)
     y = np.array([label for _, label in examples], dtype=np.float64)
     if np.any(y < 0.0) or np.any(y > 1.0):
         raise ConfigError("lead values must lie in [0,1]")
@@ -201,7 +202,7 @@ def fit(
 def score_corpus(
     model: LinearLeadModel,
     records: Iterable[PublicationRecord],
-    vectors: Mapping[tuple[str, str], LeadFeatureVector],
+    features: FeatureTable,
     region_map: RegionMap,
     topics: TopicMap,
     bri: BriClassification,
@@ -211,12 +212,12 @@ def score_corpus(
 ) -> tuple[list[ScoredAuthorship], int]:
     """One scored row per author of each paper, in input order.
 
-    vectors maps (paper_id, author_id) to its feature row; all rows are
+    Each authorship's feature row is looked up in features; all rows are
     predicted in one batch.  Papers below the first impact-factor edge
     are skipped; the second return value counts them.
     """
     metas = []
-    arrays = []
+    rows = []
     below = 0
     for record in records:
         try:
@@ -230,21 +231,19 @@ def score_corpus(
             if a.author_id in emitted:
                 continue
             emitted.add(a.author_id)
-            vec = vectors.get((record.paper_id, a.author_id))
-            if vec is None:
+            row = features.rows.get((record.paper_id, a.author_id))
+            if row is None:
                 raise MissingUpstream(
                     f"no feature row for {a.author_id} on "
                     f"{record.paper_id}; re-run build-profiles"
                 )
             metas.append((record, a, areas, fields, if_bin))
-            arrays.append(vec.as_array())
-    if not metas:
-        return [], below
-    probs = predict_many(model, np.array(arrays))
-    rows = []
+            rows.append(row)
+    probs = predict_many(model, features.X[rows])
+    scored = []
     for (record, a, areas, fields, if_bin), prob in zip(metas, probs):
         prob = float(prob)
-        rows.append(
+        scored.append(
             ScoredAuthorship(
                 paper_id=record.paper_id,
                 author_id=a.author_id,
@@ -259,7 +258,7 @@ def score_corpus(
                 country=a.country,
             )
         )
-    return rows, below
+    return scored, below
 
 
 def _vector(text: str) -> tuple[float, ...]:
@@ -296,18 +295,26 @@ def write_model(model: LinearLeadModel, path: Path) -> None:
     ))
 
 
-def _model_value(key: str, text: str):
-    try:
-        return _MODEL_PARSERS.get(key, str)(text)
-    except ValueError as exc:
-        raise FieldError(key, str(exc)) from None
+def _model_values(lines: list[str], source: str) -> dict:
+    values: dict = {}
+    for line_no, (key, text) in enumerate(tsv_rows(lines), start=1):
+        if key not in _MODEL_PARSERS:
+            raise FieldError(key, "unknown model field")
+        if key in values:
+            # raised directly: read_tsv retries a ValueError line by
+            # line, and no one line shows a repeat
+            raise MalformedRecord(line_no, key, "repeated model field", source)
+        try:
+            values[key] = _MODEL_PARSERS[key](text)
+        except ValueError as exc:
+            raise FieldError(key, str(exc)) from None
+    return values
 
 
 def read_model(path: Path) -> LinearLeadModel:
+    """model.tsv; an unknown, repeated or missing key raises MalformedRecord."""
     values = read_tsv(
-        path, None,
-        lambda lines: {key: _model_value(key, text) for key, text in tsv_rows(lines)},
-        columns=2,
+        path, None, lambda lines: _model_values(lines, str(path)), columns=2
     )
     for key in _MODEL_PARSERS:
         if key not in values:

@@ -292,15 +292,12 @@ def _stage_build_profiles(config: PipelineConfig) -> None:
 
 def _stage_fit_model(config: PipelineConfig) -> None:
     labels = read_training_labels(config.output_dir / "labels.tsv")
-    vectors = read_features(config.output_dir / "features.tsv")
-    examples = []
-    skipped = 0
-    for lab in labels:
-        vec = vectors.get((lab.paper_id, lab.author_id))
-        if vec is None:
-            skipped += 1
-            continue
-        examples.append((vec, lab.lead_value))
+    features = read_features(config.output_dir / "features.tsv")
+    examples = [
+        (features.X[row], lab.lead_value) for lab in labels
+        if (row := features.rows.get((lab.paper_id, lab.author_id))) is not None
+    ]
+    skipped = len(labels) - len(examples)
     if skipped:
         log.warning(
             "fit-model: %d label(s) had no matching feature row", skipped
@@ -494,20 +491,11 @@ def _series_plot_rows(
     return rows
 
 
-def _sweep_specs(
-    config: PipelineConfig, axis: str, values: Sequence
-) -> list[FilterSpec]:
-    """One filter per sweep value of a known axis."""
+def _sweep_specs(axis: str, values: Sequence) -> list[FilterSpec]:
+    """One filter per sweep value; run_sweep has checked the values."""
     if axis == "threshold":
-        for t in values:
-            if not 0.0 < t < 1.0:
-                raise ConfigError(f"sweep threshold {t} not in (0,1)")
         return [FilterSpec(threshold=t) for t in values]
-    bins = [int(b) for b in values]
-    for b in bins:
-        if not 0 <= b < len(config.if_bin_edges):
-            raise ConfigError(f"impact-factor bin {b} out of range")
-    return [FilterSpec(if_bins=frozenset({b})) for b in bins]
+    return [FilterSpec(if_bins=frozenset({int(b)})) for b in values]
 
 
 def _write_csv(path: Path, rows: list[tuple[str, ...]]) -> None:
@@ -521,7 +509,7 @@ def _stage_export(config: PipelineConfig) -> None:
     series_list = read_series(config.output_dir / "series.tsv")
     scored = read_scored(config.output_dir / "scored.tsv")
     _counts, sweep = _tally(
-        config, scored, _sweep_specs(config, "threshold", config.threshold_sweep)
+        config, scored, _sweep_specs("threshold", config.threshold_sweep)
     )
     export_dir = config.output_dir / "export"
     export_dir.mkdir(parents=True, exist_ok=True)
@@ -565,7 +553,7 @@ def _stage_export(config: PipelineConfig) -> None:
 
 
 def _stage_sweep(axis: str, config: PipelineConfig, values: Sequence) -> None:
-    specs = _sweep_specs(config, axis, values)
+    specs = _sweep_specs(axis, values)
     scored = read_scored(config.output_dir / "scored.tsv")
     _counts, series_list = _tally(config, scored, specs)
     rows = _forecast_rows(config, series_list)
@@ -732,4 +720,7 @@ def run_sweep(
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not values:
         raise ConfigError(f"the {axis} sweep needs at least one value")
+    # PipelineConfig checks each value's range
+    field = "threshold_sweep" if axis == "threshold" else "if_bins"
+    config.replace(**{field: tuple(values)})
     return _run(f"sweep-{axis}", config, force, tuple(values))

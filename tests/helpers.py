@@ -118,20 +118,6 @@ def oracle_features(
     )
 
 
-def vector_as_tuple(v) -> tuple:
-    return (
-        v.f1_refs_previously_cited,
-        v.f2_keyword_overlap,
-        v.f3_self_citations,
-        v.f4_career_age,
-        v.f5_prior_pub_count,
-        v.f6_citations_received,
-        v.f7_unique_keywords,
-        v.f8_first_or_last_count,
-        v.f9_affiliation_score,
-    )
-
-
 def oracle_aggregate(
     rows: Sequence[ScoredAuthorship],
     filters: Optional[FilterSpec] = None,

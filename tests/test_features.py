@@ -7,11 +7,12 @@ oracle that rescans the raw record list per query.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_record, oracle_features, vector_as_tuple
+from helpers import make_record, oracle_features
 from leadshare.errors import (
     AuthorNotOnPaper,
     DuplicatePaperId,
@@ -74,13 +75,13 @@ def hand_index():
 def test_established_author(hand_index):
     corpus, index = hand_index
     v = extract_features(corpus[4], "A1", index)
-    assert vector_as_tuple(v) == (1, 2, 2, 6, 4, 4, 4, 4, 1.0)
+    assert tuple(v) == (1, 2, 2, 6, 4, 4, 4, 4, 1.0)
 
 
 def test_short_history_author(hand_index):
     corpus, index = hand_index
     v = extract_features(corpus[4], "A4", index)
-    assert vector_as_tuple(v) == (0, 1, 0, 1, 1, 0, 1, 1, 0.5)
+    assert tuple(v) == (0, 1, 0, 1, 1, 0, 1, 1, 0.5)
 
 
 def test_same_date_paper_is_not_prior(hand_index):
@@ -88,13 +89,13 @@ def test_same_date_paper_is_not_prior(hand_index):
     v = extract_features(corpus[2], "A1", index)
     # P4 shares P3's date, so A1 has only P1 and P2 behind P3
     assert v.f5_prior_pub_count == 2
-    assert vector_as_tuple(v) == (1, 1, 2, 5, 2, 1, 3, 2, 1.0)
+    assert tuple(v) == (1, 1, 2, 5, 2, 1, 3, 2, 1.0)
 
 
 def test_debut_author_all_zero(hand_index):
     corpus, index = hand_index
     v = extract_features(corpus[2], "A3", index)
-    assert vector_as_tuple(v) == (0, 0, 0, 0, 0, 0, 0, 0, 0.0)
+    assert tuple(v) == (0, 0, 0, 0, 0, 0, 0, 0, 0.0)
 
 
 def test_oracle_agrees_on_hand_corpus(hand_index):
@@ -102,7 +103,7 @@ def test_oracle_agrees_on_hand_corpus(hand_index):
     for rec in corpus:
         for a in rec.authorships:
             v = extract_features(rec, a.author_id, index)
-            assert vector_as_tuple(v) == pytest.approx(
+            assert tuple(v) == pytest.approx(
                 oracle_features(corpus, rec, a.author_id), abs=1e-12
             )
 
@@ -156,7 +157,7 @@ def test_oracle_equivalence_random(seed):
         for a in rec.authorships:
             v = extract_features(rec, a.author_id, index)
             expected = oracle_features(corpus, rec, a.author_id)
-            assert vector_as_tuple(v)[:8] == expected[:8]
+            assert tuple(v)[:8] == expected[:8]
             assert abs(v.f9_affiliation_score - expected[8]) <= 1e-12
 
 
@@ -171,7 +172,7 @@ def test_oracle_equivalence_long_histories(seed):
     assert len(rows) == sum(len(rec.authorships) for rec in corpus)
     for paper_id, author_id, v in rows:
         expected = oracle_features(corpus, by_id[paper_id], author_id)
-        assert vector_as_tuple(v)[:8] == expected[:8]
+        assert tuple(v)[:8] == expected[:8]
         assert abs(v.f9_affiliation_score - expected[8]) <= 1e-12
 
 
@@ -250,14 +251,26 @@ def test_features_file_round_trip(tmp_path, hand_index):
     rows = list(extract_all(corpus, index))
     path = tmp_path / "features.tsv"
     write_features(rows, path)
-    again = read_features(path)
-    assert len(again) == len(rows)
-    for (p1, a1, v1), ((p2, a2), v2) in zip(rows, again.items()):
-        assert (p1, a1) == (p2, a2)
-        assert vector_as_tuple(v1)[:8] == vector_as_tuple(v2)[:8]
-        assert v2.f9_affiliation_score == pytest.approx(
-            v1.f9_affiliation_score, abs=1e-9
-        )
+    table = read_features(path)
+    assert table.rows == {(p, a): i for i, (p, a, _) in enumerate(rows)}
+    # f9 is written with 9 decimals; every other value reads back exactly
+    expected = np.array(
+        [(*v[:8], float(f"{v[8]:.9f}")) for _, _, v in rows], dtype=np.float64
+    )
+    assert table.X.tobytes() == expected.tobytes()
+    assert np.abs(table.X - np.array([v for _, _, v in rows])).max() <= 5e-10
+
+
+def test_features_file_rejects_repeated_authorship(tmp_path, hand_index):
+    corpus, index = hand_index
+    path = tmp_path / "features.tsv"
+    write_features(extract_all(corpus, index), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([*lines, lines[1]]) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as info:
+        read_features(path)
+    assert (info.value.source, info.value.line_no) == (str(path), len(lines) + 1)
+    assert "repeat line 2" in str(info.value)
 
 
 def test_features_file_rejects_bad_shape(tmp_path):

@@ -1,14 +1,18 @@
 """Model fitting, prediction, classification boundary, and scored I/O."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from helpers import make_record
 from leadshare.corpus import classify_topics, filter_corpus, impact_factor_bin
 from leadshare.errors import ConfigError, MalformedRecord, TooFewExamples
-from leadshare.features import LeadFeatureVector, build_profiles, extract_all, extract_features
+from leadshare.features import (
+    FeatureTable,
+    LeadFeatureVector,
+    build_profiles,
+    extract_all,
+    extract_features,
+)
 from leadshare.metrics import PaperTags
 from leadshare.leadmodel import (
     LEADER,
@@ -183,10 +187,18 @@ def test_logistic_family():
     assert np.all(np.abs(probs - labels) < 0.01)
 
 
+def test_fit_on_matrix_rows_matches_vectors():
+    # fit-model hands fit rows of the features.tsv matrix, not vectors
+    examples = separable_examples(seed=5)
+    X = np.array([v for v, _ in examples], dtype=np.float64)
+    rows = [(x, y) for x, (_, y) in zip(X, examples)]
+    assert fit(rows, seed=3) == fit(examples, seed=3)
+
+
 def test_feature_rescaling_invariance():
     examples = separable_examples(seed=9)
     scaled = [
-        (dataclasses.replace(v, f6_citations_received=v.f6_citations_received * 1000), y)
+        (v._replace(f6_citations_received=v.f6_citations_received * 1000), y)
         for v, y in examples
     ]
     base_model, _ = fit(examples, seed=1)
@@ -236,6 +248,23 @@ def test_model_file_missing_field(tmp_path):
         read_model(path)
 
 
+@pytest.mark.parametrize(
+    "extra", ["colour\tblue", "seed\t5"], ids=["unknown", "repeated"]
+)
+def test_model_file_rejects_extra_key(tmp_path, extra):
+    model, _ = fit(separable_examples(seed=3), seed=2)
+    path = tmp_path / "model.tsv"
+    write_model(model, path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(extra + "\n")
+    with pytest.raises(MalformedRecord) as info:
+        read_model(path)
+    key = extra.split("\t")[0]
+    assert (info.value.source, info.value.line_no, info.value.field) == (
+        str(path), 10, key
+    )
+
+
 @pytest.fixture(scope="module")
 def scoring_setup(request):
     region_map = request.getfixturevalue("region_map")
@@ -257,8 +286,12 @@ def scoring_setup(request):
     return corpus, model, region_map, topics, bri
 
 
-def feature_rows(corpus, index):
-    return {(p, a): v for p, a, v in extract_all(corpus, index)}
+def feature_table(corpus, index) -> FeatureTable:
+    rows = list(extract_all(corpus, index))
+    return FeatureTable(
+        {(p, a): i for i, (p, a, _) in enumerate(rows)},
+        np.array([v for _, _, v in rows], dtype=np.float64),
+    )
 
 
 def test_score_corpus_matches_composition(scoring_setup):
@@ -267,7 +300,7 @@ def test_score_corpus_matches_composition(scoring_setup):
     records = [rec for rec, _pair in filter_corpus(corpus, region_map)]
     index = build_profiles(corpus)
     rows, below = score_corpus(
-        model, records, feature_rows(corpus, index), region_map, topics, bri, edges
+        model, records, feature_table(corpus, index), region_map, topics, bri, edges
     )
     assert (len(rows), below) == (4, 0)
     for row in rows:
@@ -287,7 +320,7 @@ def test_scored_file_round_trip(tmp_path, scoring_setup):
     records = [rec for rec, _pair in filter_corpus(corpus, region_map)]
     index = build_profiles(corpus)
     rows, _below = score_corpus(
-        model, records, feature_rows(corpus, index), region_map, topics, bri,
+        model, records, feature_table(corpus, index), region_map, topics, bri,
         (1, 2, 4, 8, 16),
     )
     path = tmp_path / "scored.tsv"

@@ -239,6 +239,18 @@ def swept(pristine, tmp_path_factory):
     return config
 
 
+def forget_producer(out: Path, rel: str) -> None:
+    """Drop the manifest line of rel's producer, so the next stage reads
+    rel as it is instead of reporting it modified."""
+    producer = next(s for s in STAGE_TABLE.values() if rel in s.writes).name
+    manifest = out / MANIFEST_NAME
+    kept = [
+        line for line in manifest.read_text(encoding="utf-8").splitlines()
+        if not line.startswith(producer + "\t")
+    ]
+    manifest.write_text("\n".join(kept) + "\n", encoding="utf-8")
+
+
 class TestConfigSlice:
     def test_alternatives_cover_every_key(self):
         fields = {f.name for f in dataclasses.fields(PipelineConfig)}
@@ -506,18 +518,37 @@ class TestCli:
         lines[line_no - 1] = "\t".join(cut)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         if rel != MANIFEST_NAME:
-            # without its producer's manifest line the artifact is read as is
-            producer = next(s for s in STAGE_TABLE.values() if rel in s.writes).name
-            manifest = out / MANIFEST_NAME
-            kept = [
-                line for line in manifest.read_text(encoding="utf-8").splitlines()
-                if not line.startswith(producer + "\t")
-            ]
-            manifest.write_text("\n".join(kept) + "\n", encoding="utf-8")
+            forget_producer(out, rel)
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"output_dir = {out}\n", encoding="utf-8")
         assert main(["--config", str(cfg_file), stage]) == 3
         assert capsys.readouterr().err.startswith(f"error: {path}: line {line_no}, ")
+
+    @pytest.mark.parametrize(
+        "rel, extra, stage",
+        [
+            ("features.tsv", None, "fit-model"),
+            ("model.tsv", "colour\tblue", "score"),
+            ("model.tsv", "seed\t5", "score"),
+        ],
+        ids=["features-repeated-row", "model-unknown-key", "model-repeated-key"],
+    )
+    def test_extra_line_names_file_and_line(
+        self, pristine, tmp_path, capsys, rel, extra, stage
+    ):
+        # `extra` is appended, or with extra None a copy of line 2
+        out = clone(pristine[0], tmp_path).output_dir
+        path = out / rel
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines.append(lines[1] if extra is None else extra)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        forget_producer(out, rel)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"output_dir = {out}\n", encoding="utf-8")
+        assert main(["--config", str(cfg_file), stage]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: line {len(lines)}, "
+        )
 
     def test_missing_corpus_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
