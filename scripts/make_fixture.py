@@ -46,12 +46,11 @@ def main() -> None:
     args.dest.mkdir(parents=True, exist_ok=True)
 
     records, contributions = demo_corpus(seed=FIXTURE_SEED, n_papers=200)
-    with open(args.dest / "corpus.jsonl", "w", encoding="utf-8") as fh:
-        n_papers = write_corpus(records, fh)
+    write_corpus(records, args.dest / "corpus.jsonl")
     with open(args.dest / "contributions.jsonl", "w", encoding="utf-8") as fh:
         n_statements = write_contributions(contributions, fh)
     (args.dest / "config.cfg").write_text(CONFIG_TEXT, encoding="utf-8")
-    print(f"wrote {n_papers} papers, {n_statements} statements to {args.dest}")
+    print(f"wrote {len(records)} papers, {n_statements} statements to {args.dest}")
 
 
 if __name__ == "__main__":

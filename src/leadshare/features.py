@@ -115,16 +115,6 @@ class AuthorProfileIndex:
         return float(np.searchsorted(snapshot, own, side="right")) / snapshot.size
 
 
-def _authors_once(record: PublicationRecord) -> Iterator[tuple[str, bool]]:
-    """(author_id, first or last) per author, at the author's first position."""
-    last_pos = len(record.authorships) - 1
-    placed: set[str] = set()
-    for a in record.authorships:
-        if a.author_id not in placed:
-            placed.add(a.author_id)
-            yield a.author_id, a.position == 0 or a.position == last_pos
-
-
 def build_profiles(corpus: Iterable[PublicationRecord]) -> AuthorProfileIndex:
     """Index the full corpus; records need not be pre-sorted."""
     index = AuthorProfileIndex()
@@ -152,9 +142,10 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> AuthorProfileIndex:
         promote = []
         for _, paper_id, record in group:
             refs, names, year = record.references, record.concept_names(), record.year
-            for author_id, first_or_last in _authors_once(record):
-                h = histories[author_id]
-                index._swept[(paper_id, author_id)] = (
+            ends = (0, len(record.authorships) - 1)
+            for a in record.first_authorships():
+                h = histories[a.author_id]
+                index._swept[(paper_id, a.author_id)] = (
                     len(refs & h.refs),
                     len(names & h.concepts),
                     len(refs & h.ids),
@@ -164,7 +155,7 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> AuthorProfileIndex:
                     len(h.concepts),
                     h.first_or_last,
                 )
-                promote.append((h, record, names, first_or_last))
+                promote.append((h, record, names, a.position in ends))
         # promote the date group only now: same-day papers are not prior
         for h, record, names, first_or_last in promote:
             if not h.count:
@@ -199,8 +190,8 @@ def extract_all(
 ) -> Iterator[tuple[str, str, LeadFeatureVector]]:
     """One row per authorship, in corpus order then author position."""
     for record in corpus:
-        for author_id, _ in _authors_once(record):
-            yield record.paper_id, author_id, extract_features(record, author_id, index)
+        for a in record.first_authorships():
+            yield record.paper_id, a.author_id, extract_features(record, a.author_id, index)
 
 
 _FEATURES_HEADER = "paper_id\tauthor_id\t" + "\t".join(FEATURE_NAMES)

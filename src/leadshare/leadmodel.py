@@ -226,11 +226,7 @@ def score_corpus(
             below += 1
             continue
         areas, fields = classify_topics(record, topics)
-        emitted: set[str] = set()
-        for a in record.authorships:
-            if a.author_id in emitted:
-                continue
-            emitted.add(a.author_id)
+        for a in record.first_authorships():
             row = features.rows.get((record.paper_id, a.author_id))
             if row is None:
                 raise MissingUpstream(

@@ -15,7 +15,6 @@ rather than silently reused.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import logging
@@ -29,6 +28,7 @@ from .corpus import FilterStats, filter_corpus
 from .errors import (
     ConfigError,
     HashMismatch,
+    MalformedRecord,
     MissingUpstream,
     TooFewPoints,
     ZeroVariance,
@@ -140,20 +140,21 @@ def _encode_hashes(hashes: dict[str, str]) -> str:
 def _decode_hashes(text: str) -> dict[str, str]:
     if text == "-":
         return {}
-    out = {}
-    for part in text.split(","):
-        name, _, digest = part.partition("=")
-        out[name] = digest
-    return out
+    return dict(part.partition("=")[::2] for part in text.split(","))
 
 
 def read_manifest(path: Path) -> dict[str, ManifestEntry]:
+    """manifest.tsv; a stage on two lines raises MalformedRecord."""
     if not Path(path).exists():
         return {}
-    return read_tsv(path, _MANIFEST_HEADER, lambda lines: {
-        stage: ManifestEntry(stage, _decode_hashes(i), config_hash, _decode_hashes(o))
-        for stage, i, config_hash, o in tsv_rows(lines)
-    })
+    entries: dict[str, ManifestEntry] = {}
+    rows = read_tsv(path, _MANIFEST_HEADER, lambda lines: list(tsv_rows(lines)))
+    for line_no, (stage, ins, cfg, outs) in enumerate(rows, start=2):
+        if stage in entries:  # each earlier line holds one entry
+            first = list(entries).index(stage) + 2
+            raise MalformedRecord(line_no, "stage", f"{stage!r} repeats line {first}", str(path))
+        entries[stage] = ManifestEntry(stage, _decode_hashes(ins), cfg, _decode_hashes(outs))
+    return entries
 
 
 def write_manifest(entries: dict[str, ManifestEntry], path: Path) -> None:
@@ -246,16 +247,15 @@ def _read_corpus_file(path: Path) -> list:
 def _stage_ingest(config: PipelineConfig) -> None:
     region_map = load_region_map(config.regions)
     records = _read_corpus_file(config.corpus)
-    with open(config.output_dir / "corpus.jsonl", "w", encoding="utf-8") as fh:
-        write_corpus(records, fh)
     stats = FilterStats()
-    kept = filter_corpus(records, region_map, strict=config.strict, stats=stats)
-    with open(config.output_dir / "bilateral.jsonl", "w", encoding="utf-8") as fh:
-        n = write_corpus((rec for rec, _pair in kept), fh)
+    # filtered first, so an unknown country under strict changes no output
+    kept = list(filter_corpus(records, region_map, strict=config.strict, stats=stats))
+    write_corpus(records, config.output_dir / "corpus.jsonl")
+    write_corpus((rec for rec, _pair in kept), config.output_dir / "bilateral.jsonl")
     log.info(
         "ingest: %d records in, %d bilateral kept "
         "(%d pre-1991, %d low impact, %d not bilateral, %d unknown country)",
-        stats.n_input, n, stats.n_year, stats.n_impact,
+        stats.n_input, stats.n_kept, stats.n_year, stats.n_impact,
         stats.n_not_bilateral, stats.n_unknown_country,
     )
 
@@ -498,13 +498,6 @@ def _sweep_specs(axis: str, values: Sequence) -> list[FilterSpec]:
     return [FilterSpec(if_bins=frozenset({int(b)})) for b in values]
 
 
-def _write_csv(path: Path, rows: list[tuple[str, ...]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        writer.writerows(rows)
-
-
 def _stage_export(config: PipelineConfig) -> None:
     series_list = read_series(config.output_dir / "series.tsv")
     scored = read_scored(config.output_dir / "scored.tsv")
@@ -545,8 +538,11 @@ def _stage_export(config: PipelineConfig) -> None:
             if s.filter_desc.startswith("fields=") and s.metric == LEAD_SHARE
         ),
     }
+    # every cell is a region name, BRI:<class>, a metric, kind or tag name,
+    # or a number, and none holds a comma, quote or newline: joined with
+    # commas they are the CSV that csv.writer would write
     for name, rows in figures.items():
-        _write_csv(export_dir / f"{name}.csv", rows)
+        write_tsv(export_dir / f"{name}.csv", ",".join(_CSV_HEADER), map(",".join, rows))
     log.info(
         "export: wrote %d figure tables to %s", len(figures), export_dir
     )

@@ -3,7 +3,7 @@
 The corpus is JSON Lines: one publication object per line with exactly the
 fields
 
-    paper_id      str
+    paper_id      str, once per corpus
     year          int
     pub_date      "YYYY-MM-DD" or null
     journal_id    str
@@ -14,22 +14,24 @@ fields
                     "country": str, "institution_id": str}, ...]
 
 Contribution statements use the same framing with fields paper_id,
-author_id, verbs[].
+author_id (that pair once per file), verbs[].
 
-The stages pass their results to each other as tab-separated artifacts:
-`write_tsv` writes one and `read_tsv` reads one back, checking its header
-and column count and naming the file and line of any cell that does not
-parse.
+The stages pass their results to each other as line-based artifacts:
+`write_tsv` writes every one of them, and `read_tsv` reads a tab-separated
+one back, checking its header and column count and naming the file and
+line of any cell that does not parse.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+import os
 from dataclasses import dataclass
 from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .errors import InvariantViolation, MalformedRecord, RecordError
 
@@ -69,6 +71,13 @@ class PublicationRecord:
         if self.pub_date is not None:
             return (self.pub_date.year, self.pub_date.month, self.pub_date.day)
         return (self.year,) + MISSING_DATE_MONTH_DAY
+
+    def first_authorships(self) -> list[AuthorshipRecord]:
+        """Each author's first authorship, in position order."""
+        firsts: dict[str, AuthorshipRecord] = {}
+        for a in self.authorships:
+            firsts.setdefault(a.author_id, a)
+        return list(firsts.values())
 
 
 def _require(obj: dict, key: str, line_no: int):
@@ -203,12 +212,16 @@ def parse_publication_line(line: str, line_no: int = 0) -> PublicationRecord:
     )
 
 
-def _read_lines(parse, lines: Iterable[str], source: Optional[str]) -> Iterator:
+def _read_lines(parse, lines: Iterable[str], source: Optional[str], *key: str) -> Iterator:
+    key_of, field, first_line = attrgetter(*key), ", ".join(key), {}
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             record = parse(line, line_no)
+            first = first_line.setdefault(k := key_of(record), line_no)
+            if first != line_no:
+                raise InvariantViolation(line_no, field, f"{k!r} repeats line {first}")
         except RecordError as exc:
             exc.source = source
             raise
@@ -275,18 +288,26 @@ def tsv_rows(lines: Iterable[str]) -> Iterator[list[str]]:
 
 
 def write_tsv(path: Path, header: Optional[str], lines: Iterable[str]) -> None:
-    """Header (unless None), then each line, each ending in a newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(header + "\n")
-        fh.writelines(line + "\n" for line in lines)
+    """Write any line-based artifact: header (unless None), then each line
+    and "\\n", to `<name>.tmp`, which replaces path once complete; if
+    anything raises first, path keeps its old bytes and no temp remains."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            if header is not None:
+                fh.write(header + "\n")
+            fh.writelines(line + "\n" for line in lines)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_corpus(
     lines: Iterable[str], source: Optional[str] = None
 ) -> Iterator[PublicationRecord]:
     """Parse a corpus stream, skipping blank lines; errors name source."""
-    yield from _read_lines(parse_publication_line, lines, source)
+    yield from _read_lines(parse_publication_line, lines, source, "paper_id")
 
 
 def publication_to_json(record: PublicationRecord) -> str:
@@ -351,12 +372,8 @@ def parse_contribution_line(line: str, line_no: int = 0) -> ContributionRecord:
 def read_contributions(
     lines: Iterable[str], source: Optional[str] = None
 ) -> Iterator[ContributionRecord]:
-    yield from _read_lines(parse_contribution_line, lines, source)
+    yield from _read_lines(parse_contribution_line, lines, source, "paper_id", "author_id")
 
 
-def write_corpus(records: Iterable[PublicationRecord], fh: TextIO) -> int:
-    n = 0
-    for rec in records:
-        fh.write(publication_to_json(rec) + "\n")
-        n += 1
-    return n
+def write_corpus(records: Iterable[PublicationRecord], path: Path) -> None:
+    write_tsv(path, None, map(publication_to_json, records))

@@ -265,8 +265,7 @@ def test_criterion_8_determinism_and_throughput(fixture_dir, tmp_path):
     records, contributions = perf_corpus(seed=7, n_authorships=100_000)
     big = tmp_path / "big"
     big.mkdir()
-    with open(big / "corpus.jsonl", "w", encoding="utf-8") as fh:
-        write_corpus(records, fh)
+    write_corpus(records, big / "corpus.jsonl")
     with open(big / "contributions.jsonl", "w", encoding="utf-8") as fh:
         write_contributions(contributions, fh)
     config = PipelineConfig(

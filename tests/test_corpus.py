@@ -207,6 +207,26 @@ def test_read_corpus_skips_blanks_and_numbers_lines():
     assert exc.value.line_no == 4
 
 
+def test_readers_reject_a_repeated_key():
+    paper = json.dumps(base_obj())
+    with pytest.raises(
+        InvariantViolation,
+        match=r"^in\.jsonl: line 3, field 'paper_id': 'P1' repeats line 1$",
+    ):
+        list(read_corpus([paper, "", paper], source="in.jsonl"))
+    statement = '{"paper_id":"P1","author_id":"A1","verbs":["led"]}'
+    # the same author on another paper, and another author on the same
+    # paper, are no repeat
+    others = [statement.replace("P1", "P2"), statement.replace("A1", "A2")]
+    assert len(list(read_contributions([statement, *others]))) == 3
+    with pytest.raises(
+        InvariantViolation,
+        match=r"^st\.jsonl: line 4, field 'paper_id, author_id': "
+        r"\('P1', 'A1'\) repeats line 1$",
+    ):
+        list(read_contributions([statement, *others, statement], source="st.jsonl"))
+
+
 def test_parse_contribution_line():
     rec = parse_contribution_line(
         '{"paper_id":"P1","author_id":"A1","verbs":["led","helped"]}', 1

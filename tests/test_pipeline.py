@@ -2,11 +2,14 @@
 
 import csv
 import dataclasses
+import itertools
+import json
 import shutil
 from pathlib import Path
 
 import pytest
 
+import leadshare.records
 from leadshare.cli import main
 from leadshare.config import (
     DEFAULT_IF_EDGES,
@@ -14,7 +17,7 @@ from leadshare.config import (
     config_from_mapping,
     load_config,
 )
-from leadshare.errors import ConfigError, HashMismatch, MissingUpstream
+from leadshare.errors import ConfigError, HashMismatch, MissingUpstream, UnknownCountry
 from leadshare.leadmodel import FAMILY_LOGISTIC
 from leadshare.metrics import COUNT_UNIQUE_AUTHOR
 from leadshare.pipeline import (
@@ -113,6 +116,42 @@ class TestCaching:
         cloned = clone(config, tmp_path)
         assert run_stage("ingest", cloned) == "cached"
         assert run_stage("ingest", cloned, force=True) == "ran"
+
+    def test_crash_mid_write_keeps_artifact(self, pristine, tmp_path, monkeypatch):
+        # ingest dies part way through writing corpus.jsonl: the finished
+        # file stays, no temp file is left, and build-profiles stays cached
+        cloned = clone(pristine[0], tmp_path)
+        path = cloned.output_dir / "corpus.jsonl"
+        before = path.read_bytes()
+        to_json, written = leadshare.records.publication_to_json, itertools.count()
+
+        def crash(record):
+            if next(written) == 100:
+                raise RuntimeError("crash")
+            return to_json(record)
+
+        monkeypatch.setattr(leadshare.records, "publication_to_json", crash)
+        with pytest.raises(RuntimeError, match="crash"):
+            run_stage("ingest", cloned, force=True)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert not list(cloned.output_dir.rglob("*.tmp"))
+        assert run_stage("build-profiles", cloned) == "cached"
+
+    def test_failed_strict_ingest_changes_no_output(self, pristine, tmp_path, fixture_dir):
+        # a new paper with an unknown country fails ingest under strict
+        # before corpus.jsonl is replaced, so build-profiles stays cached
+        cloned = clone(pristine[0], tmp_path)
+        lines = (fixture_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        paper = json.loads(lines[-1])
+        paper["paper_id"] = "PX"
+        paper["authorships"][0]["country"] = "Atlantis"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join([*lines, json.dumps(paper)]) + "\n", encoding="utf-8")
+        with pytest.raises(UnknownCountry):
+            run_stage("ingest", cloned.replace(corpus=corpus, strict=True))
+        assert not list(cloned.output_dir.rglob("*.tmp"))
+        assert run_stage("build-profiles", cloned) == "cached"
 
     def test_unknown_stage(self, fixture_config):
         with pytest.raises(ConfigError):
@@ -548,6 +587,43 @@ class TestCli:
         assert main(["--config", str(cfg_file), stage]) == 3
         assert capsys.readouterr().err.startswith(
             f"error: {path}: line {len(lines)}, "
+        )
+
+    @pytest.mark.parametrize(
+        "raw, stage", [("corpus", "ingest"), ("contributions", "train-roles")]
+    )
+    def test_repeated_raw_record_names_both_lines(
+        self, tmp_path, fixture_dir, capsys, raw, stage
+    ):
+        # a copy of the fourth paper or statement is appended
+        path = tmp_path / f"{raw}.jsonl"
+        lines = (fixture_dir / f"{raw}.jsonl").read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([*lines, lines[3]]) + "\n", encoding="utf-8")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            f"{raw} = {path}\noutput_dir = {tmp_path / 'out'}\n", encoding="utf-8"
+        )
+        assert main(["--config", str(cfg_file), stage]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line {len(lines) + 1}, ")
+        assert err.rstrip().endswith("repeats line 4")
+        written = STAGE_TABLE[stage].writes
+        assert not [rel for rel in written if (tmp_path / "out" / rel).exists()]
+
+    def test_repeated_manifest_stage_is_data_error(self, pristine, tmp_path, capsys):
+        # a copy of the ingest line with its config hash zeroed is appended
+        out = clone(pristine[0], tmp_path).output_dir
+        manifest = out / MANIFEST_NAME
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        stage, inputs, _config, outputs = lines[1].split("\t")
+        lines.append("\t".join((stage, inputs, "0" * 64, outputs)))
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"output_dir = {out}\n", encoding="utf-8")
+        assert main(["--config", str(cfg_file), "aggregate"]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {manifest}: line {len(lines)}, field 'stage': "
+            "'ingest' repeats line 2"
         )
 
     def test_missing_corpus_is_config_error(self, tmp_path, monkeypatch, capsys):
