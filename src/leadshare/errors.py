@@ -34,7 +34,8 @@ class RecordError(DataError):
 
     def __str__(self):
         where = f"{self.source}: " if self.source else ""
-        return f"{where}line {self.line_no}, field {self.field!r}: {self.message}"
+        line = "" if self.line_no is None else f"line {self.line_no}, "
+        return f"{where}{line}field {self.field!r}: {self.message}"
 
 
 class MalformedRecord(RecordError):

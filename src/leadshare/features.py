@@ -206,7 +206,7 @@ def write_features(
     ))
 
 
-def _feature_table(lines: list[str], source: str) -> FeatureTable:
+def _feature_table(lines: list[str]) -> FeatureTable:
     rows: dict[tuple[str, str], int] = {}
 
     def values() -> Iterator[float]:
@@ -220,7 +220,6 @@ def _feature_table(lines: list[str], source: str) -> FeatureTable:
                     row + 2, "<line>",
                     f"paper_id {key[0]!r} and author_id {key[1]!r} "
                     f"repeat line {first + 2}",
-                    source,
                 )
             yield from map(int, cells[2:10])
             yield float(cells[10])
@@ -233,6 +232,4 @@ def _feature_table(lines: list[str], source: str) -> FeatureTable:
 def read_features(path: Path) -> FeatureTable:
     """features.tsv as one matrix; f1-f8 must parse as int, f9 as float,
     and each (paper_id, author_id) may appear once."""
-    return read_tsv(
-        path, _FEATURES_HEADER, lambda lines: _feature_table(lines, str(path))
-    )
+    return read_tsv(path, _FEATURES_HEADER, _feature_table)

@@ -40,14 +40,14 @@ def _farthest_point_init(
     return points[chosen].copy()
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int):
+def _lloyd(points: np.ndarray, centers: np.ndarray):
     """Run assignment/update rounds until assignments are stable.
 
     Returns (labels, centers, n_iter, state) with state True when converged,
-    False when max_iter was exhausted, None when a cluster emptied.
+    False when MAX_ITER was exhausted, None when a cluster emptied.
     """
     labels = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
         if labels is not None and np.array_equal(new_labels, labels):
@@ -58,31 +58,24 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int):
             if members.shape[0] == 0:
                 return labels, centers, it, None
             centers[c] = members.mean(axis=0)
-    return labels, centers, max_iter, False
+    return labels, centers, MAX_ITER, False
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    *,
-    max_iter: int = MAX_ITER,
-    n_restarts: int = DEFAULT_RESTARTS,
-) -> KMeansResult:
+def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < k:
         raise ValueError(f"need at least k={k} points, got shape {points.shape}")
-    pool = np.random.SeedSequence(seed).spawn(n_restarts * _ATTEMPT_FACTOR)
+    pool = np.random.SeedSequence(seed).spawn(DEFAULT_RESTARTS * _ATTEMPT_FACTOR)
     best = None
     successes = 0
     attempts = 0
     for sub_seed in pool:
-        if successes >= n_restarts:
+        if successes >= DEFAULT_RESTARTS:
             break
         attempts += 1
         rng = np.random.default_rng(sub_seed)
         init = _farthest_point_init(points, k, rng)
-        labels, centers, n_iter, state = _lloyd(points, init, max_iter)
+        labels, centers, n_iter, state = _lloyd(points, init)
         if state is None:
             continue
         successes += 1

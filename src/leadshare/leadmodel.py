@@ -26,7 +26,7 @@ from .errors import (
 )
 from .features import FEATURE_NAMES, FeatureTable, LeadFeatureVector
 from .metrics import PaperTags, ScoredAuthorship, ScoredTable, code_values
-from .records import FieldError, PublicationRecord, read_tsv, tsv_rows, write_tsv
+from .records import FieldError, PublicationRecord, check_unique, read_tsv, tsv_rows, write_tsv
 from .tables import BriClassification, RegionMap, TopicMap
 
 LEADER = "Leader"
@@ -291,7 +291,7 @@ def write_model(model: LinearLeadModel, path: Path) -> None:
     ))
 
 
-def _model_values(lines: list[str], source: str) -> dict:
+def _model_values(lines: list[str]) -> dict:
     values: dict = {}
     for line_no, (key, text) in enumerate(tsv_rows(lines), start=1):
         if key not in _MODEL_PARSERS:
@@ -299,7 +299,7 @@ def _model_values(lines: list[str], source: str) -> dict:
         if key in values:
             # raised directly: read_tsv retries a ValueError line by
             # line, and no one line shows a repeat
-            raise MalformedRecord(line_no, key, "repeated model field", source)
+            raise MalformedRecord(line_no, key, "repeated model field")
         try:
             values[key] = _MODEL_PARSERS[key](text)
         except ValueError as exc:
@@ -309,12 +309,10 @@ def _model_values(lines: list[str], source: str) -> dict:
 
 def read_model(path: Path) -> LinearLeadModel:
     """model.tsv; an unknown, repeated or missing key raises MalformedRecord."""
-    values = read_tsv(
-        path, None, lambda lines: _model_values(lines, str(path)), columns=2
-    )
+    values = read_tsv(path, None, _model_values, columns=2)
     for key in _MODEL_PARSERS:
         if key not in values:
-            raise MalformedRecord(0, key, "missing model field", str(path))
+            raise MalformedRecord(None, key, "missing model field", str(path))
     return LinearLeadModel(**{attr: values[key] for key, attr, _, _ in _MODEL_LINES})
 
 
@@ -373,13 +371,15 @@ def _scored_columns(lines: list[str]) -> tuple:
     if bad:
         raise FieldError("is_leader", f"expected true or false, got {min(bad)!r}")
     tag_texts, tag = code_values(texts)
-    return (
+    columns = (
         paper_ids, author_ids, regions,
         np.array(_parse_column("year", int, years), dtype=np.int64),
         np.array(_parse_column("lead_prob", float, probs), dtype=np.float64),
         np.array([v == "true" for v in leaders], dtype=bool),
         tag, _parse_column("tags", _parse_tags, tag_texts),
     )
+    check_unique(list(zip(paper_ids, author_ids)), "paper_id, author_id")
+    return columns
 
 
 def read_scored(path: Path) -> ScoredTable:
@@ -388,6 +388,7 @@ def read_scored(path: Path) -> ScoredTable:
     A bad header, a line without seven columns, a tags cell without one
     of its keys, a non-numeric year, lead_prob or if_bin or an is_leader
     other than true or false raises MalformedRecord naming the file and
-    the first bad line.
+    the first bad line; a repeated (paper_id, author_id) then raises
+    InvariantViolation naming its line and the earlier one.
     """
     return ScoredTable(*read_tsv(path, _SCORED_HEADER, _scored_columns))

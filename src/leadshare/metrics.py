@@ -30,7 +30,7 @@ from .errors import (
     NoLeaders,
     NoSupporters,
 )
-from .records import read_tsv, tsv_rows, write_tsv
+from .records import check_unique, read_tsv, tsv_rows, write_tsv
 
 LEAD_SHARE = "LeadShare"
 SUPPORTER_SHARE = "SupporterShare"
@@ -360,11 +360,14 @@ def write_series(series_list: Iterable[RegionSeries], path: Path) -> None:
 
 def _series(lines: list[str]) -> list[RegionSeries]:
     acc: dict[tuple, list[tuple[int, float]]] = {}
+    keys = []
     for pair, focal, metric, desc, year, value in tsv_rows(lines):
         sides = tuple(pair.split("|"))
         if len(sides) != 2 or metric not in METRIC_NAMES:
             raise ValueError(f"bad pair {pair!r} or metric {metric!r}")
         acc.setdefault((sides, focal, metric, desc), []).append((int(year), float(value)))
+        keys.append((pair, focal, metric, desc, int(year)))
+    check_unique(keys, "pair, focal, metric, filter, year")
     return [
         RegionSeries(
             pair=pair, focal=focal, metric=metric,

@@ -15,10 +15,12 @@ rather than silently reused.
 
 from __future__ import annotations
 
+import fcntl
 import functools
 import hashlib
 import logging
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -96,15 +98,16 @@ _MANIFEST_HEADER = "stage\tinputs\tconfig\toutputs"
 class Stage:
     """One pipeline step: what it hashes, what it reads and what it writes.
 
-    `fn` takes the config (a sweep also its values), `help` is the CLI
-    help line, `raw` names the config key of a raw input file, `tables`
-    the packaged tables the stage reads, `reads` its upstream artifacts
-    and `config_keys` the config slice its behavior depends on; changing
-    any other key leaves the stage cached.
+    `fn` takes the config (a sweep also its values) and returns the
+    stage's counts, which `_run` logs; `help` is the CLI help line, `raw`
+    names the config key of a raw input file, `tables` the packaged tables
+    the stage reads, `reads` its upstream artifacts and `config_keys` the
+    config slice its behavior depends on; changing any other key leaves
+    the stage cached.
     """
 
     name: str
-    fn: Callable[..., None]
+    fn: Callable[..., dict[str, float]]
     help: str
     raw: Optional[str] = None
     tables: tuple[str, ...] = ()
@@ -244,7 +247,7 @@ def _read_corpus_file(path: Path) -> list:
 # ---------------------------------------------------------------- stages
 
 
-def _stage_ingest(config: PipelineConfig) -> None:
+def _stage_ingest(config: PipelineConfig) -> dict[str, float]:
     region_map = load_region_map(config.regions)
     records = _read_corpus_file(config.corpus)
     stats = FilterStats()
@@ -252,15 +255,14 @@ def _stage_ingest(config: PipelineConfig) -> None:
     kept = list(filter_corpus(records, region_map, strict=config.strict, stats=stats))
     write_corpus(records, config.output_dir / "corpus.jsonl")
     write_corpus((rec for rec, _pair in kept), config.output_dir / "bilateral.jsonl")
-    log.info(
-        "ingest: %d records in, %d bilateral kept "
-        "(%d pre-1991, %d low impact, %d not bilateral, %d unknown country)",
-        stats.n_input, stats.n_kept, stats.n_year, stats.n_impact,
-        stats.n_not_bilateral, stats.n_unknown_country,
-    )
+    return {
+        "records": stats.n_input, "bilateral": stats.n_kept, "pre_1991": stats.n_year,
+        "low_impact": stats.n_impact, "not_bilateral": stats.n_not_bilateral,
+        "unknown_country": stats.n_unknown_country,
+    }
 
 
-def _stage_train_roles(config: PipelineConfig) -> None:
+def _stage_train_roles(config: PipelineConfig) -> dict[str, float]:
     with open(config.contributions, encoding="utf-8") as fh:
         statements = [
             normalize_record(r)
@@ -276,32 +278,25 @@ def _stage_train_roles(config: PipelineConfig) -> None:
         )
     )
     write_training_labels(labels, config.output_dir / "labels.tsv")
-    log.info(
-        "train-roles: %d verbs clustered, %d labeled statements",
-        len(matrix.vocabulary), len(labels),
-    )
+    return {"verbs": len(matrix.vocabulary), "labels": len(labels)}
 
 
-def _stage_build_profiles(config: PipelineConfig) -> None:
+def _stage_build_profiles(config: PipelineConfig) -> dict[str, float]:
     records = _read_corpus_file(config.output_dir / "corpus.jsonl")
     index = build_profiles(records)
     write_features(
         extract_all(records, index), config.output_dir / "features.tsv"
     )
+    return {"papers": len(records)}
 
 
-def _stage_fit_model(config: PipelineConfig) -> None:
+def _stage_fit_model(config: PipelineConfig) -> dict[str, float]:
     labels = read_training_labels(config.output_dir / "labels.tsv")
     features = read_features(config.output_dir / "features.tsv")
     examples = [
         (features.X[row], lab.lead_value) for lab in labels
         if (row := features.rows.get((lab.paper_id, lab.author_id))) is not None
     ]
-    skipped = len(labels) - len(examples)
-    if skipped:
-        log.warning(
-            "fit-model: %d label(s) had no matching feature row", skipped
-        )
     model, report = fit(
         examples,
         split_ratio=config.split_ratio,
@@ -311,13 +306,13 @@ def _stage_fit_model(config: PipelineConfig) -> None:
     )
     write_model(model, config.output_dir / "model.tsv")
     write_eval(report, config.output_dir / "eval.tsv")
-    log.info(
-        "fit-model: %d examples, held-out precision %.3f recall %.3f",
-        len(examples), report.precision, report.recall,
-    )
+    return {
+        "examples": len(examples), "labels_without_features": len(labels) - len(examples),
+        "precision": report.precision, "recall": report.recall,
+    }
 
 
-def _stage_score(config: PipelineConfig) -> None:
+def _stage_score(config: PipelineConfig) -> dict[str, float]:
     rows, below = score_corpus(
         read_model(config.output_dir / "model.tsv"),
         _read_corpus_file(config.output_dir / "bilateral.jsonl"),
@@ -329,12 +324,7 @@ def _stage_score(config: PipelineConfig) -> None:
         threshold=config.lead_threshold,
     )
     write_scored(rows, config.output_dir / "scored.tsv")
-    if below:
-        log.warning(
-            "score: dropped %d paper(s) below the first impact-factor edge",
-            below,
-        )
-    log.info("score: %d authorship rows", len(rows))
+    return {"rows": len(rows), "below_first_edge": below}
 
 
 def _aggregate_filters(
@@ -356,7 +346,8 @@ def _aggregate_filters(
     specs.extend(FilterSpec(if_bins=frozenset({b})) for b in bins)
     classes = config.bri_classes or (HIGH_INCOME, LOW_INCOME)
     specs.extend(FilterSpec(bri_class=c) for c in classes)
-    return specs
+    # a value the config lists twice would write each of its series twice
+    return list(dict.fromkeys(specs))
 
 
 def _is_bri_pair(pair: tuple[str, str]) -> bool:
@@ -397,17 +388,14 @@ def _tally(
     return all_counts, series_list
 
 
-def _stage_aggregate(config: PipelineConfig) -> None:
+def _stage_aggregate(config: PipelineConfig) -> dict[str, float]:
     scored = read_scored(config.output_dir / "scored.tsv")
     all_counts, series_list = _tally(
         config, scored, _aggregate_filters(config, scored)
     )
     write_counts(all_counts, config.output_dir / "counts.tsv")
     write_series(series_list, config.output_dir / "series.tsv")
-    log.info(
-        "aggregate: %d pair-year rows, %d series",
-        len(all_counts), len(series_list),
-    )
+    return {"pair_years": len(all_counts), "series": len(series_list)}
 
 
 def _forecast(config: PipelineConfig, series: RegionSeries) -> Optional[ForecastRow]:
@@ -424,24 +412,19 @@ def _forecast(config: PipelineConfig, series: RegionSeries) -> Optional[Forecast
         return None
 
 
-def _forecast_rows(
-    config: PipelineConfig, series_list: Iterable[RegionSeries]
-) -> list[ForecastRow]:
+def _write_forecasts(
+    config: PipelineConfig, series_list: Iterable[RegionSeries], rel: str
+) -> dict[str, float]:
+    """Forecast each series that _forecast can fit into output_dir/rel."""
     fits = [_forecast(config, series) for series in series_list]
     rows = [fr for fr in fits if fr is not None]
-    skipped = len(fits) - len(rows)
-    if skipped:
-        log.warning(
-            "forecast: skipped %d series with too few window points", skipped
-        )
-    return rows
+    write_forecast(rows, config.output_dir / rel)
+    return {"forecast_rows": len(rows), "skipped_series": len(fits) - len(rows)}
 
 
-def _stage_forecast(config: PipelineConfig) -> None:
+def _stage_forecast(config: PipelineConfig) -> dict[str, float]:
     series_list = read_series(config.output_dir / "series.tsv")
-    rows = _forecast_rows(config, series_list)
-    write_forecast(rows, config.output_dir / "forecast.tsv")
-    log.info("forecast: %d rows", len(rows))
+    return _write_forecasts(config, series_list, "forecast.tsv")
 
 
 # ---------------------------------------------------------------- export
@@ -498,7 +481,7 @@ def _sweep_specs(axis: str, values: Sequence) -> list[FilterSpec]:
     return [FilterSpec(if_bins=frozenset({int(b)})) for b in values]
 
 
-def _stage_export(config: PipelineConfig) -> None:
+def _stage_export(config: PipelineConfig) -> dict[str, float]:
     series_list = read_series(config.output_dir / "series.tsv")
     scored = read_scored(config.output_dir / "scored.tsv")
     _counts, sweep = _tally(
@@ -543,20 +526,15 @@ def _stage_export(config: PipelineConfig) -> None:
     # commas they are the CSV that csv.writer would write
     for name, rows in figures.items():
         write_tsv(export_dir / f"{name}.csv", ",".join(_CSV_HEADER), map(",".join, rows))
-    log.info(
-        "export: wrote %d figure tables to %s", len(figures), export_dir
-    )
+    return {"figure_tables": len(figures)}
 
 
-def _stage_sweep(axis: str, config: PipelineConfig, values: Sequence) -> None:
+def _stage_sweep(axis: str, config: PipelineConfig, values: Sequence) -> dict[str, float]:
     specs = _sweep_specs(axis, values)
     scored = read_scored(config.output_dir / "scored.tsv")
     _counts, series_list = _tally(config, scored, specs)
-    rows = _forecast_rows(config, series_list)
-    write_forecast(rows, config.output_dir / f"sweep_{axis}.tsv")
-    log.info(
-        "sweep-%s: %d forecast rows for %d values", axis, len(rows), len(values)
-    )
+    counts = _write_forecasts(config, series_list, f"sweep_{axis}.tsv")
+    return {"values": len(values), **counts}
 
 
 _SWEEP_KEYS = (
@@ -669,28 +647,33 @@ def _run(
     name: str, config: PipelineConfig, force: bool, values: Optional[tuple] = None
 ) -> str:
     """Hash the inputs, skip when the manifest line still matches, else run
-    the stage (a sweep also gets its values, which join the config slice)
-    and record its line."""
+    the stage (a sweep also gets its values, which join the config slice),
+    record its line and log its counts.  A flock on output_dir, which makes
+    no file, keeps concurrent runs from interleaving (POSIX only)."""
     stage = STAGE_TABLE[name]
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = config.output_dir / MANIFEST_NAME
-    manifest = read_manifest(manifest_path)
-    inputs = _stage_inputs(stage, config, manifest)
-    config_hash = _config_slice_hash(config, stage, values)
-    if not force and _is_cached(
-        manifest.get(name), inputs, config_hash, config, stage.writes
-    ):
-        log.info("%s: cached", name)
-        return "cached"
-    if values is None:
-        stage.fn(config)
-    else:
-        stage.fn(config, values)
-    outputs = {
-        rel: _sha256_file(config.output_dir / rel) for rel in stage.writes
-    }
-    manifest[name] = ManifestEntry(name, inputs, config_hash, outputs)
-    write_manifest(manifest, manifest_path)
+    lock = os.open(config.output_dir, os.O_RDONLY)
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        manifest_path = config.output_dir / MANIFEST_NAME
+        manifest = read_manifest(manifest_path)
+        inputs = _stage_inputs(stage, config, manifest)
+        config_hash = _config_slice_hash(config, stage, values)
+        if not force and _is_cached(
+            manifest.get(name), inputs, config_hash, config, stage.writes
+        ):
+            log.info("%s: cached", name)
+            return "cached"
+        counts = stage.fn(config) if values is None else stage.fn(config, values)
+        outputs = {rel: _sha256_file(config.output_dir / rel) for rel in stage.writes}
+        manifest[name] = ManifestEntry(name, inputs, config_hash, outputs)
+        write_manifest(manifest, manifest_path)
+    finally:
+        os.close(lock)
+    log.info("%s: ran: %s", name, ", ".join(
+        f"{key}={value:.3f}" if isinstance(value, float) else f"{key}={value}"
+        for key, value in counts.items()
+    ))
     return "ran"
 
 

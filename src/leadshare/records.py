@@ -249,7 +249,7 @@ def read_tsv(
     header line and `columns` columns.  The first line with another number
     of columns, or else the first line on which parse raises ValueError,
     raises MalformedRecord naming the file and line; parse names the field
-    by raising FieldError.
+    by raising FieldError.  A RecordError that parse raises gets the file.
     """
     source = str(path)
     with open(path, encoding="utf-8") as fh:
@@ -271,6 +271,9 @@ def read_tsv(
             )
     try:
         return parse(lines)
+    except RecordError as exc:
+        exc.source = source
+        raise
     except ValueError:
         # line by line, to name the first line that does not parse
         for line_no, line in enumerate(lines, start=first):
@@ -285,6 +288,17 @@ def read_tsv(
 def tsv_rows(lines: Iterable[str]) -> Iterator[list[str]]:
     """The cells of each line."""
     return map(str.split, lines, repeat("\t"))
+
+
+def check_unique(keys: list, field: str) -> None:
+    """Raise InvariantViolation at a repeated key's line; line 1 is the header."""
+    if len(set(keys)) == len(keys):
+        return
+    first_line: dict = {}
+    for line_no, key in enumerate(keys, start=2):
+        first = first_line.setdefault(key, line_no)
+        if first != line_no:
+            raise InvariantViolation(line_no, field, f"{key!r} repeats line {first}")
 
 
 def write_tsv(path: Path, header: Optional[str], lines: Iterable[str]) -> None:

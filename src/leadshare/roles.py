@@ -16,7 +16,7 @@ import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
     VocabularyTooSmall,
 )
 from .kmeans import kmeans
-from .records import ContributionRecord, FieldError, read_tsv, tsv_rows, write_tsv
+from .records import ContributionRecord, FieldError, check_unique, read_tsv, tsv_rows, write_tsv
 
 log = logging.getLogger(__name__)
 
@@ -177,15 +177,13 @@ class RolePartition:
     inertia: float
 
 
-def cluster_roles(
-    matrix: CooccurrenceMatrix, k: int = 3, seed: int = 0, *, n_restarts: int = 8
-) -> RolePartition:
+def cluster_roles(matrix: CooccurrenceMatrix, k: int = 3, seed: int = 0) -> RolePartition:
     if len(matrix.vocabulary) < k:
         raise VocabularyTooSmall(
             f"{len(matrix.vocabulary)} verbs cannot form {k} clusters"
         )
     emb = ppmi_embedding(matrix)
-    result = kmeans(emb, k, seed, n_restarts=n_restarts)
+    result = kmeans(emb, k, seed)
     if not result.converged:
         log.warning(
             "clustering hit the iteration cap before assignments stabilized "
@@ -220,20 +218,15 @@ class RoleClusterModel:
         return self.by_verb.get(verb)
 
 
-def label_clusters(
-    partition: RolePartition,
-    seed_verbs: Optional[Mapping[str, Sequence[str]]] = None,
-) -> RoleClusterModel:
+def label_clusters(partition: RolePartition) -> RoleClusterModel:
     """Name the three clusters by majority seed-verb vote.
 
     The label permutation maximizing the total seed hits wins; a tied
     maximum means the data cannot distinguish two roles and is an error.
     """
-    if seed_verbs is None:
-        seed_verbs = SEED_VERBS
-    if len(partition.clusters) != 3 or set(seed_verbs) != set(ROLE_LABELS):
-        raise ConfigError("labeling requires exactly 3 clusters and 3 seed lists")
-    seed_sets = {label: set(verbs) for label, verbs in seed_verbs.items()}
+    if len(partition.clusters) != 3:
+        raise ConfigError("labeling requires exactly 3 clusters")
+    seed_sets = {label: set(verbs) for label, verbs in SEED_VERBS.items()}
     scores = [
         {label: len(cluster & seed_sets[label]) for label in ROLE_LABELS}
         for cluster in partition.clusters
@@ -254,7 +247,7 @@ def label_clusters(
             tied = True
     if tied or best_perm is None:
         raise AmbiguousLabeling(
-            "two label assignments tie on seed-verb counts; override the seeds"
+            "two label assignments tie on seed-verb counts"
         )
     by_verb = {
         verb: label
@@ -354,8 +347,11 @@ def _lead_value(text: str) -> float:
     return value
 
 
+def _labels(lines: list[str]) -> list[TrainingLabel]:
+    labels = [TrainingLabel(p, a, _lead_value(v)) for p, a, v in tsv_rows(lines)]
+    check_unique([(lab.paper_id, lab.author_id) for lab in labels], "paper_id, author_id")
+    return labels
+
+
 def read_training_labels(path: Path) -> list[TrainingLabel]:
-    return read_tsv(path, _LABELS_HEADER, lambda lines: [
-        TrainingLabel(paper_id, author_id, _lead_value(value))
-        for paper_id, author_id, value in tsv_rows(lines)
-    ])
+    return read_tsv(path, _LABELS_HEADER, _labels)

@@ -244,8 +244,10 @@ def test_model_file_missing_field(tmp_path):
     write_model(model, path)
     lines = [l for l in path.read_text().splitlines() if not l.startswith("stds")]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(MalformedRecord) as info:
         read_model(path)
+    # no line holds a missing field, so the message names none
+    assert str(info.value) == f"{path}: field 'stds': missing model field"
 
 
 @pytest.mark.parametrize(

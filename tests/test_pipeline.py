@@ -2,9 +2,14 @@
 
 import csv
 import dataclasses
+import fcntl
 import itertools
 import json
+import logging
+import os
 import shutil
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -36,6 +41,22 @@ from leadshare.tables import AREA_TAGS, FIELD_TAGS, HIGH_INCOME
 
 ALL_ARTIFACTS = tuple(rel for stage in STAGES for rel in STAGE_TABLE[stage].writes)
 
+# the counts each stage logs when it runs on the fixture's config, with the
+# sweeps' default values
+RAN_COUNTS = {
+    "ingest": "records=200, bilateral=186, pre_1991=6, low_impact=4, "
+              "not_bilateral=3, unknown_country=1",
+    "train-roles": "verbs=27, labels=776",
+    "build-profiles": "papers=200",
+    "fit-model": "examples=776, labels_without_features=0, precision=1.000, recall=0.714",
+    "score": "rows=744, below_first_edge=0",
+    "aggregate": "pair_years=485, series=315",
+    "forecast": "forecast_rows=150, skipped_series=165",
+    "export": "figure_tables=7",
+    "sweep-threshold": "values=7, forecast_rows=126, skipped_series=21",
+    "sweep-if_bin": "values=5, forecast_rows=33, skipped_series=49",
+}
+
 
 @pytest.fixture(scope="module")
 def pristine(fixture_dir, tmp_path_factory):
@@ -64,6 +85,56 @@ class TestCaching:
         assert run_all(config) == {stage: "cached" for stage in STAGES}
         for rel in ALL_ARTIFACTS:
             assert (config.output_dir / rel).is_file()
+
+    def test_each_run_logs_one_line(self, fixture_dir, tmp_path, caplog):
+        config = load_config(fixture_dir / "config.cfg").replace(output_dir=tmp_path / "out")
+        caplog.set_level(logging.INFO, logger="leadshare.pipeline")
+
+        def lines() -> list[tuple[str, str]]:
+            logged = [(r.levelname, r.getMessage()) for r in caplog.records
+                      if r.name == "leadshare.pipeline"]
+            caplog.clear()
+            return logged
+
+        run_all(config)
+        run_sweep(config, "threshold", config.threshold_sweep)
+        run_sweep(config, "if_bin", tuple(range(len(config.if_bin_edges))))
+        assert lines() == [
+            ("INFO", f"{name}: ran: {counts}") for name, counts in RAN_COUNTS.items()
+        ]
+        run_all(config)
+        assert lines() == [("INFO", f"{stage}: cached") for stage in STAGES]
+
+    def test_lock_holds_back_concurrent_runs(self, pristine, tmp_path):
+        # both sweeps wait while this test holds the flock on out/ through
+        # its own descriptor; once released, each records its manifest line
+        config = clone(pristine[0], tmp_path)
+        out = config.output_dir
+        before = set(out.rglob("*"))
+        manifest = (out / MANIFEST_NAME).read_bytes()
+        statuses: list[str] = []
+        threads = [
+            threading.Thread(target=lambda s=stage: statuses.append(run_named(s, config)))
+            for stage in SWEEP_VALUES
+        ]
+        lock = os.open(out, os.O_RDONLY)
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+            assert all(thread.is_alive() for thread in threads)
+            assert (out / MANIFEST_NAME).read_bytes() == manifest
+        finally:
+            os.close(lock)
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert statuses == ["ran", "ran"]
+        assert set(read_manifest(out / MANIFEST_NAME)) == set(STAGE_TABLE)
+        assert set(out.rglob("*")) - before == {
+            out / "sweep_threshold.tsv", out / "sweep_if_bin.tsv"
+        }
 
     def test_threshold_change_recomputes_downstream(self, pristine, tmp_path):
         config, _ = pristine
@@ -569,8 +640,12 @@ class TestCli:
             ("features.tsv", None, "fit-model"),
             ("model.tsv", "colour\tblue", "score"),
             ("model.tsv", "seed\t5", "score"),
+            ("labels.tsv", None, "fit-model"),
+            ("series.tsv", None, "forecast"),
+            ("scored.tsv", None, "aggregate"),
         ],
-        ids=["features-repeated-row", "model-unknown-key", "model-repeated-key"],
+        ids=["features-repeated-row", "model-unknown-key", "model-repeated-key",
+             "labels-repeated-row", "series-repeated-row", "scored-repeated-row"],
     )
     def test_extra_line_names_file_and_line(
         self, pristine, tmp_path, capsys, rel, extra, stage
