@@ -15,7 +15,7 @@ from typing import Optional, get_type_hints
 from .errors import ConfigError
 from .leadmodel import DEFAULT_THRESHOLD, FAMILY_LINEAR, FAMILY_LOGISTIC
 from .metrics import COUNT_AUTHOR_PAPER, COUNT_UNIQUE_AUTHOR
-from .tables import AREA_TAGS, FIELD_TAGS, HIGH_INCOME, LOW_INCOME
+from .tables import AREA_TAGS, FIELD_TAGS, GLOBAL_REGIONS, HIGH_INCOME, LOW_INCOME
 
 DEFAULT_IF_EDGES = (1.0, 2.0, 4.0, 8.0, 16.0)
 DEFAULT_THRESHOLD_SWEEP = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80)
@@ -94,6 +94,12 @@ class PipelineConfig:
         for c in self.bri_classes:
             if c not in (HIGH_INCOME, LOW_INCOME):
                 raise ConfigError(f"unknown income class {c!r}")
+        for r in (self.focal_region, *(side for pair in self.pairs for side in pair)):
+            if r not in GLOBAL_REGIONS:
+                raise ConfigError(f"unknown region {r!r}")
+        for a, b in self.pairs:
+            if a == b:
+                raise ConfigError(f"pair {a}|{b} must join two different regions")
 
     def replace(self, **changes) -> "PipelineConfig":
         return dataclasses.replace(self, **changes)

@@ -8,8 +8,9 @@ prior papers.  "Prior" means dated strictly earlier than the focal paper:
 the sweep reads f1-f8 for a whole date group before promoting the group
 into the histories, so same-day papers are not prior and feature vectors
 are invariant to how same-day ties are ordered.  Papers without a
-publication date sort at July 1.  `extract_features` looks f1-f8 up and
-computes f9 from a per-year snapshot built on first use.
+publication date sort at July 1.  f9 comes from the same sweep, ranking
+against a per-year snapshot of institution counts, and `extract_features`
+looks the finished vector up.
 
 Features, for author a on focal paper P:
 
@@ -41,8 +42,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import AuthorNotOnPaper, DuplicatePaperId, MalformedRecord, PaperNotIndexed
-from .records import PublicationRecord, read_tsv, tsv_rows, write_tsv
+from .errors import AuthorNotOnPaper, DuplicatePaperId, PaperNotIndexed
+from .records import PublicationRecord, check_unique, read_tsv, tsv_rows, write_tsv
 
 
 class LeadFeatureVector(NamedTuple):
@@ -63,6 +64,9 @@ class LeadFeatureVector(NamedTuple):
 
 
 FEATURE_NAMES = LeadFeatureVector._fields
+
+# build_profiles' result: the features of each (paper_id, author_id)
+FeatureIndex = dict[tuple[str, str], LeadFeatureVector]
 
 
 class FeatureTable(NamedTuple):
@@ -86,38 +90,9 @@ class _History:
     cited_in: dict[int, int] = field(default_factory=dict)
 
 
-class AuthorProfileIndex:
-    """Frozen corpus index: f1-f8 per authorship, f9 per institution×year."""
-
-    def __init__(self) -> None:
-        # (paper_id, author_id) -> (f1, ..., f8), filled by build_profiles
-        self._swept: dict[tuple[str, str], tuple[int, ...]] = {}
-        # years of each institution's papers (one entry per paper), sorted
-        self._institution_years: dict[str, list[int]] = {}
-        # focal year -> sorted counts of papers-before-year, one per
-        # institution that has any; built lazily, queries repeat few years
-        self._rank_snapshots: dict[int, np.ndarray] = {}
-
-    def institution_rank(self, institution_id: str, year: int) -> float:
-        snapshot = self._rank_snapshots.get(year)
-        if snapshot is None:
-            counts = [
-                bisect_left(years, year)
-                for years in self._institution_years.values()
-            ]
-            snapshot = np.array(sorted(c for c in counts if c > 0), dtype=np.int64)
-            self._rank_snapshots[year] = snapshot
-        if snapshot.size == 0:
-            return 0.0
-        own = bisect_left(self._institution_years.get(institution_id, []), year)
-        if own == 0:
-            return 0.0
-        return float(np.searchsorted(snapshot, own, side="right")) / snapshot.size
-
-
-def build_profiles(corpus: Iterable[PublicationRecord]) -> AuthorProfileIndex:
-    """Index the full corpus; records need not be pre-sorted."""
-    index = AuthorProfileIndex()
+def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureIndex:
+    """The nine features of every authorship, keyed by (paper_id,
+    author_id); records need not be pre-sorted."""
     seen: set[str] = set()
     ordered: list[tuple[tuple[int, int, int], str, PublicationRecord]] = []
     for record in corpus:
@@ -126,26 +101,39 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> AuthorProfileIndex:
         seen.add(record.paper_id)
         ordered.append((record.sort_date(), record.paper_id, record))
     ordered.sort(key=lambda t: (t[0], t[1]))
-    # years of corpus papers citing each paper; complete before the sweep,
-    # since later papers cite earlier ones
+    # years of corpus papers citing each paper, and of each institution's
+    # papers (one entry per paper); complete before the sweep, since later
+    # papers cite earlier ones
     citing_years: dict[str, list[int]] = {}
+    institution_years: dict[str, list[int]] = {}
     for _, _, record in ordered:
         for inst in {a.institution_id for a in record.authorships if a.institution_id}:
-            index._institution_years.setdefault(inst, []).append(record.year)
+            institution_years.setdefault(inst, []).append(record.year)
         for cited in record.references:
             citing_years.setdefault(cited, []).append(record.year)
-    for years in index._institution_years.values():
+    # sorted, since hand-built records may date a paper outside its year
+    for years in institution_years.values():
         years.sort()
+    # focal year -> sorted counts of papers before that year, one per
+    # institution that has any; built at the year's first paper
+    rank_snapshots: dict[int, np.ndarray] = {}
 
+    vectors: FeatureIndex = {}
     histories: defaultdict[str, _History] = defaultdict(_History)
     for _, group in groupby(ordered, key=itemgetter(0)):
         promote = []
         for _, paper_id, record in group:
             refs, names, year = record.references, record.concept_names(), record.year
             ends = (0, len(record.authorships) - 1)
+            if (snapshot := rank_snapshots.get(year)) is None:
+                counts = (bisect_left(years, year) for years in institution_years.values())
+                snapshot = np.array(sorted(c for c in counts if c > 0), dtype=np.int64)
+                rank_snapshots[year] = snapshot
             for a in record.first_authorships():
                 h = histories[a.author_id]
-                index._swept[(paper_id, a.author_id)] = (
+                # an institution with a paper before the year is in snapshot
+                own = bisect_left(institution_years.get(a.institution_id, ()), year)
+                vectors[(paper_id, a.author_id)] = LeadFeatureVector(
                     len(refs & h.refs),
                     len(names & h.concepts),
                     len(refs & h.ids),
@@ -154,6 +142,8 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> AuthorProfileIndex:
                     sum(n for y, n in h.cited_in.items() if y < year),
                     len(h.concepts),
                     h.first_or_last,
+                    float(np.searchsorted(snapshot, own, side="right")) / snapshot.size
+                    if own else 0.0,
                 )
                 promote.append((h, record, names, a.position in ends))
         # promote the date group only now: same-day papers are not prior
@@ -167,26 +157,22 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> AuthorProfileIndex:
             h.concepts |= names
             for y in citing_years.get(record.paper_id, ()):
                 h.cited_in[y] = h.cited_in.get(y, 0) + 1
-    return index
+    return vectors
 
 
 def extract_features(
-    record: PublicationRecord, author_id: str, index: AuthorProfileIndex
+    record: PublicationRecord, author_id: str, index: FeatureIndex
 ) -> LeadFeatureVector:
-    authorship = next((a for a in record.authorships if a.author_id == author_id), None)
-    if authorship is None:
+    if all(a.author_id != author_id for a in record.authorships):
         raise AuthorNotOnPaper(author_id, record.paper_id)
     try:
-        swept = index._swept[(record.paper_id, author_id)]
+        return index[(record.paper_id, author_id)]
     except KeyError:
         raise PaperNotIndexed(record.paper_id, author_id) from None
-    return LeadFeatureVector(
-        *swept, index.institution_rank(authorship.institution_id, record.year)
-    )
 
 
 def extract_all(
-    corpus: Iterable[PublicationRecord], index: AuthorProfileIndex
+    corpus: Iterable[PublicationRecord], index: FeatureIndex
 ) -> Iterator[tuple[str, str, LeadFeatureVector]]:
     """One row per authorship, in corpus order then author position."""
     for record in corpus:
@@ -207,25 +193,17 @@ def write_features(
 
 
 def _feature_table(lines: list[str]) -> FeatureTable:
-    rows: dict[tuple[str, str], int] = {}
+    keys: list[tuple[str, str]] = []
 
     def values() -> Iterator[float]:
-        for row, cells in enumerate(tsv_rows(lines)):
-            key = (cells[0], cells[1])
-            first = rows.setdefault(key, row)
-            if first != row:
-                # raised directly: read_tsv retries a ValueError line by
-                # line, and no one line shows a repeat; line 1 is the header
-                raise MalformedRecord(
-                    row + 2, "<line>",
-                    f"paper_id {key[0]!r} and author_id {key[1]!r} "
-                    f"repeat line {first + 2}",
-                )
+        for cells in tsv_rows(lines):
+            keys.append((cells[0], cells[1]))
             yield from map(int, cells[2:10])
             yield float(cells[10])
 
     width = len(FEATURE_NAMES)
     X = np.fromiter(values(), dtype=np.float64, count=len(lines) * width)
+    rows = check_unique(keys, "paper_id, author_id")
     return FeatureTable(rows, X.reshape(len(lines), width))
 
 

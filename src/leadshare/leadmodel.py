@@ -93,15 +93,18 @@ def classify(prob: float, threshold: float = DEFAULT_THRESHOLD) -> str:
     return LEADER if prob > threshold else SUPPORTER
 
 
+def _damped(M: np.ndarray) -> np.ndarray:
+    """M plus the ridge damping on its diagonal, the intercept unpenalized."""
+    return M + np.diag([0.0] + [RIDGE_DAMPING] * (M.shape[0] - 1))
+
+
 def _solve(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Normal-equation solve; ridge fallback when rank-deficient."""
     AtA = A.T @ A
     Aty = A.T @ y
     if np.linalg.matrix_rank(AtA) == AtA.shape[0]:
         return np.linalg.solve(AtA, Aty), 0.0
-    damp = np.eye(AtA.shape[0]) * RIDGE_DAMPING
-    damp[0, 0] = 0.0  # leave the intercept unpenalized
-    return np.linalg.solve(AtA + damp, Aty), RIDGE_DAMPING
+    return np.linalg.solve(_damped(AtA), Aty), RIDGE_DAMPING
 
 
 def _fit_logistic(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -114,9 +117,7 @@ def _fit_logistic(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
         AtWA = A.T @ (A * W[:, None])
         grad = A.T @ (y - p)
         if np.linalg.matrix_rank(AtWA) < AtWA.shape[0]:
-            damp = np.eye(AtWA.shape[0]) * RIDGE_DAMPING
-            damp[0, 0] = 0.0
-            AtWA = AtWA + damp
+            AtWA = _damped(AtWA)
             damping_used = RIDGE_DAMPING
         step = np.linalg.solve(AtWA, grad)
         coef = coef + step
@@ -292,14 +293,12 @@ def write_model(model: LinearLeadModel, path: Path) -> None:
 
 
 def _model_values(lines: list[str]) -> dict:
+    rows = list(tsv_rows(lines))
+    check_unique([key for key, _ in rows], "key", first=1)
     values: dict = {}
-    for line_no, (key, text) in enumerate(tsv_rows(lines), start=1):
+    for key, text in rows:
         if key not in _MODEL_PARSERS:
             raise FieldError(key, "unknown model field")
-        if key in values:
-            # raised directly: read_tsv retries a ValueError line by
-            # line, and no one line shows a repeat
-            raise MalformedRecord(line_no, key, "repeated model field")
         try:
             values[key] = _MODEL_PARSERS[key](text)
         except ValueError as exc:
@@ -308,7 +307,8 @@ def _model_values(lines: list[str]) -> dict:
 
 
 def read_model(path: Path) -> LinearLeadModel:
-    """model.tsv; an unknown, repeated or missing key raises MalformedRecord."""
+    """model.tsv; an unknown or missing key raises MalformedRecord, a
+    repeated one InvariantViolation naming the earlier line."""
     values = read_tsv(path, None, _model_values, columns=2)
     for key in _MODEL_PARSERS:
         if key not in values:

@@ -30,7 +30,6 @@ from .corpus import FilterStats, filter_corpus
 from .errors import (
     ConfigError,
     HashMismatch,
-    MalformedRecord,
     MissingUpstream,
     TooFewPoints,
     ZeroVariance,
@@ -60,6 +59,7 @@ from .metrics import (
     write_series,
 )
 from .records import (
+    check_unique,
     read_contributions,
     read_corpus,
     read_tsv,
@@ -146,18 +146,20 @@ def _decode_hashes(text: str) -> dict[str, str]:
     return dict(part.partition("=")[::2] for part in text.split(","))
 
 
+def _manifest_entries(lines: list[str]) -> dict[str, ManifestEntry]:
+    rows = list(tsv_rows(lines))
+    check_unique([stage for stage, *_ in rows], "stage")
+    return {
+        stage: ManifestEntry(stage, _decode_hashes(ins), cfg, _decode_hashes(outs))
+        for stage, ins, cfg, outs in rows
+    }
+
+
 def read_manifest(path: Path) -> dict[str, ManifestEntry]:
-    """manifest.tsv; a stage on two lines raises MalformedRecord."""
+    """manifest.tsv; a stage on two lines raises InvariantViolation."""
     if not Path(path).exists():
         return {}
-    entries: dict[str, ManifestEntry] = {}
-    rows = read_tsv(path, _MANIFEST_HEADER, lambda lines: list(tsv_rows(lines)))
-    for line_no, (stage, ins, cfg, outs) in enumerate(rows, start=2):
-        if stage in entries:  # each earlier line holds one entry
-            first = list(entries).index(stage) + 2
-            raise MalformedRecord(line_no, "stage", f"{stage!r} repeats line {first}", str(path))
-        entries[stage] = ManifestEntry(stage, _decode_hashes(ins), cfg, _decode_hashes(outs))
-    return entries
+    return read_tsv(path, _MANIFEST_HEADER, _manifest_entries)
 
 
 def write_manifest(entries: dict[str, ManifestEntry], path: Path) -> None:
@@ -346,8 +348,7 @@ def _aggregate_filters(
     specs.extend(FilterSpec(if_bins=frozenset({b})) for b in bins)
     classes = config.bri_classes or (HIGH_INCOME, LOW_INCOME)
     specs.extend(FilterSpec(bri_class=c) for c in classes)
-    # a value the config lists twice would write each of its series twice
-    return list(dict.fromkeys(specs))
+    return specs
 
 
 def _is_bri_pair(pair: tuple[str, str]) -> bool:
@@ -378,10 +379,11 @@ def _tally(
     scored: ScoredTable,
     specs: Iterable[FilterSpec],
 ) -> tuple[list, list[RegionSeries]]:
-    """Counts and series of every spec, in spec order."""
+    """Counts and series of every distinct spec, in spec order."""
     all_counts = []
     series_list: list[RegionSeries] = []
-    for spec in specs:
+    # a value listed twice would write each of its series twice
+    for spec in dict.fromkeys(specs):
         counts = aggregate(scored, spec, counting_mode=config.counting_mode)
         all_counts.extend(counts)
         series_list.extend(_series_for_counts(config, counts))
@@ -481,52 +483,43 @@ def _sweep_specs(axis: str, values: Sequence) -> list[FilterSpec]:
     return [FilterSpec(if_bins=frozenset({int(b)})) for b in values]
 
 
+def _flagship(s: RegionSeries) -> bool:
+    return s.filter_desc == "all" and not _is_bri_pair(s.pair)
+
+
+def _filtered(prefix: str, *metrics: str) -> Callable[[RegionSeries], bool]:
+    return lambda s: s.filter_desc.startswith(prefix) and s.metric in metrics
+
+
+# export's figures: each plots the series of series.tsv or of the
+# threshold sweep ("sweep") that its test keeps
+_FIGURES: dict[str, tuple[str, Callable[[RegionSeries], bool]]] = {
+    "fig1c": ("series", lambda s: _flagship(s) and s.metric == LEAD_SHARE),
+    "fig1d": ("series", lambda s: _flagship(s) and s.metric == LEAD_PREMIUM),
+    "fig2a": ("sweep", _filtered("", LEAD_SHARE, LEAD_PREMIUM)),
+    "fig2b": ("series", _filtered("if_bins=", LEAD_SHARE, LEAD_PREMIUM)),
+    "fig3": ("series", lambda s: _is_bri_pair(s.pair)),
+    "fig4a": ("series", _filtered("areas=", LEAD_SHARE)),
+    "fig4b": ("series", _filtered("fields=", LEAD_SHARE)),
+}
+
+
 def _stage_export(config: PipelineConfig) -> dict[str, float]:
     series_list = read_series(config.output_dir / "series.tsv")
     scored = read_scored(config.output_dir / "scored.tsv")
     _counts, sweep = _tally(
         config, scored, _sweep_specs("threshold", config.threshold_sweep)
     )
+    sources = {"series": series_list, "sweep": sweep}
     export_dir = config.output_dir / "export"
     export_dir.mkdir(parents=True, exist_ok=True)
-
-    def plot_rows(selected: Iterable[RegionSeries]) -> list[tuple[str, ...]]:
-        rows = []
-        for s in selected:
-            rows.extend(_series_plot_rows(config, s))
-        return rows
-
-    flagship = [
-        s for s in series_list
-        if s.filter_desc == "all" and not _is_bri_pair(s.pair)
-    ]
-    figures = {
-        "fig1c": plot_rows(s for s in flagship if s.metric == LEAD_SHARE),
-        "fig1d": plot_rows(s for s in flagship if s.metric == LEAD_PREMIUM),
-        "fig2a": plot_rows(
-            s for s in sweep if s.metric in (LEAD_SHARE, LEAD_PREMIUM)
-        ),
-        "fig2b": plot_rows(
-            s for s in series_list
-            if s.filter_desc.startswith("if_bins=")
-            and s.metric in (LEAD_SHARE, LEAD_PREMIUM)
-        ),
-        "fig3": plot_rows(s for s in series_list if _is_bri_pair(s.pair)),
-        "fig4a": plot_rows(
-            s for s in series_list
-            if s.filter_desc.startswith("areas=") and s.metric == LEAD_SHARE
-        ),
-        "fig4b": plot_rows(
-            s for s in series_list
-            if s.filter_desc.startswith("fields=") and s.metric == LEAD_SHARE
-        ),
-    }
     # every cell is a region name, BRI:<class>, a metric, kind or tag name,
     # or a number, and none holds a comma, quote or newline: joined with
     # commas they are the CSV that csv.writer would write
-    for name, rows in figures.items():
+    for name, (source, keep) in _FIGURES.items():
+        rows = (row for s in sources[source] if keep(s) for row in _series_plot_rows(config, s))
         write_tsv(export_dir / f"{name}.csv", ",".join(_CSV_HEADER), map(",".join, rows))
-    return {"figure_tables": len(figures)}
+    return {"figure_tables": len(_FIGURES)}
 
 
 def _stage_sweep(axis: str, config: PipelineConfig, values: Sequence) -> dict[str, float]:
@@ -598,10 +591,7 @@ STAGE_TABLE: dict[str, Stage] = {stage.name: stage for stage in (
             "window_start", "window_end", "confidence_level", "horizon",
             "threshold_sweep", "focal_region", "pairs", "counting_mode",
         ),
-        writes=tuple(
-            f"export/{name}.csv"
-            for name in ("fig1c", "fig1d", "fig2a", "fig2b", "fig3", "fig4a", "fig4b")
-        ),
+        writes=tuple(f"export/{name}.csv" for name in _FIGURES),
     ),
     Stage(
         "sweep-threshold", functools.partial(_stage_sweep, "threshold"),

@@ -290,15 +290,17 @@ def tsv_rows(lines: Iterable[str]) -> Iterator[list[str]]:
     return map(str.split, lines, repeat("\t"))
 
 
-def check_unique(keys: list, field: str) -> None:
-    """Raise InvariantViolation at a repeated key's line; line 1 is the header."""
-    if len(set(keys)) == len(keys):
-        return
-    first_line: dict = {}
-    for line_no, key in enumerate(keys, start=2):
-        first = first_line.setdefault(key, line_no)
-        if first != line_no:
-            raise InvariantViolation(line_no, field, f"{key!r} repeats line {first}")
+def check_unique(keys: list, field: str, first: int = 2) -> dict:
+    """Each key's index in keys, whose first key is on line `first` (line 1
+    is the header, if any); a repeated key raises InvariantViolation at its
+    line, naming the earlier one."""
+    index = dict(zip(keys, range(len(keys))))
+    if len(index) < len(keys):
+        first_line: dict = {}
+        for line_no, key in enumerate(keys, start=first):
+            if (earlier := first_line.setdefault(key, line_no)) != line_no:
+                raise InvariantViolation(line_no, field, f"{key!r} repeats line {earlier}")
+    return index
 
 
 def write_tsv(path: Path, header: Optional[str], lines: Iterable[str]) -> None:

@@ -16,6 +16,7 @@ from helpers import make_record, oracle_features
 from leadshare.errors import (
     AuthorNotOnPaper,
     DuplicatePaperId,
+    InvariantViolation,
     MalformedRecord,
     PaperNotIndexed,
 )
@@ -267,10 +268,11 @@ def test_features_file_rejects_repeated_authorship(tmp_path, hand_index):
     write_features(extract_all(corpus, index), path)
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join([*lines, lines[1]]) + "\n", encoding="utf-8")
-    with pytest.raises(MalformedRecord) as info:
+    with pytest.raises(InvariantViolation) as info:
         read_features(path)
     assert (info.value.source, info.value.line_no) == (str(path), len(lines) + 1)
-    assert "repeat line 2" in str(info.value)
+    assert info.value.message == "('P1', 'A1') repeats line 2"
+    assert info.value.field == "paper_id, author_id"
 
 
 def test_features_file_rejects_bad_shape(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import make_record
 from leadshare.corpus import classify_topics, filter_corpus, impact_factor_bin
-from leadshare.errors import ConfigError, MalformedRecord, TooFewExamples
+from leadshare.errors import ConfigError, InvariantViolation, MalformedRecord, TooFewExamples
 from leadshare.features import (
     FeatureTable,
     LeadFeatureVector,
@@ -251,20 +251,26 @@ def test_model_file_missing_field(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "extra", ["colour\tblue", "seed\t5"], ids=["unknown", "repeated"]
+    "extra, error, field, message",
+    [
+        ("colour\tblue", MalformedRecord, "colour", "unknown model field"),
+        # model.tsv has no header: seed is on line 2
+        ("seed\t5", InvariantViolation, "key", "'seed' repeats line 2"),
+    ],
+    ids=["unknown", "repeated"],
 )
-def test_model_file_rejects_extra_key(tmp_path, extra):
+def test_model_file_rejects_extra_key(tmp_path, extra, error, field, message):
     model, _ = fit(separable_examples(seed=3), seed=2)
     path = tmp_path / "model.tsv"
     write_model(model, path)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(extra + "\n")
-    with pytest.raises(MalformedRecord) as info:
+    with pytest.raises(error) as info:
         read_model(path)
-    key = extra.split("\t")[0]
     assert (info.value.source, info.value.line_no, info.value.field) == (
-        str(path), 10, key
+        str(path), 10, field
     )
+    assert info.value.message == message
 
 
 @pytest.fixture(scope="module")

@@ -262,6 +262,14 @@ class TestSweep:
         assert run_sweep(cfg, "threshold", (0.5, 0.65, 0.8)) == "cached"
         assert run_sweep(cfg, "threshold", (0.55,)) == "ran"
 
+    def test_repeated_value_counts_once(self, pristine, tmp_path):
+        cfg = clone(pristine[0], tmp_path)
+        sweep = cfg.output_dir / "sweep_threshold.tsv"
+        assert run_sweep(cfg, "threshold", (0.6,)) == "ran"
+        once = sweep.read_bytes()
+        assert run_sweep(cfg, "threshold", (0.6, 0.6)) == "ran"
+        assert sweep.read_bytes() == once
+
     def test_if_bin_sweep(self, pristine, tmp_path):
         config, _ = pristine
         cfg = clone(config, tmp_path)
@@ -510,6 +518,9 @@ class TestConfig:
             {"fields": ("Nope",)},
             {"bri_classes": ("MiddleIncome",)},
             {"threshold_sweep": ()},
+            {"focal_region": "U.S"},
+            {"pairs": (("China", "U.S"),)},
+            {"pairs": (("China", "China"),)},
         ],
     )
     def test_validation(self, kwargs):
@@ -574,7 +585,11 @@ class TestCli:
         assert "sweep-threshold" not in read_manifest(out / MANIFEST_NAME)
 
     @pytest.mark.parametrize(
-        "line", ["areas = Nope", "fields = Nope", "bri_classes = MiddleIncome"]
+        "line",
+        [
+            "areas = Nope", "fields = Nope", "bri_classes = MiddleIncome",
+            "focal_region = U.S", "pairs = China|U.S",
+        ],
     )
     def test_unknown_group_fails_before_ingest(
         self, tmp_path, fixture_dir, capsys, line

@@ -71,3 +71,44 @@ def test_only_run_logs_in_pipeline():
         if ast.unparse(call.func).startswith("log.")
     }
     assert loggers == {"_run"}
+
+
+# the underscore names of NamedTuple's public API
+NAMEDTUPLE_API = {"_fields", "_replace", "_asdict", "_make"}
+
+
+def foreign_private_attributes(source: str) -> list[str]:
+    """Each `obj._name` that reads or writes an underscore attribute of an
+    object other than self or cls, as `line: expression` in line order;
+    dunders such as `__init__` are the language's, not private."""
+    return [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in sorted(
+            (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute)),
+            key=lambda n: (n.lineno, n.col_offset),
+        )
+        if node.attr.startswith("_") and node.attr not in NAMEDTUPLE_API
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+
+
+def test_no_code_reaches_into_another_objects_private_attributes():
+    # a class keeps its own state: code outside it goes through its
+    # public names, so the class can change without breaking callers
+    found = {
+        path.name: attrs
+        for path in sorted(SRC.glob("*.py"))
+        if (attrs := foreign_private_attributes(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_foreign_private_attributes_sees_reads_and_writes():
+    assert foreign_private_attributes("index._swept[k] = v\nx = index._years") == [
+        "1: index._swept", "2: index._years",
+    ]
+    assert foreign_private_attributes(
+        "self._a = 1\ncls._b\nLeadFeatureVector._fields\nrow._replace(x=1)\n"
+        "super().__init__()"
+    ) == []
