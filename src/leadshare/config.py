@@ -53,6 +53,8 @@ class PipelineConfig:
     threshold_sweep: tuple[float, ...] = DEFAULT_THRESHOLD_SWEEP
 
     def __post_init__(self) -> None:
+        # a pair names two regions in either order; series keys sort them
+        object.__setattr__(self, "pairs", tuple(tuple(sorted(p)) for p in self.pairs))
         if not 0.0 < self.lead_threshold < 1.0:
             raise ConfigError(
                 f"lead_threshold must be in (0,1), got {self.lead_threshold}"
@@ -117,7 +119,7 @@ def _pair(chunk: str) -> tuple[str, str]:
     sides = chunk.split("|")
     if len(sides) != 2:
         raise ConfigError(f"pair {chunk!r} must be 'RegionA|RegionB'")
-    return tuple(sorted((sides[0].strip(), sides[1].strip())))
+    return (sides[0].strip(), sides[1].strip())
 
 
 # a config key's parser follows its PipelineConfig field type; path types

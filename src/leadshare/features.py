@@ -204,6 +204,7 @@ def _feature_table(lines: list[str]) -> FeatureTable:
     width = len(FEATURE_NAMES)
     X = np.fromiter(values(), dtype=np.float64, count=len(lines) * width)
     rows = check_unique(keys, "paper_id, author_id")
+    X.flags.writeable = False  # one decoded table may serve several stages
     return FeatureTable(rows, X.reshape(len(lines), width))
 
 

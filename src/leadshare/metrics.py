@@ -169,6 +169,10 @@ class ScoredTable:
             (self.regions[c // n], self.regions[c % n]) for c in pair_codes.tolist()
         ]
         self.side = self.region == hi
+        # one decoded table may serve several stages
+        for column in vars(self).values():
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.paper)

@@ -11,6 +11,9 @@ re-running is a no-op and editing one config key recomputes only the
 stages whose slice contains it.  Caching is content based: timestamps
 never matter, and an artifact edited out-of-band is reported as stale
 rather than silently reused.
+
+Within one run_all, run_stage or run_sweep call each artifact is decoded
+at most once (see `Artifacts`); nothing decoded outlives the call.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import hashlib
 import logging
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -98,12 +102,12 @@ _MANIFEST_HEADER = "stage\tinputs\tconfig\toutputs"
 class Stage:
     """One pipeline step: what it hashes, what it reads and what it writes.
 
-    `fn` takes the config (a sweep also its values) and returns the
-    stage's counts, which `_run` logs; `help` is the CLI help line, `raw`
-    names the config key of a raw input file, `tables` the packaged tables
-    the stage reads, `reads` its upstream artifacts and `config_keys` the
-    config slice its behavior depends on; changing any other key leaves
-    the stage cached.
+    `fn` takes the config and the call's `Artifacts` (a sweep also its
+    values) and returns the stage's counts, which `_run` logs; `help` is
+    the CLI help line, `raw` names the config key of a raw input file,
+    `tables` the packaged tables the stage reads, `reads` its upstream
+    artifacts and `config_keys` the config slice its behavior depends on;
+    changing any other key leaves the stage cached.
     """
 
     name: str
@@ -246,17 +250,67 @@ def _read_corpus_file(path: Path) -> list:
         return list(read_corpus(fh, source=str(path)))
 
 
+# each artifact a stage reads, and its reader; the names resolve per call,
+# so a reader patched in this module (perfbench's tracer) is the one called
+_DECODERS: dict[str, Callable[[Path], object]] = {
+    "corpus.jsonl": _read_corpus_file, "bilateral.jsonl": _read_corpus_file,
+    "labels.tsv": lambda path: read_training_labels(path),
+    "features.tsv": lambda path: read_features(path),
+    "model.tsv": lambda path: read_model(path),
+    "scored.tsv": lambda path: read_scored(path),
+    "series.tsv": lambda path: read_series(path),
+}
+
+
+class Artifacts:
+    """The artifacts decoded within one run_all, run_stage or run_sweep call.
+
+    Entries are keyed by (artifact name, SHA-256): `_run` sets `inputs` to
+    the digests it computed for the running stage, so a file changed since
+    it was decoded never hits.  `readers` counts each artifact's reads still
+    to come, and `done` drops the entries that no later stage reads.
+    """
+
+    def __init__(self, output_dir: Path, stages: Iterable[str]):
+        self.output_dir = output_dir
+        self.readers = Counter(rel for name in stages for rel in STAGE_TABLE[name].reads)
+        self.entries: dict[tuple[str, str], object] = {}
+        self.inputs: dict[str, str] = {}
+        self.handed: dict[str, object] = {}
+
+    def read(self, rel: str):
+        """An artifact the running stage reads, decoded."""
+        key = (rel, self.inputs[rel])
+        if key not in self.entries:
+            self.entries[key] = _DECODERS[rel](self.output_dir / rel)
+        return self.entries[key]
+
+    def hand_on(self, rel: str, value: object) -> None:
+        """What an artifact the running stage wrote decodes to."""
+        self.handed[rel] = value
+
+    def done(self, stage: Stage, outputs: dict[str, str]) -> None:
+        """stage ran, writing outputs (name -> digest), or was cached."""
+        self.readers.subtract(stage.reads)
+        self.entries.update(((rel, outputs[rel]), v) for rel, v in self.handed.items())
+        self.handed = {}
+        self.entries = {k: v for k, v in self.entries.items() if self.readers[k[0]] > 0}
+
+
 # ---------------------------------------------------------------- stages
 
 
-def _stage_ingest(config: PipelineConfig) -> dict[str, float]:
+def _stage_ingest(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
     region_map = load_region_map(config.regions)
     records = _read_corpus_file(config.corpus)
     stats = FilterStats()
     # filtered first, so an unknown country under strict changes no output
-    kept = list(filter_corpus(records, region_map, strict=config.strict, stats=stats))
-    write_corpus(records, config.output_dir / "corpus.jsonl")
-    write_corpus((rec for rec, _pair in kept), config.output_dir / "bilateral.jsonl")
+    kept = [rec for rec, _ in filter_corpus(records, region_map, strict=config.strict, stats=stats)]
+    out = config.output_dir
+    write_corpus(records, out / "corpus.jsonl", out / "bilateral.jsonl", {r.paper_id for r in kept})
+    # every record ingest accepts decodes back from its line unchanged
+    artifacts.hand_on("corpus.jsonl", records)
+    artifacts.hand_on("bilateral.jsonl", kept)
     return {
         "records": stats.n_input, "bilateral": stats.n_kept, "pre_1991": stats.n_year,
         "low_impact": stats.n_impact, "not_bilateral": stats.n_not_bilateral,
@@ -264,7 +318,7 @@ def _stage_ingest(config: PipelineConfig) -> dict[str, float]:
     }
 
 
-def _stage_train_roles(config: PipelineConfig) -> dict[str, float]:
+def _stage_train_roles(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
     with open(config.contributions, encoding="utf-8") as fh:
         statements = [
             normalize_record(r)
@@ -283,8 +337,8 @@ def _stage_train_roles(config: PipelineConfig) -> dict[str, float]:
     return {"verbs": len(matrix.vocabulary), "labels": len(labels)}
 
 
-def _stage_build_profiles(config: PipelineConfig) -> dict[str, float]:
-    records = _read_corpus_file(config.output_dir / "corpus.jsonl")
+def _stage_build_profiles(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
+    records = artifacts.read("corpus.jsonl")
     index = build_profiles(records)
     write_features(
         extract_all(records, index), config.output_dir / "features.tsv"
@@ -292,9 +346,9 @@ def _stage_build_profiles(config: PipelineConfig) -> dict[str, float]:
     return {"papers": len(records)}
 
 
-def _stage_fit_model(config: PipelineConfig) -> dict[str, float]:
-    labels = read_training_labels(config.output_dir / "labels.tsv")
-    features = read_features(config.output_dir / "features.tsv")
+def _stage_fit_model(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
+    labels = artifacts.read("labels.tsv")
+    features = artifacts.read("features.tsv")
     examples = [
         (features.X[row], lab.lead_value) for lab in labels
         if (row := features.rows.get((lab.paper_id, lab.author_id))) is not None
@@ -314,11 +368,11 @@ def _stage_fit_model(config: PipelineConfig) -> dict[str, float]:
     }
 
 
-def _stage_score(config: PipelineConfig) -> dict[str, float]:
+def _stage_score(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
     rows, below = score_corpus(
-        read_model(config.output_dir / "model.tsv"),
-        _read_corpus_file(config.output_dir / "bilateral.jsonl"),
-        read_features(config.output_dir / "features.tsv"),
+        artifacts.read("model.tsv"),
+        artifacts.read("bilateral.jsonl"),
+        artifacts.read("features.tsv"),
         load_region_map(config.regions),
         load_topic_map(config.areas_table, config.fields_table),
         load_bri_classification(config.bri),
@@ -390,8 +444,8 @@ def _tally(
     return all_counts, series_list
 
 
-def _stage_aggregate(config: PipelineConfig) -> dict[str, float]:
-    scored = read_scored(config.output_dir / "scored.tsv")
+def _stage_aggregate(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
+    scored = artifacts.read("scored.tsv")
     all_counts, series_list = _tally(
         config, scored, _aggregate_filters(config, scored)
     )
@@ -424,8 +478,8 @@ def _write_forecasts(
     return {"forecast_rows": len(rows), "skipped_series": len(fits) - len(rows)}
 
 
-def _stage_forecast(config: PipelineConfig) -> dict[str, float]:
-    series_list = read_series(config.output_dir / "series.tsv")
+def _stage_forecast(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
+    series_list = artifacts.read("series.tsv")
     return _write_forecasts(config, series_list, "forecast.tsv")
 
 
@@ -504,9 +558,9 @@ _FIGURES: dict[str, tuple[str, Callable[[RegionSeries], bool]]] = {
 }
 
 
-def _stage_export(config: PipelineConfig) -> dict[str, float]:
-    series_list = read_series(config.output_dir / "series.tsv")
-    scored = read_scored(config.output_dir / "scored.tsv")
+def _stage_export(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
+    series_list = artifacts.read("series.tsv")
+    scored = artifacts.read("scored.tsv")
     _counts, sweep = _tally(
         config, scored, _sweep_specs("threshold", config.threshold_sweep)
     )
@@ -522,9 +576,11 @@ def _stage_export(config: PipelineConfig) -> dict[str, float]:
     return {"figure_tables": len(_FIGURES)}
 
 
-def _stage_sweep(axis: str, config: PipelineConfig, values: Sequence) -> dict[str, float]:
+def _stage_sweep(
+    axis: str, config: PipelineConfig, artifacts: Artifacts, values: Sequence
+) -> dict[str, float]:
     specs = _sweep_specs(axis, values)
-    scored = read_scored(config.output_dir / "scored.tsv")
+    scored = artifacts.read("scored.tsv")
     _counts, series_list = _tally(config, scored, specs)
     counts = _write_forecasts(config, series_list, f"sweep_{axis}.tsv")
     return {"values": len(values), **counts}
@@ -634,32 +690,39 @@ def _is_cached(
 
 
 def _run(
-    name: str, config: PipelineConfig, force: bool, values: Optional[tuple] = None
+    name: str, config: PipelineConfig, force: bool,
+    artifacts: Optional[Artifacts] = None, values: Optional[tuple] = None,
 ) -> str:
     """Hash the inputs, skip when the manifest line still matches, else run
     the stage (a sweep also gets its values, which join the config slice),
-    record its line and log its counts.  A flock on output_dir, which makes
-    no file, keeps concurrent runs from interleaving (POSIX only)."""
+    record its line and log its counts.  artifacts holds what the calling
+    run_all decoded; a standalone stage starts its own.  A flock on
+    output_dir, which makes no file, keeps concurrent runs from
+    interleaving (POSIX only)."""
     stage = STAGE_TABLE[name]
+    artifacts = artifacts or Artifacts(config.output_dir, (name,))
     config.output_dir.mkdir(parents=True, exist_ok=True)
     lock = os.open(config.output_dir, os.O_RDONLY)
     try:
         fcntl.flock(lock, fcntl.LOCK_EX)
         manifest_path = config.output_dir / MANIFEST_NAME
         manifest = read_manifest(manifest_path)
-        inputs = _stage_inputs(stage, config, manifest)
+        artifacts.inputs = inputs = _stage_inputs(stage, config, manifest)
         config_hash = _config_slice_hash(config, stage, values)
         if not force and _is_cached(
             manifest.get(name), inputs, config_hash, config, stage.writes
         ):
+            artifacts.done(stage, {})
             log.info("%s: cached", name)
             return "cached"
-        counts = stage.fn(config) if values is None else stage.fn(config, values)
+        args = (config, artifacts) if values is None else (config, artifacts, values)
+        counts = stage.fn(*args)
         outputs = {rel: _sha256_file(config.output_dir / rel) for rel in stage.writes}
         manifest[name] = ManifestEntry(name, inputs, config_hash, outputs)
         write_manifest(manifest, manifest_path)
     finally:
         os.close(lock)
+    artifacts.done(stage, outputs)
     log.info("%s: ran: %s", name, ", ".join(
         f"{key}={value:.3f}" if isinstance(value, float) else f"{key}={value}"
         for key, value in counts.items()
@@ -667,15 +730,20 @@ def _run(
     return "ran"
 
 
-def run_stage(stage: str, config: PipelineConfig, force: bool = False) -> str:
-    """Run one stage (or skip it when cached); returns 'ran' or 'cached'."""
+def run_stage(
+    stage: str, config: PipelineConfig, force: bool = False,
+    artifacts: Optional[Artifacts] = None,
+) -> str:
+    """Run one stage (or skip it when cached); returns 'ran' or 'cached'.
+    run_all passes the artifacts its earlier stages decoded."""
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
-    return _run(stage, config, force)
+    return _run(stage, config, force, artifacts)
 
 
 def run_all(config: PipelineConfig, force: bool = False) -> dict[str, str]:
-    return {stage: run_stage(stage, config, force=force) for stage in STAGES}
+    artifacts = Artifacts(config.output_dir, STAGES)
+    return {stage: run_stage(stage, config, force, artifacts) for stage in STAGES}
 
 
 def run_sweep(
@@ -689,7 +757,10 @@ def run_sweep(
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not values:
         raise ConfigError(f"the {axis} sweep needs at least one value")
+    # a repeated value adds no series, so it neither re-runs the sweep nor
+    # changes its hash; first occurrences keep their order
+    values = tuple(dict.fromkeys(values))
     # PipelineConfig checks each value's range
     field = "threshold_sweep" if axis == "threshold" else "if_bins"
-    config.replace(**{field: tuple(values)})
-    return _run(f"sweep-{axis}", config, force, tuple(values))
+    config.replace(**{field: values})
+    return _run(f"sweep-{axis}", config, force, values=values)

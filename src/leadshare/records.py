@@ -7,14 +7,15 @@ fields
     year          int
     pub_date      "YYYY-MM-DD" or null
     journal_id    str
-    impact_factor float >= 0
+    impact_factor finite float >= 0
     concepts      [{"name": str, "level": int >= 0}, ...]
     references    [str, ...]
     authorships   [{"author_id": str, "position": int,
                     "country": str, "institution_id": str}, ...]
 
 Contribution statements use the same framing with fields paper_id,
-author_id (that pair once per file), verbs[].
+author_id (that pair once per file), verbs[].  Every string must be valid
+Unicode: a `\\u` escape may not decode to a lone surrogate.
 
 The stages pass their results to each other as line-based artifacts:
 `write_tsv` writes every one of them, and `read_tsv` reads a tab-separated
@@ -27,11 +28,12 @@ from __future__ import annotations
 import datetime
 import json
 import os
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, Optional, TypeVar
 
 from .errors import InvariantViolation, MalformedRecord, RecordError
 
@@ -44,7 +46,7 @@ MISSING_DATE_MONTH_DAY = (7, 1)
 SEPARATORS = ("\t", "\n", ";", "|", "=")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthorshipRecord:
     author_id: str
     position: int
@@ -52,7 +54,7 @@ class AuthorshipRecord:
     institution_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicationRecord:
     paper_id: str
     year: int
@@ -94,6 +96,25 @@ def _no_separators(value: str, line_no: int, field: str) -> None:
             )
 
 
+def _json_object(line: str, line_no: int) -> dict:
+    """One line's JSON object.  A \\u escape may decode to a lone
+    surrogate, which no UTF-8 artifact can hold, so lines with one are
+    checked field by field."""
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:  # also an integer too long to convert
+        raise MalformedRecord(line_no, "<line>", f"invalid JSON: {exc}")
+    if not isinstance(obj, dict):
+        raise MalformedRecord(line_no, "<line>", "record is not an object")
+    for key, value in obj.items() if "\\u" in line else ():
+        try:
+            json.dumps((key, value), ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            field = key if key.isascii() else "<line>"
+            raise MalformedRecord(line_no, field, "not valid Unicode") from None
+    return obj
+
+
 def _parse_date(raw, line_no: int) -> Optional[datetime.date]:
     if raw is None:
         return None
@@ -110,13 +131,7 @@ def parse_publication_line(line: str, line_no: int = 0) -> PublicationRecord:
     well-formed records that break a domain invariant; both carry the line
     number and offending field.
     """
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(line_no, "<line>", f"invalid JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise MalformedRecord(line_no, "<line>", "record is not an object")
-
+    obj = _json_object(line, line_no)
     paper_id = _require(obj, "paper_id", line_no)
     if not isinstance(paper_id, str) or not paper_id:
         raise MalformedRecord(line_no, "paper_id", "must be a non-empty string")
@@ -141,9 +156,10 @@ def parse_publication_line(line: str, line_no: int = 0) -> PublicationRecord:
     impact_factor = _require(obj, "impact_factor", line_no)
     if not isinstance(impact_factor, (int, float)) or isinstance(impact_factor, bool):
         raise MalformedRecord(line_no, "impact_factor", "must be a number")
+    # NaN fails every comparison, and JSON has no NaN or Infinity
+    if not 0 <= impact_factor <= sys.float_info.max:
+        raise InvariantViolation(line_no, "impact_factor", "must be finite and non-negative")
     impact_factor = float(impact_factor)
-    if impact_factor < 0:
-        raise InvariantViolation(line_no, "impact_factor", "must be non-negative")
 
     raw_concepts = _require(obj, "concepts", line_no)
     if not isinstance(raw_concepts, list):
@@ -157,12 +173,12 @@ def parse_publication_line(line: str, line_no: int = 0) -> PublicationRecord:
             raise MalformedRecord(line_no, "concepts", "name must be a non-empty string")
         if not isinstance(level, int) or isinstance(level, bool) or level < 0:
             raise InvariantViolation(line_no, "concepts", f"bad level {level!r}")
-        concepts.add((name, level))
+        concepts.add((sys.intern(name), level))
 
     raw_refs = _require(obj, "references", line_no)
     if not isinstance(raw_refs, list) or not all(isinstance(r, str) for r in raw_refs):
         raise MalformedRecord(line_no, "references", "must be a list of strings")
-    references = frozenset(raw_refs)
+    references = frozenset(map(sys.intern, raw_refs))
     if paper_id in references:
         raise InvariantViolation(line_no, "references", "paper cites itself")
 
@@ -176,23 +192,24 @@ def parse_publication_line(line: str, line_no: int = 0) -> PublicationRecord:
         if not isinstance(a, dict):
             raise MalformedRecord(line_no, "authorships", "entries must be objects")
         try:
-            rec = AuthorshipRecord(
-                author_id=a["author_id"],
-                position=a["position"],
-                country=a["country"],
-                institution_id=a.get("institution_id", ""),
-            )
+            author_id, position, country = a["author_id"], a["position"], a["country"]
         except KeyError as exc:
             raise MalformedRecord(line_no, "authorships", f"missing {exc.args[0]}")
-        if not isinstance(rec.author_id, str) or not rec.author_id:
+        if not isinstance(author_id, str) or not author_id:
             raise InvariantViolation(line_no, "authorships", "empty author_id")
-        if not isinstance(rec.country, str) or not rec.country.strip():
+        if not isinstance(country, str) or not country.strip():
             raise InvariantViolation(line_no, "authorships", "empty country")
-        if not isinstance(rec.position, int) or isinstance(rec.position, bool):
+        if not isinstance(position, int) or isinstance(position, bool):
             raise MalformedRecord(line_no, "authorships", "position must be an integer")
-        _no_separators(rec.author_id, line_no, "author_id")
-        _no_separators(rec.country, line_no, "country")
-        authorships.append(rec)
+        institution_id = a.get("institution_id", "")
+        if not isinstance(institution_id, str):
+            raise MalformedRecord(line_no, "authorships", "institution_id must be a string")
+        _no_separators(author_id, line_no, "author_id")
+        _no_separators(country, line_no, "country")
+        # one copy of each repeated string for the whole corpus
+        authorships.append(AuthorshipRecord(
+            sys.intern(author_id), position, sys.intern(country), sys.intern(institution_id)
+        ))
     positions = sorted(a.position for a in authorships)
     if positions != list(range(len(authorships))):
         raise InvariantViolation(
@@ -365,12 +382,7 @@ class ContributionRecord:
 
 
 def parse_contribution_line(line: str, line_no: int = 0) -> ContributionRecord:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(line_no, "<line>", f"invalid JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise MalformedRecord(line_no, "<line>", "record is not an object")
+    obj = _json_object(line, line_no)
     paper_id = _require(obj, "paper_id", line_no)
     author_id = _require(obj, "author_id", line_no)
     for field_name, value in (("paper_id", paper_id), ("author_id", author_id)):
@@ -391,5 +403,13 @@ def read_contributions(
     yield from _read_lines(parse_contribution_line, lines, source, "paper_id", "author_id")
 
 
-def write_corpus(records: Iterable[PublicationRecord], path: Path) -> None:
-    write_tsv(path, None, map(publication_to_json, records))
+def write_corpus(
+    records: Iterable[PublicationRecord], path: Path,
+    kept_path: Optional[Path] = None, kept_ids: Collection[str] = (),
+) -> None:
+    """Write records to path and, given kept_path, those whose paper_id is
+    in kept_ids to kept_path, in order; each record is serialized once."""
+    lines = [(r.paper_id, publication_to_json(r)) for r in records]
+    write_tsv(path, None, (line for _, line in lines))
+    if kept_path is not None:
+        write_tsv(kept_path, None, (line for pid, line in lines if pid in kept_ids))

@@ -1,10 +1,11 @@
 """Record parsing, corpus filters, topic tagging, and the static tables."""
 
 import json
+import math
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_record
@@ -19,6 +20,7 @@ from leadshare.errors import (
     BelowRange,
     InvariantViolation,
     MalformedRecord,
+    RecordError,
     TableIntegrityError,
     UnknownCountry,
 )
@@ -155,6 +157,15 @@ def test_bad_positions_rejected():
         parse(obj)
 
 
+@pytest.mark.parametrize("value", [None, 3, ["I1"]])
+def test_institution_id_must_be_a_string(value):
+    # a list would reach build-profiles and fail there unhashed
+    obj = base_obj()
+    obj["authorships"][1]["institution_id"] = value
+    with pytest.raises(MalformedRecord, match="institution_id"):
+        parse(obj)
+
+
 def test_empty_author_or_country_rejected():
     obj = base_obj()
     obj["authorships"][0]["author_id"] = ""
@@ -227,6 +238,30 @@ def test_readers_reject_a_repeated_key():
         list(read_contributions([statement, *others, statement], source="st.jsonl"))
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
+def test_non_finite_impact_factor_rejected(number):
+    # NaN would pass the "< 0" check and the impact filter, and land in the
+    # top impact-factor bin
+    line = json.dumps(base_obj()).replace('"impact_factor": 3.5', f'"impact_factor": {number}')
+    with pytest.raises(InvariantViolation) as info:
+        parse_publication_line(line, 4)
+    assert (info.value.line_no, info.value.field) == (4, "impact_factor")
+
+
+def test_lone_surrogate_rejected_where_it_is_parsed():
+    # a lone surrogate cannot be written to a UTF-8 artifact
+    obj = base_obj()
+    obj["journal_id"] = "J\ud800x"
+    with pytest.raises(MalformedRecord) as info:
+        parse(obj)
+    assert info.value.field == "journal_id"
+    obj["journal_id"] = "J\u00e9\U0001f600"  # escaped, but valid
+    assert parse(obj).journal_id == "J\u00e9\U0001f600"
+    with pytest.raises(MalformedRecord) as info:
+        parse_contribution_line('{"paper_id":"P1","author_id":"A1","verbs":["l\\udfffd"]}', 5)
+    assert (info.value.line_no, info.value.field) == (5, "verbs")
+
+
 def test_parse_contribution_line():
     rec = parse_contribution_line(
         '{"paper_id":"P1","author_id":"A1","verbs":["led","helped"]}', 1
@@ -274,6 +309,54 @@ def publication_records(draw):
 @given(publication_records())
 def test_round_trip_property(rec):
     assert parse_publication_line(publication_to_json(rec), 1) == rec
+
+
+_text = st.text(st.characters(exclude_characters="".join(SEPARATORS)), min_size=1, max_size=5)
+# values an accepted record must keep exactly or ingest must reject: a lone
+# surrogate, which json.dumps escapes, and numbers that are not finite
+_odd_text = _text | st.sampled_from(["J\ud800x", "\udfff"])
+_odd_number = st.one_of(
+    st.floats(min_value=0.0), st.integers(0, 10**6),
+    st.sampled_from([math.nan, -math.inf, 10**400]),
+)
+
+
+@st.composite
+def corpus_objects(draw):
+    """A raw corpus object that ingest may or may not accept."""
+    year = draw(st.integers(1500, 2100))
+    month_day = st.tuples(st.integers(1, 12), st.integers(1, 28))
+    n = draw(st.integers(1, 3))
+    return {
+        "paper_id": draw(_text),
+        "year": year,
+        "pub_date": draw(st.none() | month_day.map(lambda md: f"{year}-{md[0]:02d}-{md[1]:02d}")),
+        "journal_id": draw(_odd_text),
+        "impact_factor": draw(_odd_number),
+        "concepts": draw(st.lists(st.fixed_dictionaries(
+            {"name": _text, "level": st.integers(0, 3)}
+        ), max_size=3)),
+        "references": draw(st.lists(_text, max_size=3)),
+        "authorships": [
+            {"author_id": draw(_text), "position": position,
+             "country": draw(_text.filter(str.strip)), "institution_id": draw(_text)}
+            for position in draw(st.permutations(range(n)))
+        ],
+    }
+
+
+@settings(max_examples=200)
+@given(corpus_objects())
+def test_ingest_rejects_or_keeps_each_record_exactly(obj):
+    # ingest hands its records to later stages in place of the lines it
+    # writes, so an accepted record must equal what its UTF-8 line decodes to
+    try:
+        record = parse_publication_line(json.dumps(obj), 1)
+    except RecordError:
+        event("rejected")
+        return
+    line = publication_to_json(record).encode("utf-8").decode("utf-8")
+    assert parse_publication_line(line, 1) == record
 
 
 # -- corpus filters ----------------------------------------------------------

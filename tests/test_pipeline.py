@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import leadshare.pipeline
 import leadshare.records
 from leadshare.cli import main
 from leadshare.config import (
@@ -246,6 +247,71 @@ class TestCaching:
         assert read_manifest(tmp_path / "absent.tsv") == {}
 
 
+class TestDecodeOnce:
+    """Within one call each artifact is decoded at most once; nothing
+    decoded carries over to the next call."""
+
+    READERS = ("read_corpus", "read_features", "read_scored", "read_series")
+
+    @pytest.fixture
+    def decodes(self, monkeypatch) -> dict[str, int]:
+        """Calls to each artifact reader of the pipeline module."""
+        counts = dict.fromkeys(self.READERS, 0)
+        for name in self.READERS:
+            def counted(*args, _name=name, _read=getattr(leadshare.pipeline, name), **kwargs):
+                counts[_name] += 1
+                return _read(*args, **kwargs)
+            monkeypatch.setattr(leadshare.pipeline, name, counted)
+        return counts
+
+    def test_all_decodes_each_artifact_once(self, fixture_config, decodes):
+        run_all(fixture_config)
+        # the raw corpus only: build-profiles and score get ingest's records
+        assert decodes == dict.fromkeys(self.READERS, 1)
+        # a sweep is a call of its own, so it decodes scored.tsv again
+        run_sweep(fixture_config, "threshold", (0.6,))
+        assert decodes["read_scored"] == 2
+
+    def test_separate_stages_decode_from_disk(self, pristine, tmp_path, decodes):
+        config = clone(pristine[0], tmp_path)
+        for stage in ("build-profiles", "score", "aggregate", "export"):
+            assert run_stage(stage, config, force=True) == "ran"
+        assert decodes == {
+            "read_corpus": 2, "read_features": 1, "read_scored": 2, "read_series": 1
+        }
+
+    def test_all_matches_separate_stages(self, pristine, fixture_config):
+        for stage in STAGES:
+            assert run_stage(stage, fixture_config) == "ran"
+        for rel in ALL_ARTIFACTS + (MANIFEST_NAME,):
+            assert (fixture_config.output_dir / rel).read_bytes() == (
+                pristine[0].output_dir / rel
+            ).read_bytes(), rel
+
+    def test_edit_after_ingest_is_still_detected(self, fixture_config, monkeypatch):
+        # corpus.jsonl changes between ingest and build-profiles of one run
+        run = leadshare.pipeline.run_stage
+
+        def edit_after_ingest(stage, config, *args, **kwargs):
+            status = run(stage, config, *args, **kwargs)
+            if stage == "ingest":
+                path = config.output_dir / "corpus.jsonl"
+                path.write_bytes(path.read_bytes().replace(b'"P0002"', b'"P9999"'))
+            return status
+
+        monkeypatch.setattr(leadshare.pipeline, "run_stage", edit_after_ingest)
+        with pytest.raises(HashMismatch, match="corpus.jsonl"):
+            run_all(fixture_config)
+
+    def test_shared_tables_are_read_only(self, pristine):
+        out = pristine[0].output_dir
+        features = leadshare.pipeline.read_features(out / "features.tsv")
+        scored = leadshare.pipeline.read_scored(out / "scored.tsv")
+        for array in (features.X, scored.lead_prob, scored.is_leader, scored.run):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
 class TestSweep:
     def test_threshold_sweep_rows(self, pristine, tmp_path):
         config, _ = pristine
@@ -262,12 +328,26 @@ class TestSweep:
         assert run_sweep(cfg, "threshold", (0.5, 0.65, 0.8)) == "cached"
         assert run_sweep(cfg, "threshold", (0.55,)) == "ran"
 
+    def test_unsorted_library_pair_keeps_its_series(self, pristine, tmp_path):
+        # series keys sort a pair's regions, and so does PipelineConfig
+        cfg = clone(pristine[0], tmp_path).replace(pairs=(("U.S.", "China"),))
+        assert cfg.pairs == (("China", "U.S."),)
+        assert run_stage("aggregate", cfg) == "ran"
+        pairs = {
+            line.split("\t")[0]
+            for line in (cfg.output_dir / "series.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        }
+        assert "China|U.S." in pairs
+        assert not [p for p in pairs if not p.startswith("BRI:") and p != "China|U.S."]
+
     def test_repeated_value_counts_once(self, pristine, tmp_path):
         cfg = clone(pristine[0], tmp_path)
         sweep = cfg.output_dir / "sweep_threshold.tsv"
         assert run_sweep(cfg, "threshold", (0.6,)) == "ran"
         once = sweep.read_bytes()
-        assert run_sweep(cfg, "threshold", (0.6, 0.6)) == "ran"
+        # a repeated value changes neither the sweep's hash nor its bytes
+        assert run_sweep(cfg, "threshold", (0.6, 0.6)) == "cached"
+        assert run_sweep(cfg, "threshold", (0.6, 0.6), force=True) == "ran"
         assert sweep.read_bytes() == once
 
     def test_if_bin_sweep(self, pristine, tmp_path):
@@ -699,6 +779,32 @@ class TestCli:
         assert err.rstrip().endswith("repeats line 4")
         written = STAGE_TABLE[stage].writes
         assert not [rel for rel in written if (tmp_path / "out" / rel).exists()]
+
+    @pytest.mark.parametrize(
+        "raw, stage, field", [
+            ("corpus", "ingest", "journal_id"),
+            ("contributions", "train-roles", "verbs"),
+        ],
+    )
+    def test_lone_surrogate_names_file_and_line(
+        self, tmp_path, fixture_dir, capsys, raw, stage, field
+    ):
+        # the fifth line gets a string holding an escaped lone surrogate,
+        # which no UTF-8 artifact could hold
+        path = tmp_path / f"{raw}.jsonl"
+        lines = (fixture_dir / f"{raw}.jsonl").read_text(encoding="utf-8").splitlines()
+        obj = json.loads(lines[4])
+        obj[field] = "J\ud800x" if field == "journal_id" else ["le\udfffd"]
+        lines[4] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            f"{raw} = {path}\noutput_dir = {tmp_path / 'out'}\n", encoding="utf-8"
+        )
+        assert main(["--config", str(cfg_file), stage]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: line 5, field '{field}': "
+        )
 
     def test_repeated_manifest_stage_is_data_error(self, pristine, tmp_path, capsys):
         # a copy of the ingest line with its config hash zeroed is appended

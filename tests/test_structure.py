@@ -112,3 +112,22 @@ def test_foreign_private_attributes_sees_reads_and_writes():
         "self._a = 1\ncls._b\nLeadFeatureVector._fields\nrow._replace(x=1)\n"
         "super().__init__()"
     ) == []
+
+
+# the readers of the artifacts that more than one stage decodes
+SHARED_READERS = {"read_corpus", "read_features", "read_scored", "read_series"}
+
+
+def test_stages_decode_artifacts_only_through_the_call_table():
+    # a stage asks Artifacts.read for each artifact, so one call decodes
+    # each artifact once; a reader called from a stage would decode again
+    pipeline_calls = [
+        (function, ast.unparse(call.func)) for function, call in calls(SRC / "pipeline.py")
+    ]
+    direct = {
+        (function, name) for function, name in pipeline_calls
+        if function.startswith("_stage_") and name in SHARED_READERS
+    }
+    assert direct == set()
+    # each reader is still called, from the one table of decoders
+    assert SHARED_READERS <= {name for _, name in pipeline_calls}
