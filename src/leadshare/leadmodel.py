@@ -144,7 +144,8 @@ def evaluate(
 
 
 def fit(
-    examples: Sequence[tuple[Sequence[float], float]],
+    X: np.ndarray,
+    y: Sequence[float],
     split_ratio: float = 0.9,
     seed: int = 0,
     *,
@@ -152,16 +153,18 @@ def fit(
     family: str = FAMILY_LINEAR,
 ) -> tuple[LinearLeadModel, EvalReport]:
     """Seeded shuffle split, standardize on train, fit, evaluate held-out.
-    An example is nine values in LeadFeatureVector order and a lead value."""
+    Row i of X holds example i's nine features in LeadFeatureVector order,
+    and y[i] its lead value."""
     if family not in (FAMILY_LINEAR, FAMILY_LOGISTIC):
         raise ConfigError(f"unknown model family {family!r}")
     if not 0.0 < split_ratio < 1.0:
         raise ConfigError(f"split ratio must be in (0,1), got {split_ratio}")
-    n = len(examples)
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    n = len(y)
+    if X.shape != (n, len(FEATURE_NAMES)):
+        raise ConfigError(f"need {n} rows of {len(FEATURE_NAMES)} features, got {X.shape}")
     if n < MIN_EXAMPLES:
         raise TooFewExamples(f"need at least {MIN_EXAMPLES} examples, got {n}")
-    X = np.array([v for v, _ in examples], dtype=np.float64)
-    y = np.array([label for _, label in examples], dtype=np.float64)
     if np.any(y < 0.0) or np.any(y > 1.0):
         raise ConfigError("lead values must lie in [0,1]")
 

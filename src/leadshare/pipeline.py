@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import fcntl
 import functools
+import gc
 import hashlib
 import logging
 import math
@@ -75,7 +76,7 @@ from .roles import (
     build_cooccurrence,
     cluster_roles,
     label_clusters,
-    normalize_record,
+    normalize_records,
     read_training_labels,
     training_labels,
     write_role_model,
@@ -246,7 +247,7 @@ def _stage_inputs(
 
 
 def _read_corpus_file(path: Path) -> list:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return list(read_corpus(fh, source=str(path)))
 
 
@@ -319,11 +320,8 @@ def _stage_ingest(config: PipelineConfig, artifacts: Artifacts) -> dict[str, flo
 
 
 def _stage_train_roles(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
-    with open(config.contributions, encoding="utf-8") as fh:
-        statements = [
-            normalize_record(r)
-            for r in read_contributions(fh, source=str(config.contributions))
-        ]
+    with open(config.contributions, encoding="utf-8", errors="surrogateescape") as fh:
+        statements = normalize_records(read_contributions(fh, source=str(config.contributions)))
     matrix = build_cooccurrence(statements)
     partition = cluster_roles(matrix, seed=config.seed)
     model = label_clusters(partition)
@@ -349,12 +347,11 @@ def _stage_build_profiles(config: PipelineConfig, artifacts: Artifacts) -> dict[
 def _stage_fit_model(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
     labels = artifacts.read("labels.tsv")
     features = artifacts.read("features.tsv")
-    examples = [
-        (features.X[row], lab.lead_value) for lab in labels
-        if (row := features.rows.get((lab.paper_id, lab.author_id))) is not None
-    ]
+    found = [features.rows.get((lab.paper_id, lab.author_id)) for lab in labels]
+    rows = [row for row in found if row is not None]
+    y = [lab.lead_value for lab, row in zip(labels, found) if row is not None]
     model, report = fit(
-        examples,
+        features.X[rows], y,
         split_ratio=config.split_ratio,
         seed=config.seed,
         threshold=config.lead_threshold,
@@ -363,7 +360,7 @@ def _stage_fit_model(config: PipelineConfig, artifacts: Artifacts) -> dict[str, 
     write_model(model, config.output_dir / "model.tsv")
     write_eval(report, config.output_dir / "eval.tsv")
     return {
-        "examples": len(examples), "labels_without_features": len(labels) - len(examples),
+        "examples": len(rows), "labels_without_features": len(labels) - len(rows),
         "precision": report.precision, "recall": report.recall,
     }
 
@@ -716,7 +713,15 @@ def _run(
             log.info("%s: cached", name)
             return "cached"
         args = (config, artifacts) if values is None else (config, artifacts, values)
-        counts = stage.fn(*args)
+        # no stage may build reference cycles at scale: the cyclic collector
+        # is paused while one runs, as its passes over the live graph free nothing
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            counts = stage.fn(*args)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         outputs = {rel: _sha256_file(config.output_dir / rel) for rel in stage.writes}
         manifest[name] = ManifestEntry(name, inputs, config_hash, outputs)
         write_manifest(manifest, manifest_path)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import datetime
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from itertools import repeat
@@ -97,9 +98,12 @@ def _no_separators(value: str, line_no: int, field: str) -> None:
 
 
 def _json_object(line: str, line_no: int) -> dict:
-    """One line's JSON object.  A \\u escape may decode to a lone
-    surrogate, which no UTF-8 artifact can hold, so lines with one are
-    checked field by field."""
+    """One line's JSON object.  A file read with errors="surrogateescape"
+    turns a byte that is not UTF-8 into U+DC80-U+DCFF.  A \\u escape may
+    decode to a lone surrogate, which no UTF-8 artifact can hold, so lines
+    with one are checked field by field."""
+    if not line.isascii() and (bad := re.search("[\udc80-\udcff]", line)):
+        raise MalformedRecord(line_no, "<line>", f"not valid UTF-8 at column {bad.start() + 1}")
     try:
         obj = json.loads(line)
     except ValueError as exc:  # also an integer too long to convert

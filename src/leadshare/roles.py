@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional
@@ -112,11 +113,15 @@ def normalize_verb(text: str) -> str:
     return _LEMMAS.get(cleaned, cleaned)
 
 
-def normalize_record(record: ContributionRecord) -> ContributionRecord:
-    verbs = tuple(v for v in (normalize_verb(t) for t in record.verbs) if v)
-    return ContributionRecord(
-        paper_id=record.paper_id, author_id=record.author_id, verbs=verbs
-    )
+def normalize_records(records: Iterable[ContributionRecord]) -> list[ContributionRecord]:
+    """Each record with normalized verbs, empty ones dropped; each verb list is normalized once."""
+    normalized: dict[tuple[str, ...], tuple[str, ...]] = {}
+    out = []
+    for r in records:
+        if r.verbs not in normalized:
+            normalized[r.verbs] = tuple(v for v in map(normalize_verb, r.verbs) if v)
+        out.append(ContributionRecord(r.paper_id, r.author_id, normalized[r.verbs]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -129,26 +134,17 @@ class CooccurrenceMatrix:
 
 def build_cooccurrence(records: Iterable[ContributionRecord]) -> CooccurrenceMatrix:
     """Count within-statement verb co-occurrence, deduplicated per unit."""
-    units: list[frozenset[str]] = []
-    vocab: set[str] = set()
-    for record in records:
-        unit = frozenset(record.verbs)
-        if not unit:
-            continue
-        vocab |= unit
-        units.append(unit)
+    units = Counter(frozenset(record.verbs) for record in records)
+    units.pop(frozenset(), None)
     if not units:
         raise EmptyCorpus("no contribution statements")
-    vocabulary = tuple(sorted(vocab))
+    vocabulary = tuple(sorted(frozenset().union(*units)))
     index = {v: i for i, v in enumerate(vocabulary)}
     counts = np.zeros((len(vocabulary), len(vocabulary)), dtype=np.int64)
-    for unit in units:
-        ids = sorted(index[v] for v in unit)
-        for pos, i in enumerate(ids):
-            counts[i, i] += 1
-            for j in ids[pos + 1 :]:
-                counts[i, j] += 1
-                counts[j, i] += 1
+    # each distinct verb set adds its number of statements to its block
+    for unit, n in units.items():
+        ids = [index[v] for v in unit]
+        counts[np.ix_(ids, ids)] += n
     return CooccurrenceMatrix(vocabulary=vocabulary, counts=counts)
 
 
@@ -304,15 +300,20 @@ def training_labels(
     *,
     strict_binary: bool = False,
 ) -> Iterator[TrainingLabel]:
-    """Label each statement, skipping those with no known verbs."""
+    """Label each statement, skipping those with no known verbs; each verb set is valued once."""
     skipped = 0
+    values: dict[frozenset[str], Optional[float]] = {}
     for record in records:
-        try:
-            value = fractional_lead_value(record, model, strict_binary=strict_binary)
-        except NoKnownVerbs:
+        unit = frozenset(record.verbs)
+        if unit not in values:
+            try:
+                values[unit] = fractional_lead_value(record, model, strict_binary=strict_binary)
+            except NoKnownVerbs:
+                values[unit] = None
+        if values[unit] is None:
             skipped += 1
             continue
-        yield TrainingLabel(record.paper_id, record.author_id, value)
+        yield TrainingLabel(record.paper_id, record.author_id, values[unit])
     if skipped:
         log.warning("skipped %d statement(s) with no known verbs", skipped)
 

@@ -6,6 +6,8 @@ import datetime
 from collections import Counter
 from typing import Optional, Sequence
 
+import numpy as np
+
 from leadshare.errors import InconsistentPair
 from leadshare.metrics import (
     BRI_FOCAL_REGION,
@@ -16,6 +18,13 @@ from leadshare.metrics import (
     ScoredAuthorship,
 )
 from leadshare.records import AuthorshipRecord, PublicationRecord
+
+
+def fit_inputs(examples) -> tuple[np.ndarray, np.ndarray]:
+    """leadmodel.fit's feature matrix and lead values for a list of
+    (feature vector, lead value) examples."""
+    X = np.array([v for v, _ in examples], dtype=np.float64)
+    return X, np.array([y for _, y in examples], dtype=np.float64)
 
 
 def make_record(

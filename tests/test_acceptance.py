@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from helpers import oracle_features
+from helpers import fit_inputs, oracle_features
 from leadshare.config import PipelineConfig
 from leadshare.features import build_profiles, extract_all
 from leadshare.forecast import confidence_band, fit_points, parity_year
@@ -176,7 +176,7 @@ def test_criterion_4_planted_role_recovery():
 def test_criterion_5_classifier_quality():
     """Separable data: precision/recall >=0.95 at 0.65, recall monotone."""
     examples = separable_examples(seed=2024, n=400)
-    model, report = fit(examples, split_ratio=0.9, seed=0, threshold=0.65)
+    model, report = fit(*fit_inputs(examples), split_ratio=0.9, seed=0, threshold=0.65)
     X = np.array([v.as_array() for v, _ in examples])
     y = np.array([label for _, label in examples])
     probs = predict_many(model, X)

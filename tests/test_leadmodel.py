@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_record
+from helpers import fit_inputs, make_record
 from leadshare.corpus import classify_topics, filter_corpus, impact_factor_bin
 from leadshare.errors import ConfigError, InvariantViolation, MalformedRecord, TooFewExamples
 from leadshare.features import (
@@ -89,20 +89,20 @@ def test_exact_linear_labels_recovered():
         y = 0.15 + 0.01 * v.f1_refs_previously_cited + 0.005 * v.f5_prior_pub_count \
             + 0.2 * v.f9_affiliation_score
         examples.append((v, y))
-    model, _ = fit(examples, seed=3)
+    model, _ = fit(*fit_inputs(examples), seed=3)
     for v, y in examples:
         assert predict(model, v) == pytest.approx(y, abs=1e-9)
 
 
 def test_fit_is_deterministic():
     examples = separable_examples(seed=4)
-    a, _ = fit(examples, seed=11)
-    b, _ = fit(examples, seed=11)
+    a, _ = fit(*fit_inputs(examples), seed=11)
+    b, _ = fit(*fit_inputs(examples), seed=11)
     assert a == b
 
 
 def test_separable_examples_classified():
-    model, report = fit(separable_examples(seed=2), seed=0)
+    model, report = fit(*fit_inputs(separable_examples(seed=2)), seed=0)
     assert report.precision >= 0.95
     assert report.recall >= 0.95
 
@@ -141,7 +141,7 @@ def test_degenerate_feature_frozen_out():
             f1_refs_previously_cited=int(rng.integers(0, 10)),
         )
         examples.append((v, 0.1 + 0.05 * v.f1_refs_previously_cited))
-    model, _ = fit(examples, seed=0)
+    model, _ = fit(*fit_inputs(examples), seed=0)
     assert model.weights[3] == 0.0
     assert model.feature_stds[3] == 1.0
 
@@ -154,30 +154,33 @@ def test_collinear_design_uses_ridge():
         # f2 duplicates f1 exactly, so the standardized design is singular
         examples.append((vec(f1_refs_previously_cited=f1, f2_keyword_overlap=f1),
                          0.05 * f1))
-    model, _ = fit(examples, seed=0)
+    model, _ = fit(*fit_inputs(examples), seed=0)
     assert model.damping > 0.0
 
 
 def test_too_few_examples():
     examples = separable_examples(seed=0)[:19]
     with pytest.raises(TooFewExamples):
-        fit(examples, seed=0)
+        fit(*fit_inputs(examples), seed=0)
 
 
 def test_fit_rejects_bad_config():
     examples = separable_examples(seed=0)
     with pytest.raises(ConfigError):
-        fit(examples, split_ratio=1.0)
+        fit(*fit_inputs(examples), split_ratio=1.0)
     with pytest.raises(ConfigError):
-        fit(examples, family="forest")
+        fit(*fit_inputs(examples), family="forest")
     bad = [(v, 2.0) for v, _ in examples[:30]]
     with pytest.raises(ConfigError):
-        fit(bad)
+        fit(*fit_inputs(bad))
+    X, y = fit_inputs(examples)
+    with pytest.raises(ConfigError, match="need 399 rows of 9 features"):
+        fit(X, y[:-1])
 
 
 def test_logistic_family():
     examples = separable_examples(seed=7)
-    model, report = fit(examples, seed=0, family="logistic")
+    model, report = fit(*fit_inputs(examples), seed=0, family="logistic")
     assert model.family == "logistic"
     assert report.precision >= 0.95 and report.recall >= 0.95
     probs = predict_many(model, np.array([v.as_array() for v, _ in examples]))
@@ -188,11 +191,15 @@ def test_logistic_family():
 
 
 def test_fit_on_matrix_rows_matches_vectors():
-    # fit-model hands fit rows of the features.tsv matrix, not vectors
+    # fit-model hands fit the rows of the read-only features.tsv matrix that
+    # one fancy index picks, and the lead values as a list
     examples = separable_examples(seed=5)
-    X = np.array([v for v, _ in examples], dtype=np.float64)
-    rows = [(x, y) for x, (_, y) in zip(X, examples)]
-    assert fit(rows, seed=3) == fit(examples, seed=3)
+    X, y = fit_inputs(examples)
+    table = np.vstack([X[::-1], X])
+    table.setflags(write=False)
+    rows = list(range(len(X), 2 * len(X)))
+    assert fit(table[rows], y.tolist(), seed=3) == fit(X, y, seed=3)
+    assert fit(table[len(X):], y, seed=3) == fit(X, y, seed=3)
 
 
 def test_feature_rescaling_invariance():
@@ -201,8 +208,8 @@ def test_feature_rescaling_invariance():
         (v._replace(f6_citations_received=v.f6_citations_received * 1000), y)
         for v, y in examples
     ]
-    base_model, _ = fit(examples, seed=1)
-    scaled_model, _ = fit(scaled, seed=1)
+    base_model, _ = fit(*fit_inputs(examples), seed=1)
+    scaled_model, _ = fit(*fit_inputs(scaled), seed=1)
     for (v, _), (w, _) in zip(examples[:50], scaled[:50]):
         assert predict(scaled_model, w) == pytest.approx(
             predict(base_model, v), abs=1e-9
@@ -210,7 +217,7 @@ def test_feature_rescaling_invariance():
 
 
 def test_positive_weight_monotonicity():
-    model, _ = fit(separable_examples(seed=12), seed=0)
+    model, _ = fit(*fit_inputs(separable_examples(seed=12)), seed=0)
     i = int(np.argmax(model.weights))
     assert model.weights[i] > 0
 
@@ -229,7 +236,7 @@ def test_positive_weight_monotonicity():
 
 
 def test_model_file_round_trip(tmp_path):
-    model, report = fit(separable_examples(seed=3), seed=2)
+    model, report = fit(*fit_inputs(separable_examples(seed=3)), seed=2)
     path = tmp_path / "model.tsv"
     write_model(model, path)
     assert read_model(path) == model
@@ -239,7 +246,7 @@ def test_model_file_round_trip(tmp_path):
 
 
 def test_model_file_missing_field(tmp_path):
-    model, _ = fit(separable_examples(seed=3), seed=2)
+    model, _ = fit(*fit_inputs(separable_examples(seed=3)), seed=2)
     path = tmp_path / "model.tsv"
     write_model(model, path)
     lines = [l for l in path.read_text().splitlines() if not l.startswith("stds")]
@@ -260,7 +267,7 @@ def test_model_file_missing_field(tmp_path):
     ids=["unknown", "repeated"],
 )
 def test_model_file_rejects_extra_key(tmp_path, extra, error, field, message):
-    model, _ = fit(separable_examples(seed=3), seed=2)
+    model, _ = fit(*fit_inputs(separable_examples(seed=3)), seed=2)
     path = tmp_path / "model.tsv"
     write_model(model, path)
     with open(path, "a", encoding="utf-8") as fh:
@@ -290,7 +297,7 @@ def scoring_setup(request):
             refs=("P1",), concepts=(("alpha", 0), ("beta", 1)),
         ),
     ]
-    model, _ = fit(separable_examples(seed=1), seed=0)
+    model, _ = fit(*fit_inputs(separable_examples(seed=1)), seed=0)
     return corpus, model, region_map, topics, bri
 
 

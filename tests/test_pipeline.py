@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import fcntl
+import gc
 import itertools
 import json
 import logging
@@ -23,7 +24,13 @@ from leadshare.config import (
     config_from_mapping,
     load_config,
 )
-from leadshare.errors import ConfigError, HashMismatch, MissingUpstream, UnknownCountry
+from leadshare.errors import (
+    ConfigError,
+    HashMismatch,
+    MalformedRecord,
+    MissingUpstream,
+    UnknownCountry,
+)
 from leadshare.leadmodel import FAMILY_LOGISTIC
 from leadshare.metrics import COUNT_UNIQUE_AUTHOR
 from leadshare.pipeline import (
@@ -310,6 +317,43 @@ class TestDecodeOnce:
         for array in (features.X, scored.lead_prob, scored.is_leader, scored.run):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+
+class TestCollectorPause:
+    @pytest.fixture
+    def paused(self, monkeypatch) -> dict[str, bool]:
+        """Whether the cyclic collector was off inside each stage that ran."""
+        seen = {}
+        for name, stage in STAGE_TABLE.items():
+            def fn(*args, stage=stage):
+                seen[stage.name] = not gc.isenabled()
+                return stage.fn(*args)
+            monkeypatch.setitem(STAGE_TABLE, name, dataclasses.replace(stage, fn=fn))
+        return seen
+
+    def test_paused_only_while_stages_run(self, fixture_config, paused):
+        assert gc.isenabled()
+        run_all(fixture_config)
+        run_sweep(fixture_config, "threshold", (0.6,))
+        assert paused == dict.fromkeys((*STAGES, "sweep-threshold"), True)
+        assert gc.isenabled()
+
+    def test_resumed_after_a_stage_raises(self, fixture_config, tmp_path, paused):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("{bad\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord):
+            run_all(fixture_config.replace(corpus=corpus))
+        assert paused == {"ingest": True}
+        assert gc.isenabled()
+
+    def test_left_off_when_the_caller_turned_it_off(self, fixture_config, paused):
+        gc.disable()
+        try:
+            run_all(fixture_config)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert paused == dict.fromkeys(STAGES, True)
 
 
 class TestSweep:
@@ -804,6 +848,23 @@ class TestCli:
         assert main(["--config", str(cfg_file), stage]) == 3
         assert capsys.readouterr().err.startswith(
             f"error: {path}: line 5, field '{field}': "
+        )
+
+    @pytest.mark.parametrize("raw, stage", [("corpus", "ingest"), ("contributions", "train-roles")])
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, fixture_dir, capsys, raw, stage):
+        # the fifth line's first key gets an "é", then the byte 0xff, which
+        # starts no UTF-8 sequence
+        path = tmp_path / f"{raw}.jsonl"
+        lines = (fixture_dir / f"{raw}.jsonl").read_bytes().split(b"\n")
+        lines[4] = lines[4][:2] + "é".encode("utf-8") + b"\xff" + lines[4][2:]
+        path.write_bytes(b"\n".join(lines))
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            f"{raw} = {path}\noutput_dir = {tmp_path / 'out'}\n", encoding="utf-8"
+        )
+        assert main(["--config", str(cfg_file), stage]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 5, field '<line>': not valid UTF-8 at column 4\n"
         )
 
     def test_repeated_manifest_stage_is_data_error(self, pristine, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Verb normalization, co-occurrence, clustering, and lead labeling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,18 +16,22 @@ from leadshare.errors import (
     NonConvergence,
     VocabularyTooSmall,
 )
+from leadshare import roles
 from leadshare.kmeans import kmeans
 from leadshare.records import ContributionRecord
 from leadshare.roles import (
+    DIRECT_SUPPORT,
+    INDIRECT_SUPPORT,
     LEAD,
     CooccurrenceMatrix,
+    RoleClusterModel,
     RolePartition,
     TrainingLabel,
     build_cooccurrence,
     cluster_roles,
     fractional_lead_value,
     label_clusters,
-    normalize_record,
+    normalize_records,
     normalize_verb,
     ppmi_embedding,
     read_training_labels,
@@ -62,7 +68,7 @@ def test_normalize_verb(raw, lemma):
 
 
 def test_normalize_record_drops_empty_tokens():
-    rec = normalize_record(stmt("Conceived", "..", "  "))
+    [rec] = normalize_records([stmt("Conceived", "..", "  ")])
     assert rec.verbs == ("conceive",)
 
 
@@ -252,6 +258,85 @@ def test_training_labels_skip_unknown_only(planted_model):
     ]
     labels = list(training_labels(records, planted_model))
     assert [(l.paper_id, l.lead_value) for l in labels] == [("P1", 0.5), ("P3", 0.0)]
+
+
+def reference_cooccurrence(records):
+    """build_cooccurrence as a double loop over the statements."""
+    units, vocab = [], set()
+    for record in records:
+        unit = frozenset(record.verbs)
+        if unit:
+            vocab |= unit
+            units.append(unit)
+    vocabulary = tuple(sorted(vocab))
+    index = {v: i for i, v in enumerate(vocabulary)}
+    counts = np.zeros((len(vocabulary), len(vocabulary)), dtype=np.int64)
+    for unit in units:
+        ids = sorted(index[v] for v in unit)
+        for pos, i in enumerate(ids):
+            counts[i, i] += 1
+            for j in ids[pos + 1 :]:
+                counts[i, j] += 1
+                counts[j, i] += 1
+    return vocabulary, counts
+
+
+def reference_labels(records, model, strict_binary):
+    """training_labels valuing every statement, and its skipped count."""
+    labels, skipped = [], 0
+    for record in records:
+        try:
+            value = fractional_lead_value(record, model, strict_binary=strict_binary)
+        except NoKnownVerbs:
+            skipped += 1
+            continue
+        labels.append(TrainingLabel(record.paper_id, record.author_id, value))
+    return labels, skipped
+
+
+# raw tokens: inflections of one verb, repeats within a list, tokens that
+# normalize to nothing, and verbs _MODEL does not know
+_TOKENS = ("Conceived", "conceive", "designs", "led", "helped", "assist",
+           "participated", "..", "  ", "zzzz", "wwww")
+_MODEL = RoleClusterModel(
+    by_verb={"conceive": LEAD, "design": LEAD, "lead": LEAD, "help": DIRECT_SUPPORT,
+             "assist": DIRECT_SUPPORT, "participate": INDIRECT_SUPPORT},
+    seed=0, k=3, n_iter=1, converged=True,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=5),
+             min_size=1, max_size=8),
+    st.lists(st.integers(0, 7), min_size=1, max_size=40),
+    st.booleans(),
+)
+def test_distinct_verb_lists_counted_like_each_statement(verb_lists, picks, strict_binary):
+    # statements repeat verb lists; each is normalized, counted and valued
+    # once per distinct list or set, with the results of doing it per statement
+    raw = [stmt(*verb_lists[i % len(verb_lists)], paper=f"P{n}")
+           for n, i in enumerate(picks)]
+    statements = normalize_records(raw)
+    assert statements == [
+        stmt(*(v for v in map(normalize_verb, r.verbs) if v), paper=r.paper_id)
+        for r in raw
+    ]
+    if any(r.verbs for r in statements):
+        vocabulary, counts = reference_cooccurrence(statements)
+        matrix = build_cooccurrence(statements)
+        assert matrix.vocabulary == vocabulary
+        assert np.array_equal(matrix.counts, counts)
+        assert matrix.counts.dtype == np.int64
+    else:
+        with pytest.raises(EmptyCorpus):
+            build_cooccurrence(statements)
+    expected, skipped = reference_labels(statements, _MODEL, strict_binary)
+    with mock.patch.object(roles, "log") as log:
+        labels = list(training_labels(statements, _MODEL, strict_binary=strict_binary))
+    assert labels == expected
+    logged = [c.args[1] for c in log.warning.call_args_list if c.args[0].startswith("skipped")]
+    assert logged == ([skipped] if skipped else [])
 
 
 def test_training_labels_round_trip(tmp_path):
