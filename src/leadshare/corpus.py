@@ -51,12 +51,13 @@ def filter_corpus(
     *,
     strict: bool = False,
     stats: Optional[FilterStats] = None,
+    source: Optional[str] = None,
 ) -> Iterator[tuple[PublicationRecord, tuple[str, str]]]:
     """Yield (record, pair) for bilateral papers after 1990 with IF >= 1.
 
     Records naming a country absent from the region table are skipped with a
-    counted warning, or abort the run when strict is set.  Input order is
-    preserved.
+    counted warning, or abort the run when strict is set, with an error
+    naming the paper and source.  Input order is preserved.
     """
     if stats is None:
         stats = FilterStats()
@@ -72,7 +73,7 @@ def filter_corpus(
             pair = bilateral_pair(record, region_map)
         except UnknownCountry as exc:
             if strict:
-                raise
+                raise UnknownCountry(exc.country, record.paper_id, source) from None
             stats.n_unknown_country += 1
             unknown = str(exc)
             if unknown not in stats.unknown_countries:

@@ -47,9 +47,12 @@ class InvariantViolation(RecordError):
 
 
 class UnknownCountry(DataError):
-    def __init__(self, country):
+    def __init__(self, country, paper_id=None, source=None):
         self.country = country
-        super().__init__(f"country not in region table: {country!r}")
+        where = f"{source}: " if source else ""
+        if paper_id is not None:
+            where += f"paper {paper_id!r}: "
+        super().__init__(f"{where}country not in region table: {country!r}")
 
 
 class TableIntegrityError(DataError):

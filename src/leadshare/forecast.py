@@ -53,9 +53,8 @@ class RegressionFit:
     residual_variance: float
     dof: int
     confidence_level: float = DEFAULT_CONFIDENCE
-    # data range of the fitted window; parity uses x_max for the
+    # the latest year among the fitted points; parity uses it for the
     # already-reached test
-    x_min: float = 0.0
     x_max: float = 0.0
 
     def value_at(self, x: float) -> float:
@@ -90,7 +89,6 @@ def fit_points(
         residual_variance=sse / dof,
         dof=dof,
         confidence_level=confidence_level,
-        x_min=min(xs),
         x_max=max(xs),
     )
 

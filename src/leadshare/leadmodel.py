@@ -25,7 +25,7 @@ from .errors import (
     TooFewExamples,
 )
 from .features import FEATURE_NAMES, FeatureTable, LeadFeatureVector
-from .metrics import PaperTags, ScoredAuthorship, ScoredTable, code_values
+from .metrics import PaperTags, ScoredTable, code_values
 from .records import FieldError, PublicationRecord, check_unique, read_tsv, tsv_rows, write_tsv
 from .tables import BriClassification, RegionMap, TopicMap
 
@@ -213,15 +213,15 @@ def score_corpus(
     if_edges: Sequence[float],
     *,
     threshold: float = DEFAULT_THRESHOLD,
-) -> tuple[list[ScoredAuthorship], int]:
-    """One scored row per author of each paper, in input order.
+) -> tuple[ScoredTable, int]:
+    """The scored table: one row per author of each paper, in input order.
 
     Each authorship's feature row is looked up in features; all rows are
-    predicted in one batch.  Papers below the first impact-factor edge
+    predicted in one batch.  The table equals what read_scored decodes
+    from write_scored's file.  Papers below the first impact-factor edge
     are skipped; the second return value counts them.
     """
-    metas = []
-    rows = []
+    paper_ids, author_ids, regions, years, tags, rows = [], [], [], [], [], []
     below = 0
     for record in records:
         try:
@@ -237,28 +237,22 @@ def score_corpus(
                     f"no feature row for {a.author_id} on "
                     f"{record.paper_id}; re-run build-profiles"
                 )
-            metas.append((record, a, areas, fields, if_bin))
+            paper_ids.append(record.paper_id)
+            author_ids.append(a.author_id)
+            regions.append(region_map.region_of(a.country))
+            years.append(record.year)
+            tags.append(PaperTags(areas, fields, if_bin, bri.class_of(a.country), a.country))
             rows.append(row)
     probs = predict_many(model, features.X[rows])
-    scored = []
-    for (record, a, areas, fields, if_bin), prob in zip(metas, probs):
-        prob = float(prob)
-        scored.append(
-            ScoredAuthorship(
-                paper_id=record.paper_id,
-                author_id=a.author_id,
-                region=region_map.region_of(a.country),
-                year=record.year,
-                lead_prob=prob,
-                is_leader=prob > threshold,
-                areas=areas,
-                fields=fields,
-                if_bin=if_bin,
-                bri_class=bri.class_of(a.country),
-                country=a.country,
-            )
-        )
-    return scored, below
+    distinct, tag = code_values(tags)
+    # the table must equal what read_scored decodes from write_scored's
+    # file, which holds lead_prob at 9 decimals: lead_prob is rounded to
+    # those 9, while is_leader is decided on the unrounded probability
+    rounded = [float(f"{p:.9f}") for p in probs.tolist()]
+    return ScoredTable(
+        paper_ids, author_ids, regions, np.array(years, dtype=np.int64),
+        np.array(rounded, dtype=np.float64), probs > threshold, tag, distinct,
+    ), below
 
 
 def _vector(text: str) -> tuple[float, ...]:
@@ -330,15 +324,22 @@ _SCORED_HEADER = "paper_id\tauthor_id\tregion\tyear\tlead_prob\tis_leader\ttags"
 _TAG_KEYS = ("areas", "fields", "if_bin", "bri", "country")
 
 
-def write_scored(rows: Iterable[ScoredAuthorship], path: Path) -> None:
-    """Scored table; tags are packed into one semicolon-keyed column."""
+def write_scored(table: ScoredTable, path: Path) -> None:
+    """The scored table; tags are packed into one semicolon-keyed column,
+    each distinct tags cell formatted once."""
+    cells = [
+        f"areas={'|'.join(sorted(t.areas))};fields={'|'.join(sorted(t.fields))};"
+        f"if_bin={t.if_bin};bri={t.bri_class};country={t.country}"
+        for t in table.tags
+    ]
     write_tsv(path, _SCORED_HEADER, (
-        f"{r.paper_id}\t{r.author_id}\t{r.region}\t{r.year}\t"
-        f"{r.lead_prob:.9f}\t{'true' if r.is_leader else 'false'}\t"
-        f"areas={'|'.join(sorted(r.areas))};"
-        f"fields={'|'.join(sorted(r.fields))};"
-        f"if_bin={r.if_bin};bri={r.bri_class};country={r.country}"
-        for r in rows
+        f"{table.papers[p]}\t{table.authors[a]}\t{table.regions[r]}\t{year}\t"
+        f"{prob:.9f}\t{'true' if leader else 'false'}\t{cells[t]}"
+        for p, a, r, year, prob, leader, t in zip(
+            table.paper.tolist(), table.author.tolist(), table.region.tolist(),
+            table.year.tolist(), table.lead_prob.tolist(),
+            table.is_leader.tolist(), table.tag.tolist(),
+        )
     ))
 
 

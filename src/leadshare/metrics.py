@@ -44,23 +44,6 @@ BRI_FOCAL_REGION = "China"
 
 
 @dataclass(frozen=True)
-class ScoredAuthorship:
-    """One classified author×paper observation with its paper's tags."""
-
-    paper_id: str
-    author_id: str
-    region: str
-    year: int
-    lead_prob: float
-    is_leader: bool
-    areas: frozenset[str]
-    fields: frozenset[str]
-    if_bin: int
-    bri_class: str
-    country: str
-
-
-@dataclass(frozen=True)
 class FilterSpec:
     """Row/paper restrictions applied during aggregation.
 
@@ -177,27 +160,9 @@ class ScoredTable:
     def __len__(self) -> int:
         return len(self.paper)
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[ScoredAuthorship]) -> "ScoredTable":
-        rows = list(rows)
-        tags, tag = code_values([
-            PaperTags(r.areas, r.fields, r.if_bin, r.bri_class, r.country)
-            for r in rows
-        ])
-
-        def column(name: str) -> list:
-            return [getattr(r, name) for r in rows]
-
-        return cls(
-            column("paper_id"), column("author_id"), column("region"),
-            np.array(column("year"), dtype=np.int64),
-            np.array(column("lead_prob"), dtype=np.float64),
-            np.array(column("is_leader"), dtype=bool), tag, tags,
-        )
-
 
 def aggregate(
-    rows: ScoredTable | Iterable[ScoredAuthorship],
+    table: ScoredTable,
     filters: Optional[FilterSpec] = None,
     *,
     counting_mode: str = COUNT_AUTHOR_PAPER,
@@ -214,7 +179,6 @@ def aggregate(
         filters = FilterSpec()
     if counting_mode not in (COUNT_AUTHOR_PAPER, COUNT_UNIQUE_AUTHOR):
         raise ConfigError(f"unknown counting mode {counting_mode!r}")
-    table = rows if isinstance(rows, ScoredTable) else ScoredTable.from_rows(rows)
     bad = np.flatnonzero(~table.run_bilateral)
     if bad.size:
         first = table.run_starts[bad[0]]

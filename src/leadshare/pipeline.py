@@ -306,7 +306,9 @@ def _stage_ingest(config: PipelineConfig, artifacts: Artifacts) -> dict[str, flo
     records = _read_corpus_file(config.corpus)
     stats = FilterStats()
     # filtered first, so an unknown country under strict changes no output
-    kept = [rec for rec, _ in filter_corpus(records, region_map, strict=config.strict, stats=stats)]
+    kept = [rec for rec, _ in filter_corpus(
+        records, region_map, strict=config.strict, stats=stats, source=str(config.corpus)
+    )]
     out = config.output_dir
     write_corpus(records, out / "corpus.jsonl", out / "bilateral.jsonl", {r.paper_id for r in kept})
     # every record ingest accepts decodes back from its line unchanged
@@ -366,7 +368,7 @@ def _stage_fit_model(config: PipelineConfig, artifacts: Artifacts) -> dict[str, 
 
 
 def _stage_score(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
-    rows, below = score_corpus(
+    table, below = score_corpus(
         artifacts.read("model.tsv"),
         artifacts.read("bilateral.jsonl"),
         artifacts.read("features.tsv"),
@@ -376,8 +378,10 @@ def _stage_score(config: PipelineConfig, artifacts: Artifacts) -> dict[str, floa
         config.if_bin_edges,
         threshold=config.lead_threshold,
     )
-    write_scored(rows, config.output_dir / "scored.tsv")
-    return {"rows": len(rows), "below_first_edge": below}
+    write_scored(table, config.output_dir / "scored.tsv")
+    # the table equals what read_scored decodes from the file just written
+    artifacts.hand_on("scored.tsv", table)
+    return {"rows": len(table), "below_first_edge": below}
 
 
 def _aggregate_filters(

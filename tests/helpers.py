@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime
 from collections import Counter
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -15,7 +16,9 @@ from leadshare.metrics import (
     COUNT_UNIQUE_AUTHOR,
     FilterSpec,
     PairYearCounts,
-    ScoredAuthorship,
+    PaperTags,
+    ScoredTable,
+    code_values,
 )
 from leadshare.records import AuthorshipRecord, PublicationRecord
 
@@ -124,6 +127,40 @@ def oracle_features(
         len(prior_concepts),
         f8,
         f9,
+    )
+
+
+@dataclass(frozen=True)
+class ScoredAuthorship:
+    """One classified author×paper observation with its paper's tags: a
+    row of `ScoredTable`, the input form of `oracle_aggregate`."""
+
+    paper_id: str
+    author_id: str
+    region: str
+    year: int
+    lead_prob: float
+    is_leader: bool
+    areas: frozenset[str]
+    fields: frozenset[str]
+    if_bin: int
+    bri_class: str
+    country: str
+
+
+def scored_table(rows: Sequence[ScoredAuthorship]) -> ScoredTable:
+    """The rows as the column table that `aggregate` counts."""
+    tags, tag = code_values([
+        PaperTags(r.areas, r.fields, r.if_bin, r.bri_class, r.country) for r in rows
+    ])
+
+    def column(name: str, dtype) -> np.ndarray:
+        return np.array([getattr(r, name) for r in rows], dtype=dtype)
+
+    return ScoredTable(
+        [r.paper_id for r in rows], [r.author_id for r in rows],
+        [r.region for r in rows], column("year", np.int64),
+        column("lead_prob", np.float64), column("is_leader", bool), tag, tags,
     )
 
 

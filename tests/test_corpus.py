@@ -419,7 +419,7 @@ def test_unknown_country_strict_raises(region_map):
     with pytest.raises(UnknownCountry) as exc:
         list(filter_corpus(records, region_map, strict=True))
     assert exc.value.country == "Atlantis"
-    assert "Atlantis" in str(exc.value)
+    assert str(exc.value) == "paper 'P1': country not in region table: 'Atlantis'"
 
 
 def test_filter_counts_are_consistent(region_map):

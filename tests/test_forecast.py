@@ -44,7 +44,7 @@ class TestFit:
         assert fit.x_mean == pytest.approx(2011.0)
         assert fit.s_xx == pytest.approx(2.0)
         assert fit.residual_variance == pytest.approx(0.0, abs=1e-20)
-        assert fit.x_min == 2010 and fit.x_max == 2012
+        assert fit.x_max == 2012
 
     def test_matches_polyfit(self):
         rng = np.random.default_rng(4)
@@ -70,7 +70,7 @@ class TestFit:
     def test_window_is_inclusive(self):
         s = series(exact_line(0.01, -19.9, range(2000, 2025)))
         fit = ols_fit(s, window=(2010, 2020))
-        assert fit.x_min == 2010 and fit.x_max == 2020
+        assert fit.x_max == 2020
         assert fit.dof == 11 - 2
 
     def test_window_too_narrow(self):
@@ -294,7 +294,7 @@ class TestEdgeCrossingOracle:
             slope=slope, intercept=level - slope * x_mean, n=n, x_mean=x_mean,
             s_xx=float(((xs - x_mean) ** 2).sum()),
             residual_variance=10.0 ** (2.0 * log_sigma),
-            dof=n - 2, x_min=float(xs[0]), x_max=float(xs[-1]),
+            dof=n - 2, x_max=float(xs[-1]),
         )
         horizon = fit.x_max + reach
         x = _edge_crossing(fit, threshold, sign, horizon)
@@ -311,7 +311,7 @@ class TestEdgeCrossingOracle:
             assert direction * (after - before) >= -1e-9
             return
         # never: no grid step where the edge crosses in that direction
-        grid = np.linspace(fit.x_min if trend else fit.x_mean, horizon, 20001)
+        grid = np.linspace(xs[0] if trend else fit.x_mean, horizon, 20001)
         g = direction * (band_edge_on_grid(fit, sign, grid) - threshold)
         clear = np.abs(g) > 1e-9
         g, grid = g[clear], grid[clear]

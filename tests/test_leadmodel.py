@@ -12,8 +12,10 @@ from leadshare.features import (
     build_profiles,
     extract_all,
     extract_features,
+    read_features,
 )
-from leadshare.metrics import PaperTags
+from leadshare.metrics import FilterSpec, ScoredTable, aggregate
+from leadshare.records import read_corpus
 from leadshare.leadmodel import (
     LEADER,
     SUPPORTER,
@@ -314,45 +316,88 @@ def test_score_corpus_matches_composition(scoring_setup):
     edges = (1, 2, 4, 8, 16)
     records = [rec for rec, _pair in filter_corpus(corpus, region_map)]
     index = build_profiles(corpus)
-    rows, below = score_corpus(
+    table, below = score_corpus(
         model, records, feature_table(corpus, index), region_map, topics, bri, edges
     )
-    assert (len(rows), below) == (4, 0)
-    for row in rows:
-        rec = next(r for r in corpus if r.paper_id == row.paper_id)
-        v = extract_features(rec, row.author_id, index)
-        assert row.lead_prob == pytest.approx(predict(model, v), abs=1e-12)
-        assert row.is_leader == (row.lead_prob > 0.65)
-        assert row.region == region_map.region_of(row.country)
+    assert (len(table), below) == (4, 0)
+    for i in range(len(table)):
+        paper_id, author_id = table.papers[table.paper[i]], table.authors[table.author[i]]
+        tags = table.tags[table.tag[i]]
+        rec = next(r for r in corpus if r.paper_id == paper_id)
+        prob = predict(model, extract_features(rec, author_id, index))
+        assert table.lead_prob[i] == float(f"{prob:.9f}")
+        assert table.is_leader[i] == (prob > 0.65)
+        assert table.regions[table.region[i]] == region_map.region_of(tags.country)
+        assert table.year[i] == rec.year
         areas, fields = classify_topics(rec, topics)
-        assert (row.areas, row.fields) == (areas, fields)
-        assert row.if_bin == impact_factor_bin(rec.impact_factor, edges)
-        assert row.bri_class == bri.class_of(row.country)
+        assert (tags.areas, tags.fields) == (areas, fields)
+        assert tags.if_bin == impact_factor_bin(rec.impact_factor, edges)
+        assert tags.bri_class == bri.class_of(tags.country)
+
+
+def assert_same_table(got: ScoredTable, want: ScoredTable) -> None:
+    """Every attribute of the two tables equal, arrays in dtype too."""
+    assert vars(got).keys() == vars(want).keys()
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        if isinstance(value, np.ndarray):
+            assert other.dtype == value.dtype, name
+            assert np.array_equal(other, value), name
+        else:
+            assert other == value, name
 
 
 def test_scored_file_round_trip(tmp_path, scoring_setup):
     corpus, model, region_map, topics, bri = scoring_setup
     records = [rec for rec, _pair in filter_corpus(corpus, region_map)]
     index = build_profiles(corpus)
-    rows, _below = score_corpus(
+    table, _below = score_corpus(
         model, records, feature_table(corpus, index), region_map, topics, bri,
         (1, 2, 4, 8, 16),
     )
     path = tmp_path / "scored.tsv"
-    write_scored(rows, path)
-    table = read_scored(path)
-    assert len(table) == len(rows)
-    assert [table.papers[c] for c in table.paper] == [r.paper_id for r in rows]
-    assert [table.authors[c] for c in table.author] == [r.author_id for r in rows]
-    assert [table.regions[c] for c in table.region] == [r.region for r in rows]
+    write_scored(table, path)
+    assert_same_table(read_scored(path), table)
     assert list(table.regions) == sorted(table.regions)
-    assert table.year.tolist() == [r.year for r in rows]
-    assert table.lead_prob == pytest.approx([r.lead_prob for r in rows], abs=1e-9)
-    assert table.is_leader.tolist() == [r.is_leader for r in rows]
-    assert [table.tags[c] for c in table.tag] == [
-        PaperTags(r.areas, r.fields, r.if_bin, r.bri_class, r.country) for r in rows
-    ]
     assert len(table.tags) == len(set(table.tags))
+
+
+def test_handed_on_table_is_the_decoded_one(tmp_path, fixture_dir, region_map, topics, bri):
+    # the fixture's score stage, rerun on its committed upstream artifacts
+    out = fixture_dir / "out"
+    with open(out / "bilateral.jsonl", encoding="utf-8") as fh:
+        records = list(read_corpus(fh))
+    table, below = score_corpus(
+        read_model(out / "model.tsv"), records, read_features(out / "features.tsv"),
+        region_map, topics, bri, (1, 2, 4, 8, 16), threshold=0.65,
+    )
+    path = tmp_path / "scored.tsv"
+    write_scored(table, path)
+    assert path.read_bytes() == (out / "scored.tsv").read_bytes()
+    assert (len(table), below) == (744, 0)
+    assert_same_table(read_scored(path), table)
+
+
+def test_rounding_decides_the_threshold_count(tmp_path, scoring_setup):
+    # every row scores 0.6000000004, which scored.tsv writes as 0.600000000:
+    # a threshold of 0.6 must count it as a supporter in both tables
+    corpus, _model, region_map, topics, bri = scoring_setup
+    records = [rec for rec, _pair in filter_corpus(corpus, region_map)]
+    model = flat_model(intercept=0.6000000004)
+    table, _below = score_corpus(
+        model, records, feature_table(corpus, build_profiles(corpus)),
+        region_map, topics, bri, (1, 2, 4, 8, 16), threshold=0.6,
+    )
+    path = tmp_path / "scored.tsv"
+    write_scored(table, path)
+    decoded = read_scored(path)
+    # is_leader is decided before rounding
+    assert table.is_leader.all()
+    for scored in (table, decoded):
+        counts = aggregate(scored, FilterSpec(threshold=0.6))
+        assert sum(sum(c.leaders.values()) for c in counts) == 0
+        assert sum(sum(c.supporters.values()) for c in counts) == len(table) == 4
+    assert_same_table(decoded, table)
 
 
 def test_scored_file_rejects_missing_tags(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_aggregate
+from helpers import ScoredAuthorship, oracle_aggregate, scored_table
 from leadshare.errors import (
     ConfigError,
     InconsistentPair,
@@ -20,7 +20,6 @@ from leadshare.metrics import (
     FilterSpec,
     PairYearCounts,
     RegionSeries,
-    ScoredAuthorship,
     aggregate,
     build_series,
     lead_premium,
@@ -70,7 +69,7 @@ def test_single_paper_tally():
         row("P1", "China", author="A1", leader=True),
         row("P1", "U.S.", author="A2", leader=False),
     ]
-    out = aggregate(rows)
+    out = aggregate(scored_table(rows))
     assert len(out) == 1
     c = out[0]
     assert c.pair == ("China", "U.S.") and c.year == 2020
@@ -79,7 +78,7 @@ def test_single_paper_tally():
 
 
 def test_empty_input():
-    assert aggregate([]) == []
+    assert aggregate(scored_table([])) == []
 
 
 def test_aggregate_matches_brute_force_tally():
@@ -114,7 +113,7 @@ def test_aggregate_matches_brute_force_tally():
         pair = tuple(sorted(batch_regions))
         key = (pair, r.year, r.region, r.is_leader)
         expected[key] = expected.get(key, 0) + 1
-    for c in aggregate(rows):
+    for c in aggregate(scored_table(rows)):
         for region in c.pair:
             assert c.leaders[region] == expected.get((c.pair, c.year, region, True), 0)
             assert c.supporters[region] == expected.get((c.pair, c.year, region, False), 0)
@@ -127,9 +126,9 @@ def test_inconsistent_pair_rejected():
         row("P1", "EU+", author="A3"),
     ]
     with pytest.raises(InconsistentPair):
-        aggregate(rows)
+        aggregate(scored_table(rows))
     with pytest.raises(InconsistentPair):
-        aggregate([row("P2", "China")])
+        aggregate(scored_table([row("P2", "China")]))
 
 
 def test_unique_author_counting():
@@ -139,11 +138,11 @@ def test_unique_author_counting():
         row("P2", "China", author="A1", leader=True),
         row("P2", "U.S.", author="A9"),
     ]
-    per_authorship = aggregate(rows)
+    per_authorship = aggregate(scored_table(rows))
     assert len(per_authorship) == 1
     assert per_authorship[0].leaders["China"] == 2
     assert per_authorship[0].supporters["U.S."] == 2
-    unique = aggregate(rows, counting_mode=COUNT_UNIQUE_AUTHOR)
+    unique = aggregate(scored_table(rows), counting_mode=COUNT_UNIQUE_AUTHOR)
     assert unique[0].leaders["China"] == 1
     assert unique[0].supporters["U.S."] == 1
 
@@ -190,8 +189,8 @@ def scored_papers(draw):
 def test_threshold_spec_matches_relabeled_rows(rows, t, mode):
     # reference: the rows rebuilt with the threshold's strict rule
     relabeled = [dataclasses.replace(r, is_leader=r.lead_prob > t) for r in rows]
-    want = aggregate(relabeled, counting_mode=mode)
-    got = aggregate(rows, FilterSpec(threshold=t), counting_mode=mode)
+    want = aggregate(scored_table(relabeled), counting_mode=mode)
+    got = aggregate(scored_table(rows), FilterSpec(threshold=t), counting_mode=mode)
     assert all(c.filter_desc == f"threshold={t:g}" for c in got)
     assert [dataclasses.replace(c, filter_desc="all") for c in got] == want
 
@@ -261,15 +260,15 @@ def test_aggregate_matches_oracle(rows, spec, mode):
         want = oracle_aggregate(rows, spec, counting_mode=mode)
     except InconsistentPair as exc:
         with pytest.raises(InconsistentPair) as err:
-            aggregate(rows, spec, counting_mode=mode)
+            aggregate(scored_table(rows), spec, counting_mode=mode)
         assert str(err.value) == str(exc)
         return
-    assert aggregate(rows, spec, counting_mode=mode) == want
+    assert aggregate(scored_table(rows), spec, counting_mode=mode) == want
 
 
 def test_unknown_counting_mode():
     with pytest.raises(ConfigError):
-        aggregate([], counting_mode="per_city")
+        aggregate(scored_table([]), counting_mode="per_city")
 
 
 def test_paper_level_filters():
@@ -279,11 +278,12 @@ def test_paper_level_filters():
         row("P2", "China", areas=("Energy",), if_bin=0),
         row("P2", "U.S.", author="A2", areas=("Energy",), if_bin=0),
     ]
-    assert len(aggregate(rows, FilterSpec(areas=frozenset({"Biotech"})))) == 1
-    assert len(aggregate(rows, FilterSpec(fields=frozenset({"medicine"})))) == 1
-    assert len(aggregate(rows, FilterSpec(if_bins=frozenset({0})))) == 1
-    assert len(aggregate(rows, FilterSpec(areas=frozenset({"Quantum Technology"})))) == 0
-    assert aggregate(rows, FilterSpec(areas=frozenset({"Energy"})))[0].filter_desc == "areas=Energy"
+    table = scored_table(rows)
+    assert len(aggregate(table, FilterSpec(areas=frozenset({"Biotech"})))) == 1
+    assert len(aggregate(table, FilterSpec(fields=frozenset({"medicine"})))) == 1
+    assert len(aggregate(table, FilterSpec(if_bins=frozenset({0})))) == 1
+    assert len(aggregate(table, FilterSpec(areas=frozenset({"Quantum Technology"})))) == 0
+    assert aggregate(table, FilterSpec(areas=frozenset({"Energy"})))[0].filter_desc == "areas=Energy"
 
 
 def test_bri_partner_collapse():
@@ -296,14 +296,14 @@ def test_bri_partner_collapse():
         row("P3", "EU+", author="A4", country="Italy", bri_class="HighIncome"),
         row("P3", "U.S.", author="A5", country="United States"),
     ]
-    high = aggregate(rows, FilterSpec(bri_class="HighIncome"))
+    high = aggregate(scored_table(rows), FilterSpec(bri_class="HighIncome"))
     # P2 partner is LowIncome, P3 has no China side: only P1 remains
     assert len(high) == 1
     c = high[0]
     assert c.pair == ("BRI:HighIncome", "China")
     assert c.leaders == {"BRI:HighIncome": 0, "China": 1}
     assert c.supporters == {"BRI:HighIncome": 1, "China": 0}
-    low = aggregate(rows, FilterSpec(bri_class="LowIncome"))
+    low = aggregate(scored_table(rows), FilterSpec(bri_class="LowIncome"))
     assert len(low) == 1
     assert low[0].leaders["BRI:LowIncome"] == 1
 
@@ -314,7 +314,7 @@ def test_bri_drops_nonmatching_partner_rows():
         row("P1", "EU+", author="A2", country="Italy", bri_class="HighIncome"),
         row("P1", "EU+", author="A3", country="France", bri_class="NonSignatory"),
     ]
-    out = aggregate(rows, FilterSpec(bri_class="HighIncome"))
+    out = aggregate(scored_table(rows), FilterSpec(bri_class="HighIncome"))
     assert out[0].supporters["BRI:HighIncome"] == 1  # France row dropped
 
 
@@ -440,12 +440,14 @@ def test_aggregate_counts_contiguous_runs():
         row("P1", "China"),
         row("P1", "U.S.", author="A2", leader=True),
     ]
-    (c,) = aggregate(rows)
+    (c,) = aggregate(scored_table(rows))
     assert c.leaders == {"China": 1, "U.S.": 1}
     assert c.supporters == {"China": 2, "U.S.": 2}
     # the id P1 spans two regions overall, but its last run only one
     with pytest.raises(InconsistentPair, match="'P1'.*'China'"):
-        aggregate(rows + [row("P3", "China"), row("P3", "U.S."), row("P1", "China")])
+        aggregate(scored_table(
+            rows + [row("P3", "China"), row("P3", "U.S."), row("P1", "China")]
+        ))
 
 
 def test_series_file_round_trip(tmp_path):

@@ -273,11 +273,12 @@ class TestDecodeOnce:
 
     def test_all_decodes_each_artifact_once(self, fixture_config, decodes):
         run_all(fixture_config)
-        # the raw corpus only: build-profiles and score get ingest's records
-        assert decodes == dict.fromkeys(self.READERS, 1)
-        # a sweep is a call of its own, so it decodes scored.tsv again
+        # the raw corpus only: build-profiles and score get ingest's records,
+        # aggregate and export the table that score built
+        assert decodes == {**dict.fromkeys(self.READERS, 1), "read_scored": 0}
+        # a sweep is a call of its own, so it decodes scored.tsv
         run_sweep(fixture_config, "threshold", (0.6,))
-        assert decodes["read_scored"] == 2
+        assert decodes["read_scored"] == 1
 
     def test_separate_stages_decode_from_disk(self, pristine, tmp_path, decodes):
         config = clone(pristine[0], tmp_path)
@@ -677,6 +678,35 @@ class TestCli:
         # flags parse on either side of the subcommand
         assert main(["ingest", "--config", str(cfg_file)]) == 0
         assert capsys.readouterr().out == "ingest: cached\n"
+
+    @pytest.mark.parametrize("after", [False, True], ids=["before", "after"])
+    def test_common_flags(self, tmp_path, fixture_dir, capsys, monkeypatch, after):
+        cfg_file = self.write_config(tmp_path, fixture_dir)
+        levels = []
+        monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+
+        def cli(command: str, *flags: str, code: int = 0):
+            """Run the command with the flags on one side of it; its output."""
+            common = ["--config", str(cfg_file), *flags]
+            assert main([command, *common] if after else [*common, command]) == code
+            return capsys.readouterr()
+
+        # the fixture corpus holds one paper with a country of no region
+        assert cli("ingest", "--strict", code=3).err == (
+            f"error: {fixture_dir / 'corpus.jsonl'}: paper 'P0200': "
+            "country not in region table: 'Atlantis'\n"
+        )
+        cli("all")
+        # the seed reaches train-roles and fit-model, and all that reads them
+        assert cli("all", "--seed", "1").out.splitlines() == [
+            f"{stage}: {'cached' if stage in ('ingest', 'build-profiles') else 'ran'}"
+            for stage in STAGES
+        ]
+        assert cli("forecast").out == "forecast: cached\n"
+        assert cli("forecast", "--force").out == "forecast: ran\n"
+        assert levels == [logging.INFO] * 5
+        cli("forecast", "--verbose")
+        assert levels[-1] == logging.DEBUG
 
     def test_sweep_subcommand(self, tmp_path, fixture_dir, capsys):
         cfg_file = self.write_config(tmp_path, fixture_dir)
