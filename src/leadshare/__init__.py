@@ -13,7 +13,7 @@ from .errors import (
     LeadshareError,
     NumericError,
 )
-from .features import LeadFeatureVector, build_profiles, extract_features
+from .features import LeadFeatureVector, build_profiles
 from .forecast import (
     ParityForecast,
     RegressionFit,
@@ -67,7 +67,6 @@ __all__ = [
     "classify",
     "cluster_roles",
     "confidence_band",
-    "extract_features",
     "fit",
     "forecast_series",
     "fractional_lead_value",

@@ -100,11 +100,14 @@ def _sweep_values(args: argparse.Namespace, config: PipelineConfig) -> tuple:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    level = logging.DEBUG if getattr(args, "verbose", False) else logging.INFO
     logging.basicConfig(
-        level=logging.DEBUG if getattr(args, "verbose", False) else logging.INFO,
+        level=level,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    # basicConfig does nothing once the root logger has a handler
+    logging.getLogger("leadshare").setLevel(level)
     force = getattr(args, "force", False)
     try:
         config = _assemble_config(args)

@@ -65,16 +65,6 @@ class DuplicatePaperId(DataError):
         super().__init__(f"duplicate paper id: {paper_id!r}")
 
 
-class AuthorNotOnPaper(DataError):
-    def __init__(self, author_id, paper_id):
-        super().__init__(f"author {author_id!r} not on paper {paper_id!r}")
-
-
-class PaperNotIndexed(DataError):
-    def __init__(self, paper_id, author_id):
-        super().__init__(f"paper {paper_id!r}, author {author_id!r} not in profile index")
-
-
 class EmptyCorpus(DataError):
     pass
 

@@ -9,8 +9,7 @@ the sweep reads f1-f8 for a whole date group before promoting the group
 into the histories, so same-day papers are not prior and feature vectors
 are invariant to how same-day ties are ordered.  Papers without a
 publication date sort at July 1.  f9 comes from the same sweep, ranking
-against a per-year snapshot of institution counts, and `extract_features`
-looks the finished vector up.
+against a per-year snapshot of institution counts.
 
 Features, for author a on focal paper P:
 
@@ -42,7 +41,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import AuthorNotOnPaper, DuplicatePaperId, PaperNotIndexed
+from .errors import DuplicatePaperId
 from .records import PublicationRecord, check_unique, read_tsv, tsv_rows, write_tsv
 
 
@@ -65,12 +64,10 @@ class LeadFeatureVector(NamedTuple):
 
 FEATURE_NAMES = LeadFeatureVector._fields
 
-# build_profiles' result: the features of each (paper_id, author_id)
-FeatureIndex = dict[tuple[str, str], LeadFeatureVector]
-
 
 class FeatureTable(NamedTuple):
-    """features.tsv: the row of each (paper_id, author_id) in `X`."""
+    """The features of every authorship: the row of each (paper_id,
+    author_id) in the read-only matrix `X`, keys listed in row order."""
 
     rows: dict[tuple[str, str], int]
     X: np.ndarray
@@ -90,16 +87,20 @@ class _History:
     cited_in: dict[int, int] = field(default_factory=dict)
 
 
-def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureIndex:
-    """The nine features of every authorship, keyed by (paper_id,
-    author_id); records need not be pre-sorted."""
+def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureTable:
+    """The nine features of every authorship, one row per distinct author
+    of a paper, in input order then author position; records need not be
+    pre-sorted."""
     seen: set[str] = set()
+    rows: dict[tuple[str, str], int] = {}
     ordered: list[tuple[tuple[int, int, int], str, PublicationRecord]] = []
     for record in corpus:
         if record.paper_id in seen:
             raise DuplicatePaperId(record.paper_id)
         seen.add(record.paper_id)
         ordered.append((record.sort_date(), record.paper_id, record))
+        for a in record.first_authorships():
+            rows[(record.paper_id, a.author_id)] = len(rows)
     ordered.sort(key=lambda t: (t[0], t[1]))
     # years of corpus papers citing each paper, and of each institution's
     # papers (one entry per paper); complete before the sweep, since later
@@ -118,7 +119,7 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureIndex:
     # institution that has any; built at the year's first paper
     rank_snapshots: dict[int, np.ndarray] = {}
 
-    vectors: FeatureIndex = {}
+    values: list = [None] * len(rows)
     histories: defaultdict[str, _History] = defaultdict(_History)
     for _, group in groupby(ordered, key=itemgetter(0)):
         promote = []
@@ -133,7 +134,7 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureIndex:
                 h = histories[a.author_id]
                 # an institution with a paper before the year is in snapshot
                 own = bisect_left(institution_years.get(a.institution_id, ()), year)
-                vectors[(paper_id, a.author_id)] = LeadFeatureVector(
+                values[rows[(paper_id, a.author_id)]] = (
                     len(refs & h.refs),
                     len(names & h.concepts),
                     len(refs & h.ids),
@@ -157,38 +158,19 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureIndex:
             h.concepts |= names
             for y in citing_years.get(record.paper_id, ()):
                 h.cited_in[y] = h.cited_in.get(y, 0) + 1
-    return vectors
-
-
-def extract_features(
-    record: PublicationRecord, author_id: str, index: FeatureIndex
-) -> LeadFeatureVector:
-    if all(a.author_id != author_id for a in record.authorships):
-        raise AuthorNotOnPaper(author_id, record.paper_id)
-    try:
-        return index[(record.paper_id, author_id)]
-    except KeyError:
-        raise PaperNotIndexed(record.paper_id, author_id) from None
-
-
-def extract_all(
-    corpus: Iterable[PublicationRecord], index: FeatureIndex
-) -> Iterator[tuple[str, str, LeadFeatureVector]]:
-    """One row per authorship, in corpus order then author position."""
-    for record in corpus:
-        for a in record.first_authorships():
-            yield record.paper_id, a.author_id, extract_features(record, a.author_id, index)
+    X = np.array(values, dtype=np.float64).reshape(len(values), len(FEATURE_NAMES))
+    X.flags.writeable = False
+    return FeatureTable(rows, X)
 
 
 _FEATURES_HEADER = "paper_id\tauthor_id\t" + "\t".join(FEATURE_NAMES)
+# f1-f8 as integers, f9 with 9 decimals
+_FEATURES_ROW = "%s\t%s" + "\t%d" * 8 + "\t%.9f"
 
 
-def write_features(
-    rows: Iterable[tuple[str, str, LeadFeatureVector]], path: Path
-) -> None:
+def write_features(table: FeatureTable, path: Path) -> None:
     write_tsv(path, _FEATURES_HEADER, (
-        "\t".join((paper_id, author_id, *map(str, v[:8]), f"{v[8]:.9f}"))
-        for paper_id, author_id, v in rows
+        _FEATURES_ROW % (*key, *x.tolist()) for key, x in zip(table.rows, table.X)
     ))
 
 

@@ -39,7 +39,7 @@ from .errors import (
     TooFewPoints,
     ZeroVariance,
 )
-from .features import build_profiles, extract_all, read_features, write_features
+from .features import build_profiles, read_features, write_features
 from .forecast import ForecastRow, confidence_band, forecast_series, write_forecast
 from .leadmodel import (
     fit,
@@ -339,10 +339,7 @@ def _stage_train_roles(config: PipelineConfig, artifacts: Artifacts) -> dict[str
 
 def _stage_build_profiles(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
     records = artifacts.read("corpus.jsonl")
-    index = build_profiles(records)
-    write_features(
-        extract_all(records, index), config.output_dir / "features.tsv"
-    )
+    write_features(build_profiles(records), config.output_dir / "features.tsv")
     return {"papers": len(records)}
 
 
@@ -359,8 +356,9 @@ def _stage_fit_model(config: PipelineConfig, artifacts: Artifacts) -> dict[str, 
         threshold=config.lead_threshold,
         family=config.model_family,
     )
-    write_model(model, config.output_dir / "model.tsv")
+    # score reads model.tsv: written last, a crash between the two leaves it old
     write_eval(report, config.output_dir / "eval.tsv")
+    write_model(model, config.output_dir / "model.tsv")
     return {
         "examples": len(rows), "labels_without_features": len(labels) - len(rows),
         "precision": report.precision, "recall": report.recall,

@@ -1,9 +1,20 @@
+import logging
 from pathlib import Path
 
 import pytest
 
 from leadshare.config import PipelineConfig
 from leadshare.tables import load_bri_classification, load_region_map, load_topic_map
+
+
+@pytest.fixture(autouse=True)
+def package_log_level():
+    """cli.main sets the package logger's level; every test starts from
+    the level it had before."""
+    logger = logging.getLogger("leadshare")
+    level = logger.level
+    yield
+    logger.setLevel(level)
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from leadshare.errors import InconsistentPair
+from leadshare.features import FeatureTable, LeadFeatureVector
 from leadshare.metrics import (
     BRI_FOCAL_REGION,
     COUNT_AUTHOR_PAPER,
@@ -28,6 +29,12 @@ def fit_inputs(examples) -> tuple[np.ndarray, np.ndarray]:
     (feature vector, lead value) examples."""
     X = np.array([v for v, _ in examples], dtype=np.float64)
     return X, np.array([y for _, y in examples], dtype=np.float64)
+
+
+def feature_vector(table: FeatureTable, paper_id: str, author_id: str) -> LeadFeatureVector:
+    """One authorship's row of a feature table, f1-f8 as int."""
+    x = table.X[table.rows[(paper_id, author_id)]].tolist()
+    return LeadFeatureVector(*map(int, x[:8]), x[8])
 
 
 def make_record(

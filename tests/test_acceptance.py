@@ -11,9 +11,9 @@ import time
 
 import numpy as np
 
-from helpers import fit_inputs, oracle_features
+from helpers import feature_vector, fit_inputs, oracle_features
 from leadshare.config import PipelineConfig
-from leadshare.features import build_profiles, extract_all
+from leadshare.features import build_profiles
 from leadshare.forecast import confidence_band, fit_points, parity_year
 from leadshare.leadmodel import classify, evaluate, fit, predict_many
 from leadshare.metrics import (
@@ -49,9 +49,10 @@ def test_criterion_1_feature_oracle_agreement():
     mismatches = []
     for seed in range(100):
         corpus = random_corpus(seed, max_papers=50, max_authors=20)
-        index = build_profiles(corpus)
+        table = build_profiles(corpus)
         by_id = {r.paper_id: r for r in corpus}
-        for paper_id, author_id, vec in extract_all(corpus, index):
+        for paper_id, author_id in table.rows:
+            vec = feature_vector(table, paper_id, author_id)
             expected = oracle_features(corpus, by_id[paper_id], author_id)
             got = (
                 vec.f1_refs_previously_cited, vec.f2_keyword_overlap,

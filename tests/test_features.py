@@ -1,4 +1,4 @@
-"""Author profile index and the nine lead-prediction features.
+"""The feature table: the nine lead-prediction features per authorship.
 
 The hand corpus below is small enough to verify every feature by eye;
 the property tests check the sweep implementation against a brute-force
@@ -12,21 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_record, oracle_features
-from leadshare.errors import (
-    AuthorNotOnPaper,
-    DuplicatePaperId,
-    InvariantViolation,
-    MalformedRecord,
-    PaperNotIndexed,
-)
-from leadshare.features import (
-    build_profiles,
-    extract_all,
-    extract_features,
-    read_features,
-    write_features,
-)
+from helpers import feature_vector, make_record, oracle_features
+from leadshare.errors import DuplicatePaperId, InvariantViolation, MalformedRecord
+from leadshare.features import FEATURE_NAMES, build_profiles, read_features, write_features
 from leadshare.records import AuthorshipRecord, PublicationRecord
 from synth import random_corpus
 
@@ -68,51 +56,45 @@ def hand_corpus():
 
 
 @pytest.fixture(scope="module")
-def hand_index():
+def hand_table():
     corpus = hand_corpus()
     return corpus, build_profiles(corpus)
 
 
-def test_established_author(hand_index):
-    corpus, index = hand_index
-    v = extract_features(corpus[4], "A1", index)
+def test_established_author(hand_table):
+    _, table = hand_table
+    v = feature_vector(table, "P5", "A1")
     assert tuple(v) == (1, 2, 2, 6, 4, 4, 4, 4, 1.0)
 
 
-def test_short_history_author(hand_index):
-    corpus, index = hand_index
-    v = extract_features(corpus[4], "A4", index)
+def test_short_history_author(hand_table):
+    _, table = hand_table
+    v = feature_vector(table, "P5", "A4")
     assert tuple(v) == (0, 1, 0, 1, 1, 0, 1, 1, 0.5)
 
 
-def test_same_date_paper_is_not_prior(hand_index):
-    corpus, index = hand_index
-    v = extract_features(corpus[2], "A1", index)
+def test_same_date_paper_is_not_prior(hand_table):
+    _, table = hand_table
+    v = feature_vector(table, "P3", "A1")
     # P4 shares P3's date, so A1 has only P1 and P2 behind P3
     assert v.f5_prior_pub_count == 2
     assert tuple(v) == (1, 1, 2, 5, 2, 1, 3, 2, 1.0)
 
 
-def test_debut_author_all_zero(hand_index):
-    corpus, index = hand_index
-    v = extract_features(corpus[2], "A3", index)
+def test_debut_author_all_zero(hand_table):
+    _, table = hand_table
+    v = feature_vector(table, "P3", "A3")
     assert tuple(v) == (0, 0, 0, 0, 0, 0, 0, 0, 0.0)
 
 
-def test_oracle_agrees_on_hand_corpus(hand_index):
-    corpus, index = hand_index
+def test_oracle_agrees_on_hand_corpus(hand_table):
+    corpus, table = hand_table
     for rec in corpus:
         for a in rec.authorships:
-            v = extract_features(rec, a.author_id, index)
+            v = feature_vector(table, rec.paper_id, a.author_id)
             assert tuple(v) == pytest.approx(
                 oracle_features(corpus, rec, a.author_id), abs=1e-12
             )
-
-
-def test_author_not_on_paper(hand_index):
-    corpus, index = hand_index
-    with pytest.raises(AuthorNotOnPaper):
-        extract_features(corpus[0], "A9", index)
 
 
 def test_duplicate_paper_id():
@@ -122,11 +104,10 @@ def test_duplicate_paper_id():
 
 
 def test_empty_corpus_index():
-    index = build_profiles([])
-    assert list(extract_all([], index)) == []
-    # a DataError (CLI exit 3), not a bare KeyError
-    with pytest.raises(PaperNotIndexed, match="P1"):
-        extract_features(hand_corpus()[0], "A1", index)
+    table = build_profiles([])
+    assert table.rows == {}
+    assert table.X.shape == (0, len(FEATURE_NAMES))
+    assert table.X.dtype == np.float64 and not table.X.flags.writeable
 
 
 def test_input_order_is_irrelevant():
@@ -137,26 +118,47 @@ def test_input_order_is_irrelevant():
     b = build_profiles(shuffled)
     for rec in corpus:
         for auth in rec.authorships:
-            assert extract_features(rec, auth.author_id, a) == extract_features(
-                rec, auth.author_id, b
+            assert feature_vector(a, rec.paper_id, auth.author_id) == feature_vector(
+                b, rec.paper_id, auth.author_id
             )
 
 
-def test_extract_all_one_row_per_author(hand_index):
-    corpus, index = hand_index
-    rows = list(extract_all(corpus, index))
-    assert len(rows) == sum(len(r.authorships) for r in corpus)
-    assert rows[0][:2] == ("P1", "A1")
+def test_rows_in_input_order_then_position():
+    corpus = hand_corpus()
+    random.Random(4).shuffle(corpus)
+    table = build_profiles(corpus)
+    keys = [(r.paper_id, a.author_id) for r in corpus for a in r.authorships]
+    assert list(table.rows.items()) == [(key, i) for i, key in enumerate(keys)]
+    assert table.X.shape == (len(keys), len(FEATURE_NAMES))
+    assert not table.X.flags.writeable
+
+
+def test_repeated_author_gives_one_row_at_first_position():
+    corpus = [
+        make_record(
+            "P1", 2010, date="2010-01-10", authors=("A2", "A1", "A3", "A1"),
+            countries=("China", "Japan", "China", "Japan"),
+        ),
+        make_record("P2", 2011, date="2011-01-10", authors=("A1", "A2")),
+    ]
+    table = build_profiles(corpus)
+    assert list(table.rows) == [
+        ("P1", "A2"), ("P1", "A1"), ("P1", "A3"), ("P2", "A1"), ("P2", "A2"),
+    ]
+    # A1's first position on P1 is 1, not an end; its last is 3, an end
+    assert feature_vector(table, "P2", "A1").f8_first_or_last_count == 0
+    assert feature_vector(table, "P2", "A2").f8_first_or_last_count == 1
+    assert tuple(feature_vector(table, "P2", "A1")) == oracle_features(corpus, corpus[1], "A1")
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_oracle_equivalence_random(seed):
     corpus = random_corpus(seed, max_papers=12, max_authors=6)
-    index = build_profiles(corpus)
+    table = build_profiles(corpus)
     for rec in corpus:
         for a in rec.authorships:
-            v = extract_features(rec, a.author_id, index)
+            v = feature_vector(table, rec.paper_id, a.author_id)
             expected = oracle_features(corpus, rec, a.author_id)
             assert tuple(v)[:8] == expected[:8]
             assert abs(v.f9_affiliation_score - expected[8]) <= 1e-12
@@ -169,9 +171,10 @@ def test_oracle_equivalence_long_histories(seed):
     # dozens of prior papers, undated July 1 ties and citations across years
     corpus = random_corpus(seed, max_papers=120, max_authors=3)
     by_id = {rec.paper_id: rec for rec in corpus}
-    rows = list(extract_all(corpus, build_profiles(corpus)))
-    assert len(rows) == sum(len(rec.authorships) for rec in corpus)
-    for paper_id, author_id, v in rows:
+    table = build_profiles(corpus)
+    assert len(table.rows) == sum(len(rec.authorships) for rec in corpus)
+    for paper_id, author_id in table.rows:
+        v = feature_vector(table, paper_id, author_id)
         expected = oracle_features(corpus, by_id[paper_id], author_id)
         assert tuple(v)[:8] == expected[:8]
         assert abs(v.f9_affiliation_score - expected[8]) <= 1e-12
@@ -184,11 +187,11 @@ def test_temporal_causality(seed):
     ordered = sorted(corpus, key=lambda r: (r.sort_date(), r.paper_id))
     focal = ordered[len(ordered) // 2]
     truncated = [r for r in corpus if r.sort_date() <= focal.sort_date()]
-    full_index = build_profiles(corpus)
-    cut_index = build_profiles(truncated)
+    full = build_profiles(corpus)
+    cut = build_profiles(truncated)
     for a in focal.authorships:
-        assert extract_features(focal, a.author_id, full_index) == extract_features(
-            focal, a.author_id, cut_index
+        assert feature_vector(full, focal.paper_id, a.author_id) == feature_vector(
+            cut, focal.paper_id, a.author_id
         )
 
 
@@ -198,13 +201,13 @@ def test_monotone_history(seed):
     corpus = random_corpus(seed, max_papers=10, max_authors=5)
     focal = max(corpus, key=lambda r: (r.sort_date(), r.paper_id))
     author = focal.authorships[0].author_id
-    before = extract_features(focal, author, build_profiles(corpus))
+    before = feature_vector(build_profiles(corpus), focal.paper_id, author)
     extra = make_record(
         "EARLY1", 1994, date="1994-05-05",
         authors=(author,), countries=("China",), institutions=("I1",),
         refs=(), concepts=(("ancient topic", 1),),
     )
-    after = extract_features(focal, author, build_profiles(corpus + [extra]))
+    after = feature_vector(build_profiles(corpus + [extra]), focal.paper_id, author)
     assert after.f5_prior_pub_count == before.f5_prior_pub_count + 1
     assert after.f7_unique_keywords >= before.f7_unique_keywords
     assert after.f8_first_or_last_count >= before.f8_first_or_last_count
@@ -216,7 +219,7 @@ def test_f9_invariant_to_volume_scaling(seed, k):
     corpus = random_corpus(seed, max_papers=10, max_authors=5)
     focal = max(corpus, key=lambda r: (r.sort_date(), r.paper_id))
     author = focal.authorships[0].author_id
-    before = extract_features(focal, author, build_profiles(corpus))
+    before = feature_vector(build_profiles(corpus), focal.paper_id, author)
     # replicate every earlier-year paper's institution footprint k-fold
     # with fresh papers that cannot touch any other feature
     clones = []
@@ -241,31 +244,30 @@ def test_f9_invariant_to_volume_scaling(seed, k):
                     ),
                 )
             )
-    after = extract_features(focal, author, build_profiles(corpus + clones))
+    after = feature_vector(build_profiles(corpus + clones), focal.paper_id, author)
     assert after.f9_affiliation_score == pytest.approx(
         before.f9_affiliation_score, abs=1e-12
     )
 
 
-def test_features_file_round_trip(tmp_path, hand_index):
-    corpus, index = hand_index
-    rows = list(extract_all(corpus, index))
+def test_features_file_round_trip(tmp_path):
     path = tmp_path / "features.tsv"
-    write_features(rows, path)
-    table = read_features(path)
-    assert table.rows == {(p, a): i for i, (p, a, _) in enumerate(rows)}
-    # f9 is written with 9 decimals; every other value reads back exactly
-    expected = np.array(
-        [(*v[:8], float(f"{v[8]:.9f}")) for _, _, v in rows], dtype=np.float64
-    )
-    assert table.X.tobytes() == expected.tobytes()
-    assert np.abs(table.X - np.array([v for _, _, v in rows])).max() <= 5e-10
+    # the random corpus holds f9 values that 9 decimals round
+    for corpus in (hand_corpus(), random_corpus(0, max_papers=40, max_authors=8)):
+        table = build_profiles(corpus)
+        write_features(table, path)
+        decoded = read_features(path)
+        assert decoded.rows == table.rows
+        # f9 is written with 9 decimals; every other value reads back exactly
+        assert decoded.X[:, :8].tobytes() == table.X[:, :8].tobytes()
+        assert decoded.X[:, 8].tolist() == [float(f"{v:.9f}") for v in table.X[:, 8]]
+        assert np.abs(decoded.X - table.X).max() <= 5e-10
 
 
-def test_features_file_rejects_repeated_authorship(tmp_path, hand_index):
-    corpus, index = hand_index
+def test_features_file_rejects_repeated_authorship(tmp_path, hand_table):
+    _, table = hand_table
     path = tmp_path / "features.tsv"
-    write_features(extract_all(corpus, index), path)
+    write_features(table, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join([*lines, lines[1]]) + "\n", encoding="utf-8")
     with pytest.raises(InvariantViolation) as info:

@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import fit_inputs, make_record
+from helpers import feature_vector, fit_inputs, make_record
 from leadshare.corpus import classify_topics, filter_corpus, impact_factor_bin
 from leadshare.errors import ConfigError, InvariantViolation, MalformedRecord, TooFewExamples
-from leadshare.features import (
-    FeatureTable,
-    LeadFeatureVector,
-    build_profiles,
-    extract_all,
-    extract_features,
-    read_features,
-)
+from leadshare.features import LeadFeatureVector, build_profiles, read_features
 from leadshare.metrics import FilterSpec, ScoredTable, aggregate
 from leadshare.records import read_corpus
 from leadshare.leadmodel import (
@@ -303,28 +296,18 @@ def scoring_setup(request):
     return corpus, model, region_map, topics, bri
 
 
-def feature_table(corpus, index) -> FeatureTable:
-    rows = list(extract_all(corpus, index))
-    return FeatureTable(
-        {(p, a): i for i, (p, a, _) in enumerate(rows)},
-        np.array([v for _, _, v in rows], dtype=np.float64),
-    )
-
-
 def test_score_corpus_matches_composition(scoring_setup):
     corpus, model, region_map, topics, bri = scoring_setup
     edges = (1, 2, 4, 8, 16)
     records = [rec for rec, _pair in filter_corpus(corpus, region_map)]
-    index = build_profiles(corpus)
-    table, below = score_corpus(
-        model, records, feature_table(corpus, index), region_map, topics, bri, edges
-    )
+    features = build_profiles(corpus)
+    table, below = score_corpus(model, records, features, region_map, topics, bri, edges)
     assert (len(table), below) == (4, 0)
     for i in range(len(table)):
         paper_id, author_id = table.papers[table.paper[i]], table.authors[table.author[i]]
         tags = table.tags[table.tag[i]]
         rec = next(r for r in corpus if r.paper_id == paper_id)
-        prob = predict(model, extract_features(rec, author_id, index))
+        prob = predict(model, feature_vector(features, paper_id, author_id))
         assert table.lead_prob[i] == float(f"{prob:.9f}")
         assert table.is_leader[i] == (prob > 0.65)
         assert table.regions[table.region[i]] == region_map.region_of(tags.country)
@@ -350,10 +333,8 @@ def assert_same_table(got: ScoredTable, want: ScoredTable) -> None:
 def test_scored_file_round_trip(tmp_path, scoring_setup):
     corpus, model, region_map, topics, bri = scoring_setup
     records = [rec for rec, _pair in filter_corpus(corpus, region_map)]
-    index = build_profiles(corpus)
     table, _below = score_corpus(
-        model, records, feature_table(corpus, index), region_map, topics, bri,
-        (1, 2, 4, 8, 16),
+        model, records, build_profiles(corpus), region_map, topics, bri, (1, 2, 4, 8, 16)
     )
     path = tmp_path / "scored.tsv"
     write_scored(table, path)
@@ -385,8 +366,8 @@ def test_rounding_decides_the_threshold_count(tmp_path, scoring_setup):
     records = [rec for rec, _pair in filter_corpus(corpus, region_map)]
     model = flat_model(intercept=0.6000000004)
     table, _below = score_corpus(
-        model, records, feature_table(corpus, build_profiles(corpus)),
-        region_map, topics, bri, (1, 2, 4, 8, 16), threshold=0.6,
+        model, records, build_profiles(corpus), region_map, topics, bri,
+        (1, 2, 4, 8, 16), threshold=0.6,
     )
     path = tmp_path / "scored.tsv"
     write_scored(table, path)

@@ -232,6 +232,31 @@ class TestCaching:
         assert not list(cloned.output_dir.rglob("*.tmp"))
         assert run_stage("build-profiles", cloned) == "cached"
 
+    def test_each_stage_writes_an_artifact_others_read_last(self, fixture_config, monkeypatch):
+        # a crash between two writes of a stage leaves the first one new
+        # under the old manifest line: that file must be one no stage reads
+        out, replace, replaced = fixture_config.output_dir, os.replace, []
+
+        def spy(src, dst):
+            replaced.append(os.path.relpath(dst, out))
+            replace(src, dst)
+
+        monkeypatch.setattr(leadshare.records.os, "replace", spy)
+        run_all(fixture_config)
+        run_sweep(fixture_config, "threshold", (0.6,))
+        run_sweep(fixture_config, "if_bin", (0,))
+        monkeypatch.undo()
+        read = {rel for stage in STAGE_TABLE.values() for rel in stage.reads}
+        for stage in STAGE_TABLE.values():
+            written = [rel for rel in replaced if rel in stage.writes]
+            assert sorted(written) == sorted(stage.writes), stage.name
+            consumed = [rel for rel in written if rel in read]
+            if stage.name == "ingest":
+                # both read downstream until bilateral.jsonl is dropped
+                assert consumed == ["corpus.jsonl", "bilateral.jsonl"]
+            else:
+                assert consumed in ([], written[-1:]), stage.name
+
     def test_unknown_stage(self, fixture_config):
         with pytest.raises(ConfigError):
             run_stage("deploy", fixture_config)
@@ -707,6 +732,30 @@ class TestCli:
         assert levels == [logging.INFO] * 5
         cli("forecast", "--verbose")
         assert levels[-1] == logging.DEBUG
+
+    def test_levels_reach_a_configured_root_logger(self, tmp_path, fixture_dir):
+        # a program that set up logging first: basicConfig leaves it alone
+        cfg_file = self.write_config(tmp_path, fixture_dir)
+        root, records = logging.getLogger(), []
+        handler = logging.Handler()
+        handler.emit = records.append
+        level = root.level
+        root.addHandler(handler)
+        root.setLevel(logging.WARNING)
+
+        def logged(*flags: str) -> list[tuple[str, str]]:
+            records.clear()
+            assert main([*flags, "--config", str(cfg_file), "ingest"]) == 0
+            logging.getLogger("leadshare.pipeline").debug("probe")
+            return [(r.levelname, r.getMessage()) for r in records
+                    if r.name == "leadshare.pipeline"]
+
+        try:
+            assert logged() == [("INFO", f"ingest: ran: {RAN_COUNTS['ingest']}")]
+            assert logged("--verbose") == [("INFO", "ingest: cached"), ("DEBUG", "probe")]
+        finally:
+            root.removeHandler(handler)
+            root.setLevel(level)
 
     def test_sweep_subcommand(self, tmp_path, fixture_dir, capsys):
         cfg_file = self.write_config(tmp_path, fixture_dir)

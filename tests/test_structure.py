@@ -131,3 +131,26 @@ def test_stages_decode_artifacts_only_through_the_call_table():
     assert direct == set()
     # each reader is still called, from the one table of decoders
     assert SHARED_READERS <= {name for _, name in pipeline_calls}
+
+
+def names_used(path: Path) -> set[str]:
+    """Every name a module reads, imports or takes an attribute by."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_every_error_class_is_used():
+    # a deleted code path takes the errors only it raised along
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    for path in SRC.glob("*.py"):
+        if path.name != "errors.py":
+            classes -= names_used(path)
+    assert classes == set()
