@@ -164,7 +164,6 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureTable:
 
 
 _FEATURES_HEADER = "paper_id\tauthor_id\t" + "\t".join(FEATURE_NAMES)
-# f1-f8 as integers, f9 with 9 decimals
 _FEATURES_ROW = "%s\t%s" + "\t%d" * 8 + "\t%.9f"
 
 
