@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .config import _PARSERS, PipelineConfig, load_config
+from .config import PipelineConfig, load_config, parse_value
 from .errors import ConfigError, DataError, NumericError
 from .pipeline import STAGE_TABLE, STAGES, SWEEP_AXES, run_all, run_stage, run_sweep
 
@@ -86,14 +86,9 @@ def _assemble_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _sweep_values(args: argparse.Namespace, config: PipelineConfig) -> tuple:
     raw = getattr(args, "values", None)
-    threshold = args.axis == "threshold"
     if raw is not None:
-        parse = _PARSERS[tuple[float, ...] if threshold else tuple[int, ...]]
-        try:
-            return parse(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep values {raw!r}: {exc}") from exc
-    if threshold:
+        return parse_value(STAGE_TABLE[f"sweep-{args.axis}"].values, raw)
+    if args.axis == "threshold":
         return config.threshold_sweep
     return tuple(range(len(config.if_bin_edges)))
 

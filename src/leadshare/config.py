@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Optional, get_type_hints
 
 from .errors import ConfigError
+from .forecast import DEFAULT_CONFIDENCE, DEFAULT_HORIZON, DEFAULT_WINDOW
 from .leadmodel import DEFAULT_THRESHOLD, FAMILY_LINEAR, FAMILY_LOGISTIC
 from .metrics import COUNT_AUTHOR_PAPER, COUNT_UNIQUE_AUTHOR
 from .tables import AREA_TAGS, FIELD_TAGS, GLOBAL_REGIONS, HIGH_INCOME, LOW_INCOME
@@ -32,10 +33,10 @@ class PipelineConfig:
     fields_table: Optional[Path] = None
     lead_threshold: float = DEFAULT_THRESHOLD
     if_bin_edges: tuple[float, ...] = DEFAULT_IF_EDGES
-    window_start: int = 2010
-    window_end: int = 2021
-    confidence_level: float = 0.95
-    horizon: float = 2200.0
+    window_start: int = DEFAULT_WINDOW[0]
+    window_end: int = DEFAULT_WINDOW[1]
+    confidence_level: float = DEFAULT_CONFIDENCE
+    horizon: float = DEFAULT_HORIZON
     seed: int = 0
     strict: bool = False
     counting_mode: str = COUNT_AUTHOR_PAPER
@@ -85,6 +86,8 @@ class PipelineConfig:
             if not 0.0 < t < 1.0:
                 raise ConfigError(f"sweep threshold {t} not in (0,1)")
         for b in self.if_bins:
+            if isinstance(b, bool) or not isinstance(b, int):
+                raise ConfigError(f"impact-factor bin {b!r} is not an integer")
             if not 0 <= b < len(self.if_bin_edges):
                 raise ConfigError(f"impact-factor bin {b} out of range")
         for a in self.areas:
@@ -102,6 +105,9 @@ class PipelineConfig:
         for a, b in self.pairs:
             if a == b:
                 raise ConfigError(f"pair {a}|{b} must join two different regions")
+        # these keys are sets: order and repeats change no output and no hash
+        for key in ("areas", "fields", "if_bins", "bri_classes", "threshold_sweep"):
+            object.__setattr__(self, key, tuple(sorted(set(getattr(self, key)))))
 
     def replace(self, **changes) -> "PipelineConfig":
         return dataclasses.replace(self, **changes)
@@ -122,8 +128,7 @@ def _pair(chunk: str) -> tuple[str, str]:
     return (sides[0].strip(), sides[1].strip())
 
 
-# a config key's parser follows its PipelineConfig field type; path types
-# are resolved per file in config_from_mapping
+# a config key's parser follows its PipelineConfig field type
 _FIELD_TYPES = get_type_hints(PipelineConfig)
 _PARSERS = {
     bool: {"true": True, "false": False}.__getitem__,
@@ -137,33 +142,31 @@ _PARSERS = {
 }
 
 
+def parse_value(key: str, text: str, base_dir: Optional[Path] = None):
+    """The value of config key `key` written as `text`.  A relative path
+    resolves against base_dir; an empty path is None, which keeps the
+    default."""
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key {key!r}")
+    kind = _FIELD_TYPES[key]
+    if kind in (Path, Optional[Path]):
+        if not text:
+            return None
+        p = Path(text)
+        return p if base_dir is None or p.is_absolute() else base_dir / p
+    try:
+        return _PARSERS[kind](text)
+    except KeyError:  # only the bool parser raises it
+        raise ConfigError(f"{key} must be 'true' or 'false', got {text!r}") from None
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
+
+
 def config_from_mapping(
     mapping: dict[str, str], base_dir: Optional[Path] = None
 ) -> PipelineConfig:
-    def path(value: str) -> Optional[Path]:
-        # an empty path keeps the default
-        if not value:
-            return None
-        p = Path(value)
-        return p if base_dir is None or p.is_absolute() else base_dir / p
-
-    parsers = {**_PARSERS, Path: path, Optional[Path]: path}
-    kwargs: dict = {}
-    for key, value in mapping.items():
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
-        parse = parsers[_FIELD_TYPES[key]]
-        try:
-            parsed = parse(value)
-        except KeyError:  # only the bool parser raises it
-            raise ConfigError(
-                f"{key} must be 'true' or 'false', got {value!r}"
-            ) from None
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
-        if parsed is not None:
-            kwargs[key] = parsed
-    return PipelineConfig(**kwargs)
+    kwargs = {key: parse_value(key, value, base_dir) for key, value in mapping.items()}
+    return PipelineConfig(**{k: v for k, v in kwargs.items() if v is not None})
 
 
 def load_config(path: Path) -> PipelineConfig:

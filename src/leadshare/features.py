@@ -119,7 +119,7 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureTable:
     # institution that has any; built at the year's first paper
     rank_snapshots: dict[int, np.ndarray] = {}
 
-    values: list = [None] * len(rows)
+    X = np.empty((len(rows), len(FEATURE_NAMES)))
     histories: defaultdict[str, _History] = defaultdict(_History)
     for _, group in groupby(ordered, key=itemgetter(0)):
         promote = []
@@ -134,7 +134,7 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureTable:
                 h = histories[a.author_id]
                 # an institution with a paper before the year is in snapshot
                 own = bisect_left(institution_years.get(a.institution_id, ()), year)
-                values[rows[(paper_id, a.author_id)]] = (
+                X[rows[(paper_id, a.author_id)]] = (
                     len(refs & h.refs),
                     len(names & h.concepts),
                     len(refs & h.ids),
@@ -158,7 +158,6 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureTable:
             h.concepts |= names
             for y in citing_years.get(record.paper_id, ()):
                 h.cited_in[y] = h.cited_in.get(y, 0) + 1
-    X = np.array(values, dtype=np.float64).reshape(len(values), len(FEATURE_NAMES))
     X.flags.writeable = False
     return FeatureTable(rows, X)
 

@@ -103,12 +103,13 @@ _MANIFEST_HEADER = "stage\tinputs\tconfig\toutputs"
 class Stage:
     """One pipeline step: what it hashes, what it reads and what it writes.
 
-    `fn` takes the config and the call's `Artifacts` (a sweep also its
-    values) and returns the stage's counts, which `_run` logs; `help` is
-    the CLI help line, `raw` names the config key of a raw input file,
-    `tables` the packaged tables the stage reads, `reads` its upstream
-    artifacts and `config_keys` the config slice its behavior depends on;
-    changing any other key leaves the stage cached.
+    `fn` takes the config and the call's `Artifacts` and returns the
+    stage's counts, which `_run` logs; `help` is the CLI help line, `raw`
+    names the config key of a raw input file, `tables` the packaged tables
+    the stage reads, `reads` its upstream artifacts and `config_keys` the
+    config slice its behavior depends on; changing any other key leaves
+    the stage cached.  A sweep names in `values` the config key it sweeps,
+    which joins its slice as "values".
     """
 
     name: str
@@ -119,6 +120,7 @@ class Stage:
     reads: tuple[str, ...] = ()
     config_keys: tuple[str, ...] = ()
     writes: tuple[str, ...] = ()
+    values: Optional[str] = None
 
 
 def _sha256_bytes(data: bytes) -> str:
@@ -178,12 +180,10 @@ def write_manifest(entries: dict[str, ManifestEntry], path: Path) -> None:
     ))
 
 
-def _config_slice_hash(
-    config: PipelineConfig, stage: Stage, values: Optional[tuple] = None
-) -> str:
+def _config_slice_hash(config: PipelineConfig, stage: Stage) -> str:
     pieces = {key: getattr(config, key) for key in stage.config_keys}
-    if values is not None:
-        pieces["values"] = values
+    if stage.values is not None:
+        pieces["values"] = getattr(config, stage.values)
     text = repr(sorted(pieces.items()))
     return _sha256_bytes(text.encode("utf-8"))
 
@@ -432,11 +432,11 @@ def _tally(
     scored: ScoredTable,
     specs: Iterable[FilterSpec],
 ) -> tuple[list, list[RegionSeries]]:
-    """Counts and series of every distinct spec, in spec order."""
+    """Counts and series of every spec, in spec order; PipelineConfig's
+    normal form makes the specs distinct."""
     all_counts = []
     series_list: list[RegionSeries] = []
-    # a value listed twice would write each of its series twice
-    for spec in dict.fromkeys(specs):
+    for spec in specs:
         counts = aggregate(scored, spec, counting_mode=config.counting_mode)
         all_counts.extend(counts)
         series_list.extend(_series_for_counts(config, counts))
@@ -529,11 +529,11 @@ def _series_plot_rows(
     return rows
 
 
-def _sweep_specs(axis: str, values: Sequence) -> list[FilterSpec]:
-    """One filter per sweep value; run_sweep has checked the values."""
+def _sweep_specs(axis: str, config: PipelineConfig) -> list[FilterSpec]:
+    """One filter per value of the config key the axis sweeps."""
     if axis == "threshold":
-        return [FilterSpec(threshold=t) for t in values]
-    return [FilterSpec(if_bins=frozenset({int(b)})) for b in values]
+        return [FilterSpec(threshold=t) for t in config.threshold_sweep]
+    return [FilterSpec(if_bins=frozenset({b})) for b in config.if_bins]
 
 
 def _flagship(s: RegionSeries) -> bool:
@@ -560,9 +560,7 @@ _FIGURES: dict[str, tuple[str, Callable[[RegionSeries], bool]]] = {
 def _stage_export(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
     series_list = artifacts.read("series.tsv")
     scored = artifacts.read("scored.tsv")
-    _counts, sweep = _tally(
-        config, scored, _sweep_specs("threshold", config.threshold_sweep)
-    )
+    _counts, sweep = _tally(config, scored, _sweep_specs("threshold", config))
     sources = {"series": series_list, "sweep": sweep}
     export_dir = config.output_dir / "export"
     export_dir.mkdir(parents=True, exist_ok=True)
@@ -575,14 +573,12 @@ def _stage_export(config: PipelineConfig, artifacts: Artifacts) -> dict[str, flo
     return {"figure_tables": len(_FIGURES)}
 
 
-def _stage_sweep(
-    axis: str, config: PipelineConfig, artifacts: Artifacts, values: Sequence
-) -> dict[str, float]:
-    specs = _sweep_specs(axis, values)
+def _stage_sweep(axis: str, config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
+    specs = _sweep_specs(axis, config)
     scored = artifacts.read("scored.tsv")
     _counts, series_list = _tally(config, scored, specs)
     counts = _write_forecasts(config, series_list, f"sweep_{axis}.tsv")
-    return {"values": len(values), **counts}
+    return {"values": len(specs), **counts}
 
 
 _SWEEP_KEYS = (
@@ -652,19 +648,19 @@ STAGE_TABLE: dict[str, Stage] = {stage.name: stage for stage in (
         "sweep-threshold", functools.partial(_stage_sweep, "threshold"),
         "forecast once per lead threshold",
         reads=("scored.tsv",), config_keys=_SWEEP_KEYS,
-        writes=("sweep_threshold.tsv",),
+        writes=("sweep_threshold.tsv",), values="threshold_sweep",
     ),
     Stage(
         "sweep-if_bin", functools.partial(_stage_sweep, "if_bin"),
         "forecast once per impact-factor bin",
         reads=("scored.tsv",), config_keys=_SWEEP_KEYS,
-        writes=("sweep_if_bin.tsv",),
+        writes=("sweep_if_bin.tsv",), values="if_bins",
     ),
 )}
 
-STAGES = tuple(name for name in STAGE_TABLE if not name.startswith("sweep-"))
+STAGES = tuple(name for name, stage in STAGE_TABLE.items() if stage.values is None)
 SWEEP_AXES = tuple(
-    name.removeprefix("sweep-") for name in STAGE_TABLE if name.startswith("sweep-")
+    name.removeprefix("sweep-") for name, stage in STAGE_TABLE.items() if stage.values
 )
 
 
@@ -690,13 +686,12 @@ def _is_cached(
 
 def _run(
     name: str, config: PipelineConfig, force: bool,
-    artifacts: Optional[Artifacts] = None, values: Optional[tuple] = None,
+    artifacts: Optional[Artifacts] = None,
 ) -> str:
     """Hash the inputs, skip when the manifest line still matches, else run
-    the stage (a sweep also gets its values, which join the config slice),
-    record its line and log its counts.  artifacts holds what the calling
-    run_all decoded; a standalone stage starts its own.  A flock on
-    output_dir, which makes no file, keeps concurrent runs from
+    the stage, record its line and log its counts.  artifacts holds what
+    the calling run_all decoded; a standalone stage starts its own.  A
+    flock on output_dir, which makes no file, keeps concurrent runs from
     interleaving (POSIX only)."""
     stage = STAGE_TABLE[name]
     artifacts = artifacts or Artifacts(config.output_dir, (name,))
@@ -707,20 +702,19 @@ def _run(
         manifest_path = config.output_dir / MANIFEST_NAME
         manifest = read_manifest(manifest_path)
         artifacts.inputs = inputs = _stage_inputs(stage, config, manifest)
-        config_hash = _config_slice_hash(config, stage, values)
+        config_hash = _config_slice_hash(config, stage)
         if not force and _is_cached(
             manifest.get(name), inputs, config_hash, config, stage.writes
         ):
             artifacts.done(stage, {})
             log.info("%s: cached", name)
             return "cached"
-        args = (config, artifacts) if values is None else (config, artifacts, values)
         # no stage may build reference cycles at scale: the cyclic collector
         # is paused while one runs, as its passes over the live graph free nothing
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            counts = stage.fn(*args)
+            counts = stage.fn(config, artifacts)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -764,10 +758,7 @@ def run_sweep(
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not values:
         raise ConfigError(f"the {axis} sweep needs at least one value")
-    # a repeated value adds no series, so it neither re-runs the sweep nor
-    # changes its hash; first occurrences keep their order
-    values = tuple(dict.fromkeys(values))
-    # PipelineConfig checks each value's range
-    field = "threshold_sweep" if axis == "threshold" else "if_bins"
-    config.replace(**{field: values})
-    return _run(f"sweep-{axis}", config, force, values=values)
+    name = f"sweep-{axis}"
+    # PipelineConfig checks the values and sorts them without repeats, so
+    # neither order nor a repeat re-runs the sweep or changes its bytes
+    return _run(name, config.replace(**{STAGE_TABLE[name].values: values}), force)

@@ -128,9 +128,8 @@ def _read_rows(
 def _load_rows(
     path: Optional[Path], packaged_name: str, header: tuple[str, str]
 ) -> list[tuple[str, str]]:
-    if path is None:
-        return _read_rows(_packaged_bytes(packaged_name), packaged_name, header)
-    return _read_rows(Path(path).read_bytes(), str(path), header)
+    source = packaged_name if path is None else str(path)
+    return _read_rows(table_bytes(packaged_name, path), source, header)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from leadshare.pipeline import (
     run_sweep,
     write_manifest,
 )
-from leadshare.tables import AREA_TAGS, FIELD_TAGS, HIGH_INCOME
+from leadshare.tables import AREA_TAGS, FIELD_TAGS, HIGH_INCOME, LOW_INCOME
 
 ALL_ARTIFACTS = tuple(rel for stage in STAGES for rel in STAGE_TABLE[stage].writes)
 
@@ -671,6 +671,8 @@ class TestConfig:
             {"focal_region": "U.S"},
             {"pairs": (("China", "U.S"),)},
             {"pairs": (("China", "China"),)},
+            {"if_bins": (1.5,)},
+            {"if_bins": (True,)},
         ],
     )
     def test_validation(self, kwargs):
@@ -772,6 +774,49 @@ class TestCli:
             ["--config", str(cfg_file), "sweep", "--axis", "threshold",
              "--values", "fast"]
         ) == 2
+        # --values is parsed as the config key the sweep sweeps
+        assert "bad value for threshold_sweep: 'fast'" in capsys.readouterr().err
+
+    def test_list_keys_and_sweep_values_are_sets(self, tmp_path, fixture_dir, capsys):
+        # order and repeats in a list key or in --values change no byte of
+        # any artifact, and re-run nothing
+        for raw in ("corpus", "contributions"):
+            shutil.copy(fixture_dir / f"{raw}.jsonl", tmp_path)
+        # the five list keys, then each sweep axis's --values
+        normal = {
+            "areas": sorted(AREA_TAGS)[:3], "fields": sorted(FIELD_TAGS)[:3],
+            "if_bins": ["0", "2", "4"], "bri_classes": [HIGH_INCOME, LOW_INCOME],
+            "threshold_sweep": ["0.55", "0.6", "0.7"],
+            "threshold": ["0.5", "0.65"], "if_bin": ["1", "3"],
+        }
+        # rotated by one, then the new first value repeated
+        shuffled = {key: [*v[1:], v[0], v[1]] for key, v in normal.items()}
+
+        def run(lists: dict[str, list[str]], out: str) -> list[str]:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(
+                f"corpus = corpus.jsonl\ncontributions = contributions.jsonl\n"
+                f"output_dir = {out}\n"
+                + "".join(f"{key} = {', '.join(v)}\n" for key, v in lists.items()
+                          if key not in SWEEP_AXES),
+                encoding="utf-8",
+            )
+            assert main(["--config", str(cfg_file), "all"]) == 0
+            for axis in SWEEP_AXES:
+                assert main(["--config", str(cfg_file), "sweep", "--axis", axis,
+                             "--values", ",".join(lists[axis])]) == 0
+            return capsys.readouterr().out.splitlines()
+
+        def tree(out: str) -> dict[Path, bytes]:
+            root = tmp_path / out
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        run(normal, "normal")
+        run(shuffled, "shuffled")
+        artifacts = tree("normal")
+        assert Path(MANIFEST_NAME) in artifacts
+        assert tree("shuffled") == artifacts
+        assert run(shuffled, "normal") == [f"{name}: cached" for name in STAGE_TABLE]
 
     def test_empty_sweep_is_config_error(self, tmp_path, fixture_dir, capsys):
         cfg_file = self.write_config(tmp_path, fixture_dir)

@@ -114,6 +114,20 @@ def test_foreign_private_attributes_sees_reads_and_writes():
     ) == []
 
 
+def test_no_module_imports_another_modules_private_names():
+    # a module's underscore names are its own to change; other modules
+    # import its public names
+    found = {
+        f"{path.name}: {alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert found == set()
+
+
 # the readers of the artifacts that more than one stage decodes
 SHARED_READERS = {"read_corpus", "read_features", "read_scored", "read_series"}
 
