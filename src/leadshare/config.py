@@ -106,7 +106,7 @@ class PipelineConfig:
             if a == b:
                 raise ConfigError(f"pair {a}|{b} must join two different regions")
         # these keys are sets: order and repeats change no output and no hash
-        for key in ("areas", "fields", "if_bins", "bri_classes", "threshold_sweep"):
+        for key in ("pairs", "areas", "fields", "if_bins", "bri_classes", "threshold_sweep"):
             object.__setattr__(self, key, tuple(sorted(set(getattr(self, key)))))
 
     def replace(self, **changes) -> "PipelineConfig":

@@ -1,10 +1,10 @@
 """Per-author temporal profiles and the nine lead-prediction features.
 
 `build_profiles` walks the corpus once in (sort date, paper id) order,
-keeping a running history per author: prior references, paper ids and
-concept names, the prior paper count, first prior year, first-or-last
-count, and a histogram of the years in which corpus papers cited the
-prior papers.  "Prior" means dated strictly earlier than the focal paper:
+keeping a running history per author: prior references and concept
+names, the prior paper count, first prior year, first-or-last count, and
+a histogram of the years in which corpus papers cited the prior papers.
+"Prior" means dated strictly earlier than the focal paper:
 the sweep reads f1-f8 for a whole date group before promoting the group
 into the histories, so same-day papers are not prior and feature vectors
 are invariant to how same-day ties are ordered.  Papers without a
@@ -78,7 +78,6 @@ class _History:
     """One author's papers dated before the sweep's current date group."""
 
     refs: set[str] = field(default_factory=set)
-    ids: set[str] = field(default_factory=set)
     concepts: set[str] = field(default_factory=set)
     count: int = 0
     first_year: int = 0
@@ -121,10 +120,13 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureTable:
 
     X = np.empty((len(rows), len(FEATURE_NAMES)))
     histories: defaultdict[str, _History] = defaultdict(_History)
+    # papers dated before the current date group; with rows they give f3
+    promoted: set[str] = set()
     for _, group in groupby(ordered, key=itemgetter(0)):
         promote = []
         for _, paper_id, record in group:
             refs, names, year = record.references, record.concept_names(), record.year
+            prior_refs = refs & promoted
             ends = (0, len(record.authorships) - 1)
             if (snapshot := rank_snapshots.get(year)) is None:
                 counts = (bisect_left(years, year) for years in institution_years.values())
@@ -137,7 +139,7 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureTable:
                 X[rows[(paper_id, a.author_id)]] = (
                     len(refs & h.refs),
                     len(names & h.concepts),
-                    len(refs & h.ids),
+                    sum((r, a.author_id) in rows for r in prior_refs),
                     (year - h.first_year) if h.count else 0,
                     h.count,
                     sum(n for y, n in h.cited_in.items() if y < year),
@@ -154,7 +156,7 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureTable:
             h.count += 1
             h.first_or_last += first_or_last
             h.refs |= record.references
-            h.ids.add(record.paper_id)
+            promoted.add(record.paper_id)
             h.concepts |= names
             for y in citing_years.get(record.paper_id, ()):
                 h.cited_in[y] = h.cited_in.get(y, 0) + 1
@@ -166,10 +168,15 @@ _FEATURES_HEADER = "paper_id\tauthor_id\t" + "\t".join(FEATURE_NAMES)
 _FEATURES_ROW = "%s\t%s" + "\t%d" * 8 + "\t%.9f"
 
 
-def write_features(table: FeatureTable, path: Path) -> None:
+def write_features(table: FeatureTable, path: Path) -> FeatureTable:
+    """Write features.tsv; returns the table read_features decodes from it."""
     write_tsv(path, _FEATURES_HEADER, (
         _FEATURES_ROW % (*key, *x.tolist()) for key, x in zip(table.rows, table.X)
     ))
+    X = table.X.copy()
+    X[:, -1] = [float(f"{v:.9f}") for v in X[:, -1].tolist()]
+    X.flags.writeable = False
+    return FeatureTable(table.rows, X)
 
 
 def _feature_table(lines: list[str]) -> FeatureTable:

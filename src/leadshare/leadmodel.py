@@ -189,10 +189,10 @@ def fit(
     weights[active] = coef[1:]
 
     model = LinearLeadModel(
-        weights=tuple(weights),
+        weights=tuple(weights.tolist()),
         intercept=float(coef[0]),
-        feature_means=tuple(means),
-        feature_stds=tuple(stds),
+        feature_means=tuple(means.tolist()),
+        feature_stds=tuple(stds.tolist()),
         seed=seed,
         split_ratio=split_ratio,
         n_train=n_train,

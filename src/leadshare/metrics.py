@@ -18,7 +18,7 @@ are undefined and excluded from series rather than imputed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -317,13 +317,18 @@ def write_counts(countsets: Iterable[PairYearCounts], path: Path) -> None:
 _SERIES_HEADER = "pair\tfocal\tmetric\tfilter\tyear\tvalue"
 
 
-def write_series(series_list: Iterable[RegionSeries], path: Path) -> None:
+def write_series(series_list: Sequence[RegionSeries], path: Path) -> list[RegionSeries]:
+    """Write series.tsv; returns the series read_series decodes from it."""
     write_tsv(path, _SERIES_HEADER, (
         f"{s.pair[0]}|{s.pair[1]}\t{s.focal}\t{s.metric}\t"
         f"{s.filter_desc}\t{year}\t{value:.9f}"
         for s in series_list
         for year, value in s.points
     ))
+    return [
+        replace(s, points=tuple((year, float(f"{value:.9f}")) for year, value in s.points))
+        for s in series_list
+    ]
 
 
 def _series(lines: list[str]) -> list[RegionSeries]:

@@ -328,18 +328,16 @@ def _stage_train_roles(config: PipelineConfig, artifacts: Artifacts) -> dict[str
     partition = cluster_roles(matrix, seed=config.seed)
     model = label_clusters(partition)
     write_role_model(model, config.output_dir / "roles.tsv")
-    labels = list(
-        training_labels(
-            statements, model, strict_binary=config.strict_binary_labels
-        )
-    )
-    write_training_labels(labels, config.output_dir / "labels.tsv")
+    labels = training_labels(statements, model, strict_binary=config.strict_binary_labels)
+    labels = write_training_labels(labels, config.output_dir / "labels.tsv")
+    artifacts.hand_on("labels.tsv", labels)
     return {"verbs": len(matrix.vocabulary), "labels": len(labels)}
 
 
 def _stage_build_profiles(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
     records = artifacts.read("corpus.jsonl")
-    write_features(build_profiles(records), config.output_dir / "features.tsv")
+    features = write_features(build_profiles(records), config.output_dir / "features.tsv")
+    artifacts.hand_on("features.tsv", features)
     return {"papers": len(records)}
 
 
@@ -359,6 +357,7 @@ def _stage_fit_model(config: PipelineConfig, artifacts: Artifacts) -> dict[str, 
     # score reads model.tsv: written last, a crash between the two leaves it old
     write_eval(report, config.output_dir / "eval.tsv")
     write_model(model, config.output_dir / "model.tsv")
+    artifacts.hand_on("model.tsv", model)
     return {
         "examples": len(rows), "labels_without_features": len(labels) - len(rows),
         "precision": report.precision, "recall": report.recall,
@@ -377,7 +376,6 @@ def _stage_score(config: PipelineConfig, artifacts: Artifacts) -> dict[str, floa
         threshold=config.lead_threshold,
     )
     write_scored(table, config.output_dir / "scored.tsv")
-    # the table equals what read_scored decodes from the file just written
     artifacts.hand_on("scored.tsv", table)
     return {"rows": len(table), "below_first_edge": below}
 
@@ -449,7 +447,7 @@ def _stage_aggregate(config: PipelineConfig, artifacts: Artifacts) -> dict[str, 
         config, scored, _aggregate_filters(config, scored)
     )
     write_counts(all_counts, config.output_dir / "counts.tsv")
-    write_series(series_list, config.output_dir / "series.tsv")
+    artifacts.hand_on("series.tsv", write_series(series_list, config.output_dir / "series.tsv"))
     return {"pair_years": len(all_counts), "series": len(series_list)}
 
 

@@ -221,8 +221,9 @@ def parse_publication_line(line: str, line_no: int = 0) -> PublicationRecord:
         )
     authorships.sort(key=lambda a: a.position)
 
+    # ids interned: the corpus, its references and the labels share one copy
     return PublicationRecord(
-        paper_id=paper_id,
+        paper_id=sys.intern(paper_id),
         year=year,
         pub_date=pub_date,
         journal_id=journal_id,
@@ -398,7 +399,7 @@ def parse_contribution_line(line: str, line_no: int = 0) -> ContributionRecord:
         raise MalformedRecord(line_no, "verbs", "must be a list of strings")
     if not verbs:
         raise InvariantViolation(line_no, "verbs", "must be non-empty")
-    return ContributionRecord(paper_id=paper_id, author_id=author_id, verbs=tuple(verbs))
+    return ContributionRecord(sys.intern(paper_id), sys.intern(author_id), tuple(verbs))
 
 
 def read_contributions(

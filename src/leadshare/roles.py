@@ -287,7 +287,7 @@ def fractional_lead_value(
     return lead / len(known)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrainingLabel:
     paper_id: str
     author_id: str
@@ -332,10 +332,12 @@ def write_role_model(model: RoleClusterModel, path: Path) -> None:
 _LABELS_HEADER = "paper_id\tauthor_id\tlead_value"
 
 
-def write_training_labels(labels: Iterable[TrainingLabel], path: Path) -> None:
-    write_tsv(path, _LABELS_HEADER, (
-        f"{lab.paper_id}\t{lab.author_id}\t{lab.lead_value:.9f}" for lab in labels
-    ))
+def write_training_labels(labels: Iterable[TrainingLabel], path: Path) -> list[TrainingLabel]:
+    """Write labels.tsv; returns the labels read_training_labels decodes from it."""
+    rows = [(lab.paper_id, lab.author_id, f"{lab.lead_value:.9f}") for lab in labels]
+    write_tsv(path, _LABELS_HEADER, map("\t".join, rows))
+    value = {text: float(text) for _, _, text in rows}  # one float per distinct value
+    return [TrainingLabel(p, a, value[text]) for p, a, text in rows]
 
 
 def _lead_value(text: str) -> float:

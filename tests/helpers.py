@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 from collections import Counter
 from dataclasses import dataclass
@@ -22,6 +23,28 @@ from leadshare.metrics import (
     code_values,
 )
 from leadshare.records import AuthorshipRecord, PublicationRecord
+
+
+def assert_same(got, want, where: str = "value") -> None:
+    """got equals want in type and part by part: arrays in dtype and shape,
+    sequences item by item, dataclasses field by field and other objects
+    attribute by attribute."""
+    assert type(got) is type(want), where
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want), where
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{where}[{i}]")
+    elif dataclasses.is_dataclass(want):
+        for f in dataclasses.fields(want):
+            assert_same(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
+    elif hasattr(want, "__dict__"):
+        assert vars(got).keys() == vars(want).keys(), where
+        for name, value in vars(want).items():
+            assert_same(getattr(got, name), value, f"{where}.{name}")
+    else:
+        assert got == want, where
 
 
 def fit_inputs(examples) -> tuple[np.ndarray, np.ndarray]:

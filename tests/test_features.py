@@ -97,6 +97,27 @@ def test_oracle_agrees_on_hand_corpus(hand_table):
             )
 
 
+@pytest.mark.parametrize("cited, f3", [
+    ("P3", 0),  # A1's own paper, but from the focal paper's day
+    ("P2", 0),  # a prior paper of the co-author A2 alone
+    ("P1", 1),  # A1's own prior paper
+])
+def test_self_citation_counts_own_prior_papers_only(cited, f3):
+    corpus = [
+        make_record("P1", 2010, date="2010-03-01", authors=("A1",), countries=("China",)),
+        make_record("P2", 2011, date="2011-03-01", authors=("A2",), countries=("Japan",)),
+        # sorts before P4 within their shared date
+        make_record("P3", 2012, date="2012-05-05", authors=("A1",), countries=("China",)),
+        make_record(
+            "P4", 2012, date="2012-05-05", authors=("A1", "A2"),
+            countries=("China", "Japan"), refs=(cited,),
+        ),
+    ]
+    v = feature_vector(build_profiles(corpus), "P4", "A1")
+    assert v.f3_self_citations == f3
+    assert tuple(v) == oracle_features(corpus, corpus[3], "A1")
+
+
 def test_duplicate_paper_id():
     corpus = hand_corpus()
     with pytest.raises(DuplicatePaperId):

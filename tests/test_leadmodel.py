@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from helpers import feature_vector, fit_inputs, make_record
+from helpers import assert_same, feature_vector, fit_inputs, make_record
 from leadshare.corpus import classify_topics, filter_corpus, impact_factor_bin
 from leadshare.errors import ConfigError, InvariantViolation, MalformedRecord, TooFewExamples
 from leadshare.features import LeadFeatureVector, build_profiles, read_features
-from leadshare.metrics import FilterSpec, ScoredTable, aggregate
+from leadshare.metrics import FilterSpec, aggregate
 from leadshare.records import read_corpus
 from leadshare.leadmodel import (
     LEADER,
@@ -318,18 +318,6 @@ def test_score_corpus_matches_composition(scoring_setup):
         assert tags.bri_class == bri.class_of(tags.country)
 
 
-def assert_same_table(got: ScoredTable, want: ScoredTable) -> None:
-    """Every attribute of the two tables equal, arrays in dtype too."""
-    assert vars(got).keys() == vars(want).keys()
-    for name, value in vars(want).items():
-        other = getattr(got, name)
-        if isinstance(value, np.ndarray):
-            assert other.dtype == value.dtype, name
-            assert np.array_equal(other, value), name
-        else:
-            assert other == value, name
-
-
 def test_scored_file_round_trip(tmp_path, scoring_setup):
     corpus, model, region_map, topics, bri = scoring_setup
     records = [rec for rec, _pair in filter_corpus(corpus, region_map)]
@@ -338,7 +326,7 @@ def test_scored_file_round_trip(tmp_path, scoring_setup):
     )
     path = tmp_path / "scored.tsv"
     write_scored(table, path)
-    assert_same_table(read_scored(path), table)
+    assert_same(read_scored(path), table)
     assert list(table.regions) == sorted(table.regions)
     assert len(table.tags) == len(set(table.tags))
 
@@ -356,7 +344,7 @@ def test_handed_on_table_is_the_decoded_one(tmp_path, fixture_dir, region_map, t
     write_scored(table, path)
     assert path.read_bytes() == (out / "scored.tsv").read_bytes()
     assert (len(table), below) == (744, 0)
-    assert_same_table(read_scored(path), table)
+    assert_same(read_scored(path), table)
 
 
 def test_rounding_decides_the_threshold_count(tmp_path, scoring_setup):
@@ -378,7 +366,7 @@ def test_rounding_decides_the_threshold_count(tmp_path, scoring_setup):
         counts = aggregate(scored, FilterSpec(threshold=0.6))
         assert sum(sum(c.leaders.values()) for c in counts) == 0
         assert sum(sum(c.supporters.values()) for c in counts) == len(table) == 4
-    assert_same_table(decoded, table)
+    assert_same(decoded, table)
 
 
 def test_scored_file_rejects_missing_tags(tmp_path):

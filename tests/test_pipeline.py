@@ -17,6 +17,7 @@ import pytest
 
 import leadshare.pipeline
 import leadshare.records
+from helpers import assert_same
 from leadshare.cli import main
 from leadshare.config import (
     DEFAULT_IF_EDGES,
@@ -283,7 +284,10 @@ class TestDecodeOnce:
     """Within one call each artifact is decoded at most once; nothing
     decoded carries over to the next call."""
 
-    READERS = ("read_corpus", "read_features", "read_scored", "read_series")
+    READERS = (
+        "read_corpus", "read_features", "read_model", "read_scored", "read_series",
+        "read_training_labels",
+    )
 
     @pytest.fixture
     def decodes(self, monkeypatch) -> dict[str, int]:
@@ -298,20 +302,47 @@ class TestDecodeOnce:
 
     def test_all_decodes_each_artifact_once(self, fixture_config, decodes):
         run_all(fixture_config)
-        # the raw corpus only: build-profiles and score get ingest's records,
-        # aggregate and export the table that score built
-        assert decodes == {**dict.fromkeys(self.READERS, 1), "read_scored": 0}
+        # the raw corpus only: every later stage gets what an earlier one wrote
+        assert decodes == {**dict.fromkeys(self.READERS, 0), "read_corpus": 1}
         # a sweep is a call of its own, so it decodes scored.tsv
         run_sweep(fixture_config, "threshold", (0.6,))
         assert decodes["read_scored"] == 1
 
     def test_separate_stages_decode_from_disk(self, pristine, tmp_path, decodes):
         config = clone(pristine[0], tmp_path)
-        for stage in ("build-profiles", "score", "aggregate", "export"):
+        for stage in ("build-profiles", "fit-model", "score", "aggregate", "export"):
             assert run_stage(stage, config, force=True) == "ran"
         assert decodes == {
-            "read_corpus": 2, "read_features": 1, "read_scored": 2, "read_series": 1
+            "read_corpus": 2, "read_features": 2, "read_model": 1, "read_scored": 2,
+            "read_series": 1, "read_training_labels": 1,
         }
+
+    @pytest.fixture(scope="class")
+    def handed_on(self, fixture_dir, tmp_path_factory) -> tuple[Path, dict[str, object]]:
+        """A cold run_all of the fixture, and what its stages handed on."""
+        handed: dict[str, object] = {}
+        hand_on = leadshare.pipeline.Artifacts.hand_on
+
+        def spy(artifacts, rel, value):
+            handed[rel] = value
+            hand_on(artifacts, rel, value)
+
+        out = tmp_path_factory.mktemp("handed") / "out"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(leadshare.pipeline.Artifacts, "hand_on", spy)
+            run_all(PipelineConfig(
+                corpus=fixture_dir / "corpus.jsonl",
+                contributions=fixture_dir / "contributions.jsonl",
+                output_dir=out,
+            ))
+        return out, handed
+
+    @pytest.mark.parametrize(
+        "rel", [rel for rel in leadshare.pipeline._DECODERS if rel in ALL_ARTIFACTS]
+    )
+    def test_handed_on_value_is_the_decoded_one(self, handed_on, rel):
+        out, handed = handed_on
+        assert_same(handed[rel], leadshare.pipeline._DECODERS[rel](out / rel), rel)
 
     def test_all_matches_separate_stages(self, pristine, fixture_config):
         for stage in STAGES:
@@ -616,7 +647,8 @@ class TestConfig:
         assert cfg.corpus == tmp_path / "c.jsonl"
         assert cfg.output_dir == tmp_path / "results"
         assert cfg.lead_threshold == 0.7
-        assert cfg.pairs == (("China", "U.S."), ("China", "EU+"))
+        # pairs is a set of region sets: each pair sorted, then the pairs
+        assert cfg.pairs == (("China", "EU+"), ("China", "U.S."))
         assert cfg.if_bins == (1, 3)
         assert cfg.strict is True
         assert cfg.if_bin_edges == DEFAULT_IF_EDGES
@@ -782,9 +814,9 @@ class TestCli:
         # any artifact, and re-run nothing
         for raw in ("corpus", "contributions"):
             shutil.copy(fixture_dir / f"{raw}.jsonl", tmp_path)
-        # the five list keys, then each sweep axis's --values
+        # the six list keys, then each sweep axis's --values
         normal = {
-            "areas": sorted(AREA_TAGS)[:3], "fields": sorted(FIELD_TAGS)[:3],
+            "pairs": ["China|EU+", "China|U.S."], "areas": sorted(AREA_TAGS)[:3], "fields": sorted(FIELD_TAGS)[:3],
             "if_bins": ["0", "2", "4"], "bri_classes": [HIGH_INCOME, LOW_INCOME],
             "threshold_sweep": ["0.55", "0.6", "0.7"],
             "threshold": ["0.5", "0.65"], "if_bin": ["1", "3"],
