@@ -31,7 +31,7 @@ prestige source.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -116,7 +116,7 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureTable:
         years.sort()
     # focal year -> sorted counts of papers before that year, one per
     # institution that has any; built at the year's first paper
-    rank_snapshots: dict[int, np.ndarray] = {}
+    rank_snapshots: dict[int, list[int]] = {}
 
     X = np.empty((len(rows), len(FEATURE_NAMES)))
     histories: defaultdict[str, _History] = defaultdict(_History)
@@ -130,7 +130,7 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureTable:
             ends = (0, len(record.authorships) - 1)
             if (snapshot := rank_snapshots.get(year)) is None:
                 counts = (bisect_left(years, year) for years in institution_years.values())
-                snapshot = np.array(sorted(c for c in counts if c > 0), dtype=np.int64)
+                snapshot = sorted(c for c in counts if c > 0)
                 rank_snapshots[year] = snapshot
             for a in record.first_authorships():
                 h = histories[a.author_id]
@@ -145,8 +145,7 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureTable:
                     sum(n for y, n in h.cited_in.items() if y < year),
                     len(h.concepts),
                     h.first_or_last,
-                    float(np.searchsorted(snapshot, own, side="right")) / snapshot.size
-                    if own else 0.0,
+                    bisect_right(snapshot, own) / len(snapshot) if own else 0.0,
                 )
                 promote.append((h, record, names, a.position in ends))
         # promote the date group only now: same-day papers are not prior

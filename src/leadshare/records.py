@@ -1,21 +1,21 @@
 """Publication records and the line-delimited input formats.
 
-The corpus is JSON Lines: one publication object per line with exactly the
-fields
+The corpus is JSON Lines: one publication object per line with the fields
 
     paper_id      str, once per corpus
     year          int
-    pub_date      "YYYY-MM-DD" or null
+    pub_date      "YYYY-MM-DD" or null; may be missing
     journal_id    str
     impact_factor finite float >= 0
     concepts      [{"name": str, "level": int >= 0}, ...]
     references    [str, ...]
-    authorships   [{"author_id": str, "position": int,
-                    "country": str, "institution_id": str}, ...]
+    authorships   [{"author_id": str, "position": int, "country": str,
+                    "institution_id": str, may be missing}, ...]
 
 Contribution statements use the same framing with fields paper_id,
-author_id (that pair once per file), verbs[].  Every string must be valid
-Unicode: a `\\u` escape may not decode to a lone surrogate.
+author_id (that pair once per file), verbs[].  Either format ignores
+other keys.  Every string must be valid Unicode: a `\\u` escape may not
+decode to a lone surrogate.
 
 The stages pass their results to each other as line-based artifacts:
 `write_tsv` writes every one of them, and `read_tsv` reads a tab-separated
@@ -32,6 +32,7 @@ import re
 import sys
 from dataclasses import dataclass
 from itertools import repeat
+from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, Optional, TypeVar
@@ -45,6 +46,7 @@ MISSING_DATE_MONTH_DAY = (7, 1)
 # ids and countries end up in TSV columns and packed tag fields, so they
 # must not contain the characters that separate those
 SEPARATORS = ("\t", "\n", ";", "|", "=")
+_separator_in = re.compile(f"[{''.join(SEPARATORS)}]").search
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,6 +130,38 @@ def _parse_date(raw, line_no: int) -> Optional[datetime.date]:
         raise MalformedRecord(line_no, "pub_date", f"not an ISO date: {raw!r}")
 
 
+def _fast_publication(obj: dict) -> Optional[PublicationRecord]:
+    """The record of a line that passes every check, else None for the per-field checks."""
+    get, intern = obj.get, sys.intern
+    paper_id, year, journal_id, impact_factor, raw_concepts, raw_refs, raw_auth = map(get, (
+        "paper_id", "year", "journal_id", "impact_factor", "concepts", "references", "authorships"))
+    try:  # a value of the wrong type or shape, or a position out of range, raises here
+        pub_date = _parse_date(get("pub_date"), 0)
+        references = frozenset(map(intern, raw_refs))
+        concepts = frozenset({(intern(c["name"]), c["level"]) for c in raw_concepts})
+        authorships = [None] * len(raw_auth)
+        for a in raw_auth:  # a repeated position leaves a slot None
+            authorships[a["position"]] = AuthorshipRecord(
+                intern(a["author_id"]), a["position"], intern(a["country"]),
+                intern(a.get("institution_id", "")))
+    except (KeyError, TypeError, IndexError, RecordError):
+        return None
+    if not (type(paper_id) is str and paper_id and type(year) is int and year >= 1500
+            and type(journal_id) is str and type(impact_factor) in (float, int)
+            and 0 <= impact_factor <= sys.float_info.max and type(raw_concepts) is list
+            and type(raw_refs) is list and type(raw_auth) is list and authorships
+            and all(authorships) and paper_id not in references
+            and (pub_date is None or pub_date.year == year)
+            and all([name and type(level) is int and level >= 0 for name, level in concepts])
+            and all([a.author_id and a.country.strip() and type(a.position) is int
+                     and a.position >= 0 for a in authorships])
+            and not _separator_in("".join([paper_id, *[a.author_id + a.country
+                                                       for a in authorships]]))):
+        return None
+    return PublicationRecord(intern(paper_id), year, pub_date, journal_id, float(impact_factor),
+                             concepts, references, tuple(authorships))
+
+
 def parse_publication_line(line: str, line_no: int = 0) -> PublicationRecord:
     """Parse one corpus line into a validated PublicationRecord.
 
@@ -136,6 +170,8 @@ def parse_publication_line(line: str, line_no: int = 0) -> PublicationRecord:
     number and offending field.
     """
     obj = _json_object(line, line_no)
+    if record := _fast_publication(obj):
+        return record
     paper_id = _require(obj, "paper_id", line_no)
     if not isinstance(paper_id, str) or not paper_id:
         raise MalformedRecord(line_no, "paper_id", "must be a non-empty string")
@@ -354,30 +390,20 @@ def publication_to_json(record: PublicationRecord) -> str:
     Canonical form: concepts and references sorted, authorships by position,
     so equal records serialize to equal bytes.
     """
-    obj = {
-        "paper_id": record.paper_id,
-        "year": record.year,
-        "pub_date": record.pub_date.isoformat() if record.pub_date else None,
-        "journal_id": record.journal_id,
-        "impact_factor": record.impact_factor,
-        "concepts": [
-            {"name": n, "level": l} for n, l in sorted(record.concepts)
-        ],
-        "references": sorted(record.references),
-        "authorships": [
-            {
-                "author_id": a.author_id,
-                "position": a.position,
-                "country": a.country,
-                "institution_id": a.institution_id,
-            }
-            for a in record.authorships
-        ],
-    }
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    # as json.dumps(separators=(",", ":"), ensure_ascii=False), whose string encoder q is
+    q = encode_basestring
+    concepts = ",".join([f'{{"name":{q(n)},"level":{l}}}' for n, l in sorted(record.concepts)])
+    authorships = ",".join([
+        f'{{"author_id":{q(a.author_id)},"position":{a.position},"country":{q(a.country)},'
+        f'"institution_id":{q(a.institution_id)}}}' for a in record.authorships])
+    date = f'"{record.pub_date.isoformat()}"' if record.pub_date else "null"
+    return (f'{{"paper_id":{q(record.paper_id)},"year":{record.year},"pub_date":{date},'
+            f'"journal_id":{q(record.journal_id)},"impact_factor":{record.impact_factor},'
+            f'"concepts":[{concepts}],"references":[{",".join(map(q, sorted(record.references)))}],'
+            f'"authorships":[{authorships}]}}')
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContributionRecord:
     """Pre-tokenized contribution statement for one author on one paper."""
 
@@ -388,6 +414,11 @@ class ContributionRecord:
 
 def parse_contribution_line(line: str, line_no: int = 0) -> ContributionRecord:
     obj = _json_object(line, line_no)
+    paper_id, author_id, verbs = map(obj.get, ("paper_id", "author_id", "verbs"))
+    if (type(paper_id) is type(author_id) is str and paper_id and author_id
+            and type(verbs) is list and verbs and all(type(v) is str for v in verbs)
+            and not _separator_in(paper_id + author_id)):
+        return ContributionRecord(sys.intern(paper_id), sys.intern(author_id), tuple(verbs))
     paper_id = _require(obj, "paper_id", line_no)
     author_id = _require(obj, "author_id", line_no)
     for field_name, value in (("paper_id", paper_id), ("author_id", author_id)):

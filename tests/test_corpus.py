@@ -1,14 +1,18 @@
 """Record parsing, corpus filters, topic tagging, and the static tables."""
 
+import copy
+import datetime
 import json
 import math
 import string
+from typing import Iterator
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_record
+import reference_records
+from helpers import assert_same, make_record
 from leadshare.corpus import (
     FilterStats,
     bilateral_pair,
@@ -24,8 +28,12 @@ from leadshare.errors import (
     TableIntegrityError,
     UnknownCountry,
 )
+from leadshare import records
 from leadshare.records import (
     SEPARATORS,
+    AuthorshipRecord,
+    ContributionRecord,
+    PublicationRecord,
     parse_contribution_line,
     parse_publication_line,
     publication_to_json,
@@ -357,6 +365,210 @@ def test_ingest_rejects_or_keeps_each_record_exactly(obj):
         return
     line = publication_to_json(record).encode("utf-8").decode("utf-8")
     assert parse_publication_line(line, 1) == record
+
+
+# -- fast decode and encode against the per-field reference ------------------
+
+
+def without_fast_checks(mp: pytest.MonkeyPatch) -> None:
+    """Send every line to the per-field checks: with every value seeming to
+    hold a separator, the fast checks reject each line."""
+    mp.setattr(records, "_separator_in", lambda text: True)
+
+
+def per_field_lookups(mp: pytest.MonkeyPatch) -> list[str]:
+    """The fields that the per-field checks look up from now on."""
+    require, looked_up = records._require, []
+    mp.setattr(records, "_require", lambda obj, key, line_no: (
+        looked_up.append(key) or require(obj, key, line_no)))
+    return looked_up
+
+
+def outcome(parse, line: str):
+    """The record parse makes of line, or its error as (class, line,
+    field, message)."""
+    try:
+        return parse(line, 7)
+    except RecordError as exc:
+        return (type(exc), exc.line_no, exc.field, str(exc))
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "fallback"])
+def test_extra_keys_and_optional_fields_are_accepted(fast, monkeypatch):
+    looked_up = per_field_lookups(monkeypatch)
+    if not fast:
+        without_fast_checks(monkeypatch)
+    obj = base_obj()
+    del obj["pub_date"], obj["authorships"][0]["institution_id"]
+    obj["extra"], obj["authorships"][1]["note"] = 1, [{"x": None}]
+    rec = parse(obj)
+    assert (rec.pub_date, rec.authorships[0].institution_id) == (None, "")
+    assert rec == reference_records.parse_publication_line(json.dumps(obj), 1)
+    statement = '{"paper_id":"P1","author_id":"A","verbs":["led"],"extra":1}'
+    assert parse_contribution_line(statement, 1) == ContributionRecord("P1", "A", ("led",))
+    assert bool(looked_up) != fast
+
+
+_ids = st.text(alphabet=string.ascii_letters + string.digits + "_-", min_size=1, max_size=6)
+# a value of each JSON type, for a field that expects another
+_JSON_VALUES = [None, True, 0, 1.5, "x", [], ["x"], [1], {}, {"name": "x", "level": 0}]
+_MISSING, _OWN_ID = object(), object()
+# (path into a raw object, values that each break one check there); every
+# path is also tried missing and holding a value of each JSON type
+_PUBLICATION_FAULTS = [
+    (("paper_id",), ["", 7]),
+    (("year",), [1499, True, 2015.0]),
+    (("pub_date",), ["2015-13-40", "1499-01-01", 20150101]),
+    (("journal_id",), [7]),
+    (("impact_factor",), [-0.5, math.nan, math.inf, 10**400, True, "3"]),
+    (("concepts",), ["Biology", {"Biology": 0}]),
+    (("concepts", 0), ["x"]),
+    (("concepts", 0, "name"), ["", 7]),
+    (("concepts", 0, "level"), [-1, True, 1.0, "0"]),
+    (("references",), ["R1", {"R1": 0}]),
+    (("references", 0), [7, _OWN_ID]),
+    (("authorships",), [[], "A1", {"A1": 0}]),
+    (("authorships", 0), ["x"]),
+    (("authorships", 0, "author_id"), ["", 7]),
+    (("authorships", 0, "position"), [-1, 0, 99, True, 1.0, "0"]),
+    (("authorships", 0, "country"), ["", "  ", 7]),
+    (("authorships", 0, "institution_id"), [None, 7, ["I1"]]),
+]
+_CONTRIBUTION_FAULTS = [
+    (("paper_id",), ["", 7]),
+    (("author_id",), ["", 7]),
+    (("verbs",), [[], "led"]),
+    (("verbs", 0), [7]),
+]
+# strings that take a separator (a fault in an id or country, legal
+# elsewhere) or a lone surrogate
+_STRINGS = {"paper_id", "author_id", "country", "journal_id", "name", 0}
+# a private-use character that a separator replaces in the JSON line:
+# raw, as json.dumps writes it (\t, \n) or as a \u escape
+_ESCAPE_ME = "\ue000"
+
+
+def _with(obj: dict, path: tuple, value) -> dict:
+    """A copy of obj with the value at path replaced, or removed."""
+    obj = copy.deepcopy(obj)
+    *parents, key = path
+    where = obj
+    for step in parents:
+        where = where[step]
+    if value is _MISSING:
+        where.pop(key, None) if isinstance(where, dict) else where.pop(key)
+    else:
+        where[key] = obj["paper_id"] if value is _OWN_ID else value
+    return obj
+
+
+def single_fault_lines(obj: dict, faults: list, ensure_ascii: bool) -> Iterator[str]:
+    """obj as a JSON line, then after each single fault in turn."""
+    yield json.dumps(obj, ensure_ascii=ensure_ascii)
+    for path, values in faults:
+        for value in (*values, _MISSING, *_JSON_VALUES):
+            yield json.dumps(_with(obj, path, value), ensure_ascii=ensure_ascii)
+        if path[-1] not in _STRINGS:
+            continue
+        for sep in SEPARATORS:
+            line = json.dumps(_with(obj, path, f"x{_ESCAPE_ME}y"), ensure_ascii=False)
+            for escape in (sep, json.dumps(sep)[1:-1], f"\\u{ord(sep):04x}"):
+                yield line.replace(_ESCAPE_ME, escape)
+        for bad in ("J\ud800x", "\udfff"):
+            yield json.dumps(_with(obj, path, bad))
+
+
+@st.composite
+def publication_objects(draw):
+    """A valid corpus object; pub_date and institution ids may be
+    missing, and it may hold an extra key."""
+    year = draw(st.integers(1500, 2100))
+    paper_id = draw(_ids)
+    obj = {
+        "paper_id": paper_id,
+        "year": year,
+        "pub_date": draw(st.none() | st.dates(
+            datetime.date(year, 1, 1), datetime.date(year, 12, 31)).map(str)),
+        "journal_id": draw(st.text(max_size=4)),
+        "impact_factor": draw(st.floats(0, 1e6) | st.integers(0, 100)),
+        "concepts": draw(st.lists(st.fixed_dictionaries(
+            {"name": st.text(min_size=1, max_size=4), "level": st.integers(0, 3)}
+        ), min_size=1, max_size=3)),
+        "references": draw(st.lists(_ids.map("R".__add__), min_size=1, max_size=3)),
+        "authorships": [
+            {"author_id": draw(_ids), "position": position, "country": draw(_ids),
+             "institution_id": draw(_ids | st.just(""))}
+            for position in draw(st.permutations(range(draw(st.integers(1, 4)))))
+        ],
+    }
+    for entry in [obj, *obj["authorships"]]:
+        if draw(st.booleans()):
+            entry.pop("pub_date" if entry is obj else "institution_id")
+    if draw(st.booleans()):
+        obj["extra"] = draw(st.sampled_from(_JSON_VALUES))
+    return obj
+
+
+@st.composite
+def contribution_objects(draw):
+    obj = {"paper_id": draw(_ids), "author_id": draw(_ids),
+           "verbs": draw(st.lists(st.text(max_size=4), min_size=1, max_size=3))}
+    if draw(st.booleans()):
+        obj["extra"] = draw(st.sampled_from(_JSON_VALUES))
+    return obj
+
+
+@pytest.mark.parametrize("parse,reference,objects,faults", [
+    (parse_publication_line, reference_records.parse_publication_line,
+     publication_objects(), _PUBLICATION_FAULTS),
+    (parse_contribution_line, reference_records.parse_contribution_line,
+     contribution_objects(), _CONTRIBUTION_FAULTS),
+], ids=["corpus", "contributions"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fast_decode_agrees_with_the_reference(parse, reference, objects, faults, data):
+    # the same record, or the same error, whichever checks a line takes
+    obj, ensure_ascii = data.draw(objects), data.draw(st.booleans())
+    for line in single_fault_lines(obj, faults, ensure_ascii):
+        want = outcome(reference, line)
+        with pytest.MonkeyPatch.context() as mp:
+            looked_up = per_field_lookups(mp)
+            assert_same(outcome(parse, line), want)
+        # a line that passes takes the fast checks alone
+        assert isinstance(want, tuple) or not looked_up, line
+        with pytest.MonkeyPatch.context() as mp:
+            without_fast_checks(mp)
+            assert_same(outcome(parse, line), want)
+
+
+_odd_strings = st.text(max_size=4) | st.sampled_from([
+    '"', "\\", "\x00", "\x1f", "a\"b\\c\nd\te", "\u2028", "é中\U0001f600", ";|=", "J;1|x=y",
+])
+
+
+@st.composite
+def encodable_records(draw):
+    authorships = tuple(
+        AuthorshipRecord(draw(_odd_strings), position, draw(_odd_strings), draw(_odd_strings))
+        for position in range(draw(st.integers(1, 3)))
+    )
+    return PublicationRecord(
+        paper_id=draw(_odd_strings),
+        year=draw(st.integers(1500, 2100)),
+        pub_date=draw(st.none() | st.dates()),
+        journal_id=draw(_odd_strings),
+        impact_factor=draw(st.sampled_from([0.0, 0.1, 3.0, 1e-7, 1e16, 5e-324]) | st.floats(
+            0, allow_nan=False, allow_infinity=False)),
+        concepts=frozenset(draw(st.lists(st.tuples(_odd_strings, st.integers(0, 3)), max_size=3))),
+        references=frozenset(draw(st.lists(_odd_strings, max_size=3))),
+        authorships=authorships,
+    )
+
+
+@settings(max_examples=300)
+@given(encodable_records())
+def test_encoder_writes_what_json_dumps_writes(record):
+    assert publication_to_json(record) == reference_records.publication_to_json(record)
 
 
 # -- corpus filters ----------------------------------------------------------
