@@ -367,21 +367,7 @@ def test_ingest_rejects_or_keeps_each_record_exactly(obj):
     assert parse_publication_line(line, 1) == record
 
 
-# -- fast decode and encode against the per-field reference ------------------
-
-
-def without_fast_checks(mp: pytest.MonkeyPatch) -> None:
-    """Send every line to the per-field checks: with every value seeming to
-    hold a separator, the fast checks reject each line."""
-    mp.setattr(records, "_separator_in", lambda text: True)
-
-
-def per_field_lookups(mp: pytest.MonkeyPatch) -> list[str]:
-    """The fields that the per-field checks look up from now on."""
-    require, looked_up = records._require, []
-    mp.setattr(records, "_require", lambda obj, key, line_no: (
-        looked_up.append(key) or require(obj, key, line_no)))
-    return looked_up
+# -- decode and encode against the per-field reference -----------------------
 
 
 def outcome(parse, line: str):
@@ -393,20 +379,21 @@ def outcome(parse, line: str):
         return (type(exc), exc.line_no, exc.field, str(exc))
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["fast", "fallback"])
-def test_extra_keys_and_optional_fields_are_accepted(fast, monkeypatch):
-    looked_up = per_field_lookups(monkeypatch)
-    if not fast:
-        without_fast_checks(monkeypatch)
+@pytest.mark.parametrize("legal", ["", ";|=\\"], ids=["plain", "escaped"])
+def test_extra_keys_and_optional_fields_are_accepted(legal):
+    # with legal separators and a \ escape in the line, its ids are checked
+    # for separators too
     obj = base_obj()
     del obj["pub_date"], obj["authorships"][0]["institution_id"]
     obj["extra"], obj["authorships"][1]["note"] = 1, [{"x": None}]
-    rec = parse(obj)
+    obj["journal_id"] += legal
+    line = json.dumps(obj)
+    assert records._may_hold_separator(line) == bool(legal)
+    rec = parse_publication_line(line, 1)
     assert (rec.pub_date, rec.authorships[0].institution_id) == (None, "")
-    assert rec == reference_records.parse_publication_line(json.dumps(obj), 1)
-    statement = '{"paper_id":"P1","author_id":"A","verbs":["led"],"extra":1}'
-    assert parse_contribution_line(statement, 1) == ContributionRecord("P1", "A", ("led",))
-    assert bool(looked_up) != fast
+    assert rec == reference_records.parse_publication_line(line, 1)
+    statement = json.dumps({"paper_id": "P1", "author_id": "A", "verbs": ["led" + legal], "extra": 1})
+    assert parse_contribution_line(statement, 1) == ContributionRecord("P1", "A", ("led" + legal,))
 
 
 _ids = st.text(alphabet=string.ascii_letters + string.digits + "_-", min_size=1, max_size=6)
@@ -421,7 +408,11 @@ _PUBLICATION_FAULTS = [
     (("pub_date",), ["2015-13-40", "1499-01-01", 20150101]),
     (("journal_id",), [7]),
     (("impact_factor",), [-0.5, math.nan, math.inf, 10**400, True, "3"]),
-    (("concepts",), ["Biology", {"Biology": 0}]),
+    # a set holds one of a concept and its twin at an equal level of
+    # another type: each entry is checked before they merge
+    (("concepts",), ["Biology", {"Biology": 0}, *[
+        [{"name": "x", "level": int(level)}, {"name": "x", "level": level}]
+        for level in (True, False, 1.0, 0.0)]]),
     (("concepts", 0), ["x"]),
     (("concepts", 0, "name"), ["", 7]),
     (("concepts", 0, "level"), [-1, True, 1.0, "0"]),
@@ -526,19 +517,27 @@ def contribution_objects(draw):
 ], ids=["corpus", "contributions"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_fast_decode_agrees_with_the_reference(parse, reference, objects, faults, data):
-    # the same record, or the same error, whichever checks a line takes
+def test_decode_agrees_with_the_reference(parse, reference, objects, faults, data):
+    # the same record, or the same error, for every line
     obj, ensure_ascii = data.draw(objects), data.draw(st.booleans())
     for line in single_fault_lines(obj, faults, ensure_ascii):
-        want = outcome(reference, line)
-        with pytest.MonkeyPatch.context() as mp:
-            looked_up = per_field_lookups(mp)
-            assert_same(outcome(parse, line), want)
-        # a line that passes takes the fast checks alone
-        assert isinstance(want, tuple) or not looked_up, line
-        with pytest.MonkeyPatch.context() as mp:
-            without_fast_checks(mp)
-            assert_same(outcome(parse, line), want)
+        assert_same(outcome(parse, line), outcome(reference, line))
+
+
+@pytest.mark.parametrize("framing", [
+    "{}", " {}", "{} ", "{}\r\n", "\t{}\n", "{}\x0b", "{}\u2028", "\ufeff{}", "{} x", "{}{}",
+    "{},", "[{}]", '"x"', "{", "", "null", "1" * 5000,
+])
+def test_json_framing_agrees_with_the_reference(framing):
+    # a valid record framed by whitespace (JSON's and other), a BOM, extra
+    # data, or no record at all
+    for parse, reference, obj in [
+        (parse_publication_line, reference_records.parse_publication_line, base_obj()),
+        (parse_contribution_line, reference_records.parse_contribution_line,
+         {"paper_id": "P1", "author_id": "A", "verbs": ["led"]}),
+    ]:
+        line = framing.replace("{}", json.dumps(obj))
+        assert_same(outcome(parse, line), outcome(reference, line))
 
 
 _odd_strings = st.text(max_size=4) | st.sampled_from([
