@@ -32,7 +32,7 @@ prestige source.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
@@ -101,6 +101,8 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureTable:
         for a in record.first_authorships():
             rows[(record.paper_id, a.author_id)] = len(rows)
     ordered.sort(key=lambda t: (t[0], t[1]))
+    # rows per author still to come; the last drops the author's history
+    left = Counter(author_id for _, author_id in rows)
     # years of corpus papers citing each paper, and of each institution's
     # papers (one entry per paper); complete before the sweep, since later
     # papers cite earlier ones
@@ -123,7 +125,7 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureTable:
     # papers dated before the current date group; with rows they give f3
     promoted: set[str] = set()
     for _, group in groupby(ordered, key=itemgetter(0)):
-        promote = []
+        group, promote = list(group), []
         for _, paper_id, record in group:
             refs, names, year = record.references, record.concept_names(), record.year
             prior_refs = refs & promoted
@@ -147,15 +149,19 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureTable:
                     h.first_or_last,
                     bisect_right(snapshot, own) / len(snapshot) if own else 0.0,
                 )
-                promote.append((h, record, names, a.position in ends))
+                left[a.author_id] -= 1
+                if left[a.author_id]:
+                    promote.append((h, record, names, a.position in ends))
+                else:
+                    del histories[a.author_id]
         # promote the date group only now: same-day papers are not prior
+        promoted.update(paper_id for _, paper_id, _ in group)
         for h, record, names, first_or_last in promote:
             if not h.count:
                 h.first_year = record.year
             h.count += 1
             h.first_or_last += first_or_last
             h.refs |= record.references
-            promoted.add(record.paper_id)
             h.concepts |= names
             for y in citing_years.get(record.paper_id, ()):
                 h.cited_in[y] = h.cited_in.get(y, 0) + 1

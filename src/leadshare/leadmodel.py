@@ -10,6 +10,7 @@ model metadata so downstream artifacts show the fallback engaged.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -25,7 +26,7 @@ from .errors import (
     TooFewExamples,
 )
 from .features import FEATURE_NAMES, FeatureTable, LeadFeatureVector
-from .metrics import PaperTags, ScoredTable, code_values
+from .metrics import PaperTags, ScoredTable
 from .records import FieldError, PublicationRecord, check_unique, read_tsv, tsv_rows, write_tsv
 from .tables import BriClassification, RegionMap, TopicMap
 
@@ -221,7 +222,8 @@ def score_corpus(
     from write_scored's file.  Papers below the first impact-factor edge
     are skipped; the second return value counts them.
     """
-    paper_ids, author_ids, regions, years, tags, rows = [], [], [], [], [], []
+    papers, authors, regions, tags = {}, {}, {}, {}
+    paper, author, region, years, tag, rows = [], [], [], [], [], []
     below = 0
     for record in records:
         try:
@@ -237,21 +239,22 @@ def score_corpus(
                     f"no feature row for {a.author_id} on "
                     f"{record.paper_id}; re-run build-profiles"
                 )
-            paper_ids.append(record.paper_id)
-            author_ids.append(a.author_id)
-            regions.append(region_map.region_of(a.country))
+            paper.append(papers.setdefault(record.paper_id, len(papers)))
+            author.append(authors.setdefault(a.author_id, len(authors)))
+            region.append(regions.setdefault(region_map.region_of(a.country), len(regions)))
             years.append(record.year)
-            tags.append(PaperTags(areas, fields, if_bin, bri.class_of(a.country), a.country))
+            row_tags = PaperTags(areas, fields, if_bin, bri.class_of(a.country), a.country)
+            tag.append(tags.setdefault(row_tags, len(tags)))
             rows.append(row)
     probs = predict_many(model, features.X[rows])
-    distinct, tag = code_values(tags)
     # the table must equal what read_scored decodes from write_scored's
     # file, which holds lead_prob at 9 decimals: lead_prob is rounded to
     # those 9, while is_leader is decided on the unrounded probability
     rounded = [float(f"{p:.9f}") for p in probs.tolist()]
     return ScoredTable(
-        paper_ids, author_ids, regions, np.array(years, dtype=np.int64),
-        np.array(rounded, dtype=np.float64), probs > threshold, tag, distinct,
+        papers, paper, authors, author, regions, region,
+        np.array(years, dtype=np.int64), np.array(rounded, dtype=np.float64),
+        probs > threshold, tags, tag,
     ), below
 
 
@@ -322,6 +325,7 @@ def write_eval(report: EvalReport, path: Path) -> None:
 
 _SCORED_HEADER = "paper_id\tauthor_id\tregion\tyear\tlead_prob\tis_leader\ttags"
 _TAG_KEYS = ("areas", "fields", "if_bin", "bri", "country")
+_IS_LEADER = {"true": True, "false": False}
 
 
 def write_scored(table: ScoredTable, path: Path) -> None:
@@ -343,47 +347,59 @@ def write_scored(table: ScoredTable, path: Path) -> None:
     ))
 
 
-def _parse_tags(text: str) -> PaperTags:
-    """One tags cell; a ValueError says what is wrong with it."""
+def _parse_tags(text: str, sets: dict) -> PaperTags:
+    """One tags cell; a ValueError says what is wrong with it.  Its areas
+    and fields come from `sets`, one frozenset per distinct text."""
     items = dict(item.split("=", 1) for item in text.split(";") if "=" in item)
     for key in _TAG_KEYS:
         if key not in items:
             raise ValueError(f"missing tag {key!r}")
-    return PaperTags(
-        areas=frozenset(filter(None, items["areas"].split("|"))),
-        fields=frozenset(filter(None, items["fields"].split("|"))),
-        if_bin=int(items["if_bin"]),
-        bri_class=items["bri"],
-        country=items["country"],
+    areas, fields = (
+        sets.setdefault(items[key], frozenset(filter(None, items[key].split("|"))))
+        for key in ("areas", "fields")
     )
+    return PaperTags(areas, fields, int(items["if_bin"]), items["bri"], items["country"])
 
 
-def _parse_column(field: str, parse: Callable, cells: Sequence[str]) -> list:
+def _parse_cell(field: str, parse: Callable, *args):
     try:
-        return list(map(parse, cells))
+        return parse(*args)
     except ValueError as exc:
         raise FieldError(field, str(exc)) from None
 
 
 def _scored_columns(lines: list[str]) -> tuple:
-    """ScoredTable's arguments, each distinct tags cell parsed once."""
-    cells = "\t".join(lines).split("\t") if lines else []
-    paper_ids, author_ids, regions, years, probs, leaders, texts = (
-        cells[j::7] for j in range(7)
+    """ScoredTable's arguments from one pass over the lines: ids, regions
+    and tags cells are coded as they are read, and each distinct year and
+    tags text is parsed once.  A line's is_leader is checked first, then
+    its year, lead_prob and tags."""
+    papers, authors, regions, texts, years, sets = {}, {}, {}, {}, {}, {}
+    paper, author, region, year, tag = (array("q") for _ in range(5))
+    lead_prob, is_leader, tags = array("d"), array("b"), []
+    for line in lines:
+        p, a, r, y, prob, leader, text = line.split("\t")
+        if (flag := _IS_LEADER.get(leader)) is None:
+            raise FieldError("is_leader", f"expected true or false, got {leader!r}")
+        is_leader.append(flag)
+        if (value := years.get(y)) is None:
+            value = years[y] = _parse_cell("year", int, y)
+        year.append(value)
+        lead_prob.append(_parse_cell("lead_prob", float, prob))
+        tag.append(t := texts.setdefault(text, len(texts)))
+        if t == len(tags):
+            tags.append(_parse_cell("tags", _parse_tags, text, sets))
+        paper.append(papers.setdefault(p, len(papers)))
+        author.append(authors.setdefault(a, len(authors)))
+        region.append(regions.setdefault(r, len(regions)))
+    paper, author = np.frombuffer(paper, np.int64), np.frombuffer(author, np.int64)
+    if np.unique(paper * len(authors) + author).size < len(paper):
+        ids, names = tuple(papers), tuple(authors)
+        check_unique([(ids[p], names[a]) for p, a in zip(paper, author)], "paper_id, author_id")
+    return (
+        papers, paper, authors, author, regions, region,
+        np.frombuffer(year, np.int64), np.frombuffer(lead_prob, np.float64),
+        np.frombuffer(is_leader, bool), tags, tag,
     )
-    bad = set(leaders) - {"true", "false"}
-    if bad:
-        raise FieldError("is_leader", f"expected true or false, got {min(bad)!r}")
-    tag_texts, tag = code_values(texts)
-    columns = (
-        paper_ids, author_ids, regions,
-        np.array(_parse_column("year", int, years), dtype=np.int64),
-        np.array(_parse_column("lead_prob", float, probs), dtype=np.float64),
-        np.array([v == "true" for v in leaders], dtype=bool),
-        tag, _parse_column("tags", _parse_tags, tag_texts),
-    )
-    check_unique(list(zip(paper_ids, author_ids)), "paper_id, author_id")
-    return columns
 
 
 def read_scored(path: Path) -> ScoredTable:

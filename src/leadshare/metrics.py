@@ -105,37 +105,32 @@ class PaperTags(NamedTuple):
     country: str
 
 
-def code_values(values: Sequence) -> tuple[tuple, np.ndarray]:
-    """The distinct values in order of first appearance, and per value
-    its index among them."""
-    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
-    codes = np.fromiter(map(index.__getitem__, values), np.int64, len(values))
-    return tuple(index), codes
-
-
 class ScoredTable:
     """Scored rows as numpy columns, in row order.
 
     Paper ids, author ids, regions and tags are stored once each and coded
-    per row; region codes follow string order.  A paper is a contiguous
-    run of rows with one paper_id: `run` numbers the runs per row and
-    `run_starts` holds each run's first row.  A run is bilateral when it
-    spans exactly two regions; then `pair` codes its row's entry in
-    `pairs` and `side` marks rows of the pair's second region.
+    per row (`paper` indexes `papers`, and so on); the constructor takes
+    each column's distinct values (a dict's keys will do) and codes, and
+    sorts the regions, so region codes follow string order.  A paper is a
+    contiguous run of rows with one paper_id: `run` numbers the runs per
+    row and `run_starts` holds each run's first row.  A run is bilateral
+    when it spans exactly two regions; then `pair` codes its row's entry
+    in `pairs` and `side` marks rows of the pair's second region.
     """
 
     def __init__(
-        self, paper_ids: Sequence[str], author_ids: Sequence[str],
-        regions: Sequence[str], year: np.ndarray, lead_prob: np.ndarray,
-        is_leader: np.ndarray, tag: np.ndarray, tags: Sequence[PaperTags],
+        self, papers: Iterable[str], paper: Sequence[int], authors: Iterable[str],
+        author: Sequence[int], regions: Iterable[str], region: Sequence[int],
+        year: np.ndarray, lead_prob: np.ndarray, is_leader: np.ndarray,
+        tags: Iterable[PaperTags], tag: Sequence[int],
     ):
-        self.papers, self.paper = code_values(paper_ids)
-        self.authors, self.author = code_values(author_ids)
-        names, codes = code_values(regions)
+        self.papers, self.paper = tuple(papers), np.asarray(paper, np.int64)
+        self.authors, self.author = tuple(authors), np.asarray(author, np.int64)
+        names = tuple(regions)
         self.regions = tuple(sorted(names))
-        self.region = np.array([self.regions.index(n) for n in names], np.int64)[codes]
+        self.region = np.array([self.regions.index(n) for n in names], np.int64)[region]
         self.year, self.lead_prob, self.is_leader = year, lead_prob, is_leader
-        self.tag, self.tags = tag, tuple(tags)
+        self.tags, self.tag = tuple(tags), np.asarray(tag, np.int64)
 
         starts = np.ones(len(self.paper), dtype=bool)
         starts[1:] = self.paper[1:] != self.paper[:-1]

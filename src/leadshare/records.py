@@ -202,7 +202,7 @@ def parse_publication_line(line: str, line_no: int = 0) -> PublicationRecord:
     raw_refs = _require(obj, "references", line_no)
     if type(raw_refs) is not list or not all([type(r) is str for r in raw_refs]):
         raise MalformedRecord(line_no, "references", "must be a list of strings")
-    references = frozenset(map(sys.intern, raw_refs))
+    references = frozenset(set(map(sys.intern, raw_refs)))  # sized once, from a set
     if paper_id in references:
         raise InvariantViolation(line_no, "references", "paper cites itself")
 

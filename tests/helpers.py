@@ -20,7 +20,6 @@ from leadshare.metrics import (
     PairYearCounts,
     PaperTags,
     ScoredTable,
-    code_values,
 )
 from leadshare.records import AuthorshipRecord, PublicationRecord
 
@@ -179,18 +178,21 @@ class ScoredAuthorship:
 
 
 def scored_table(rows: Sequence[ScoredAuthorship]) -> ScoredTable:
-    """The rows as the column table that `aggregate` counts."""
-    tags, tag = code_values([
-        PaperTags(r.areas, r.fields, r.if_bin, r.bri_class, r.country) for r in rows
-    ])
+    """The rows as the column table that `aggregate` counts, each id,
+    region and tags coded in order of first appearance."""
+
+    def coded(values) -> tuple[dict, list[int]]:
+        index: dict = {}
+        return index, [index.setdefault(v, len(index)) for v in values]
 
     def column(name: str, dtype) -> np.ndarray:
         return np.array([getattr(r, name) for r in rows], dtype=dtype)
 
     return ScoredTable(
-        [r.paper_id for r in rows], [r.author_id for r in rows],
-        [r.region for r in rows], column("year", np.int64),
-        column("lead_prob", np.float64), column("is_leader", bool), tag, tags,
+        *coded(r.paper_id for r in rows), *coded(r.author_id for r in rows),
+        *coded(r.region for r in rows), column("year", np.int64),
+        column("lead_prob", np.float64), column("is_leader", bool),
+        *coded(PaperTags(r.areas, r.fields, r.if_bin, r.bri_class, r.country) for r in rows),
     )
 
 

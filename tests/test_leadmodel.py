@@ -1,11 +1,19 @@
 """Model fitting, prediction, classification boundary, and scored I/O."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_scored
 from helpers import assert_same, feature_vector, fit_inputs, make_record
 from leadshare.corpus import classify_topics, filter_corpus, impact_factor_bin
-from leadshare.errors import ConfigError, InvariantViolation, MalformedRecord, TooFewExamples
+from leadshare.errors import (
+    ConfigError, InvariantViolation, MalformedRecord, RecordError, TooFewExamples,
+)
 from leadshare.features import LeadFeatureVector, build_profiles, read_features
 from leadshare.metrics import FilterSpec, aggregate
 from leadshare.records import read_corpus
@@ -416,3 +424,147 @@ def test_scored_file_header_only(tmp_path):
     path.write_text(SCORED_HEADER, encoding="utf-8")
     table = read_scored(path)
     assert len(table) == 0 and table.tags == ()
+
+
+_REGIONS = ("U.S.", "China", "EU+", "Africa")
+_TAG_NAMES = ("Energy", "Biotech", "Robotics")
+
+
+@st.composite
+def scored_rows(draw):
+    """A valid scored.tsv as rows of cells, the tags cell as a list of
+    `key=value` items: distinct texts may parse to one value (a padded
+    year, areas in another order, tags keys in another order, an extra
+    item), and rows need not form bilateral papers."""
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(["P1", "P2", "P10", "W7"]), st.sampled_from(["A1", "A2", "B"])),
+        unique=True, max_size=10,
+    ))
+    names = st.lists(st.sampled_from(_TAG_NAMES + ("",)), max_size=3).map("|".join)
+    rows = []
+    for paper_id, author_id in keys:
+        items = [
+            f"areas={draw(names)}", f"fields={draw(names)}",
+            f"if_bin={draw(st.sampled_from(['0', '1', '+2', ' 3']))}",
+            f"bri={draw(st.sampled_from(['HighIncome', 'NonSignatory']))}",
+            f"country={draw(st.sampled_from(['China', 'Kenya']))}",
+        ]
+        items = draw(st.permutations(items)) + draw(st.sampled_from([[], ["note=1"], ["x"]]))
+        rows.append([
+            paper_id, author_id, draw(st.sampled_from(_REGIONS)),
+            draw(st.sampled_from(["2020", "2021", "02021", "1999"])),
+            draw(st.floats(0, 1).map("{:.9f}".format) | st.sampled_from(["1", "1e-3", "inf"])),
+            draw(st.sampled_from(["true", "false"])), items,
+        ])
+    return rows
+
+
+def _break(rows: list, kind: str, i: int) -> None:
+    """One fault in row i: a bad cell, a missing tag, a wrong column
+    count, or the key of another row."""
+    row = rows[i]
+    if kind == "is_leader":
+        row[5] = "yes"
+    elif kind == "year":
+        row[3] = "20x0"
+    elif kind == "lead_prob":
+        row[4] = "high"
+    elif kind == "missing-tag":
+        row[6] = [item for item in row[6] if not item.startswith("country=")]
+    elif kind == "if_bin":
+        row[6] = [("if_bin=two" if item.startswith("if_bin=") else item) for item in row[6]]
+    elif kind == "columns":
+        row[2] += "\textra"
+    elif kind == "repeated":
+        row[:2] = rows[i - 1][:2]
+
+
+def _scored_outcome(read, text: str, path):
+    """The table read makes of text as its attributes, or its error as
+    (class, line, field, message)."""
+    path.write_text(text, encoding="utf-8")
+    try:
+        return vars(read(path))
+    except RecordError as exc:
+        return (type(exc), exc.line_no, exc.field, str(exc))
+
+
+_FAULTS = ("is_leader", "year", "lead_prob", "missing-tag", "if_bin", "columns", "repeated")
+
+
+def _assert_decodes_like_the_reference(rows: list, path) -> None:
+    """read_scored makes of rows the reference's table, or its error."""
+    text = SCORED_HEADER + "".join(
+        "\t".join([*row[:6], ";".join(row[6])]) + "\n" for row in rows
+    )
+    got = _scored_outcome(read_scored, text, path)
+    want = _scored_outcome(reference_scored.read_scored, text, path)
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert_same(got[name], value, name)
+    else:
+        assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=scored_rows(), data=st.data())
+def test_scored_decode_agrees_with_the_reference(tmp_path_factory, rows, data):
+    # the same table, or the same error, with up to three faults, several
+    # possibly in one row and a repeated row before or after another fault
+    for _ in range(data.draw(st.integers(0, 3)) if rows else 0):
+        kind = data.draw(st.sampled_from(_FAULTS[:None if len(rows) > 1 else -1]))
+        _break(rows, kind, data.draw(st.integers(kind == "repeated", len(rows) - 1)))
+    _assert_decodes_like_the_reference(rows, tmp_path_factory.getbasetemp() / "scored.tsv")
+
+
+@pytest.mark.parametrize("kinds", [
+    kinds for n in (2, 3, 4, 5) for kinds in itertools.combinations(_FAULTS[:5], n)
+], ids="+".join)
+@pytest.mark.parametrize("repeated", [None, 1, 3], ids=["alone", "before", "after"])
+def test_scored_line_faults_agree_with_the_reference(tmp_path, kinds, repeated):
+    # several faults in line 4: is_leader, year, lead_prob and tags are
+    # checked in that order; a repeated row on line 3 or 5 comes after them
+    cells = GOOD_LINE.rstrip("\n").split("\t")
+    rows = [[f"P{i}", *cells[1:6], cells[6].split(";")] for i in range(4)]
+    for kind in kinds:
+        _break(rows, kind, 2)
+    if repeated is not None:
+        _break(rows, "repeated", repeated)
+    _assert_decodes_like_the_reference(rows, tmp_path / "scored.tsv")
+
+
+def test_scored_decode_shares_tag_sets(tmp_path):
+    # distinct tags cells with one areas text share its frozenset
+    path = tmp_path / "scored.tsv"
+    path.write_text(SCORED_HEADER + GOOD_LINE + GOOD_LINE.replace("A1", "A2").replace(
+        "country=China", "country=Kenya"
+    ), encoding="utf-8")
+    first, second = read_scored(path).tags
+    assert first.areas is second.areas and first.fields is second.fields
+
+
+def test_scored_decode_memory(tmp_path):
+    # the decode holds at most three times the file: 12k rows of
+    # OpenAlex-like ids, about 2.5 authors a paper
+    rng = np.random.default_rng(5)
+    lines = []
+    for i in range(12_000):
+        paper = 2_000_000_000 + i * 2 // 5
+        areas = "|".join(sorted(rng.choice(["Energy", "Biotech", "Quantum Technology"], 2)))
+        lines.append(
+            f"W{paper}\tA{3_000_000_000 + i * 7919 % 5_000}\t"
+            f"{_REGIONS[i % 2]}\t{2000 + paper % 22}\t{rng.random():.9f}\t"
+            f"{'true' if i % 3 else 'false'}\tareas={areas};fields=medicine;"
+            f"if_bin={paper % 5};bri=NonSignatory;country={['China', 'Kenya'][i % 2]}\n"
+        )
+    path = tmp_path / "scored.tsv"
+    path.write_text(SCORED_HEADER + "".join(lines), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        table = read_scored(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 12_000
+    assert peak <= 3 * path.stat().st_size
