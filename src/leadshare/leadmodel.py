@@ -26,7 +26,7 @@ from .errors import (
     TooFewExamples,
 )
 from .features import FEATURE_NAMES, FeatureTable, LeadFeatureVector
-from .metrics import PaperTags, ScoredTable
+from .metrics import PaperTags, ScoredTable, sorted_distinct
 from .records import FieldError, PublicationRecord, check_unique, read_tsv, tsv_rows, write_tsv
 from .tables import BriClassification, RegionMap, TopicMap
 
@@ -354,10 +354,10 @@ def _parse_tags(text: str, sets: dict) -> PaperTags:
     for key in _TAG_KEYS:
         if key not in items:
             raise ValueError(f"missing tag {key!r}")
-    areas, fields = (
-        sets.setdefault(items[key], frozenset(filter(None, items[key].split("|"))))
-        for key in ("areas", "fields")
-    )
+    for key in ("areas", "fields"):
+        if (cell := items[key]) not in sets:
+            sets[cell] = frozenset(filter(None, cell.split("|")))
+    areas, fields = sets[items["areas"]], sets[items["fields"]]
     return PaperTags(areas, fields, int(items["if_bin"]), items["bri"], items["country"])
 
 
@@ -384,7 +384,10 @@ def _scored_columns(lines: list[str]) -> tuple:
         if (value := years.get(y)) is None:
             value = years[y] = _parse_cell("year", int, y)
         year.append(value)
-        lead_prob.append(_parse_cell("lead_prob", float, prob))
+        try:
+            lead_prob.append(float(prob))
+        except ValueError as exc:
+            raise FieldError("lead_prob", str(exc)) from None
         tag.append(t := texts.setdefault(text, len(texts)))
         if t == len(tags):
             tags.append(_parse_cell("tags", _parse_tags, text, sets))
@@ -392,7 +395,7 @@ def _scored_columns(lines: list[str]) -> tuple:
         author.append(authors.setdefault(a, len(authors)))
         region.append(regions.setdefault(r, len(regions)))
     paper, author = np.frombuffer(paper, np.int64), np.frombuffer(author, np.int64)
-    if np.unique(paper * len(authors) + author).size < len(paper):
+    if sorted_distinct(paper * len(authors) + author).size < len(paper):
         ids, names = tuple(papers), tuple(authors)
         check_unique([(ids[p], names[a]) for p, a in zip(paper, author)], "paper_id, author_id")
     return (

@@ -84,6 +84,10 @@ class FilterSpec:
             and (self.if_bins is None or tags.if_bin in self.if_bins)
         )
 
+    def admits_all(self) -> bool:
+        """Whether admits holds for every paper: no filter on its tags."""
+        return self.areas is None and self.fields is None and self.if_bins is None
+
 
 @dataclass(frozen=True)
 class PairYearCounts:
@@ -156,6 +160,14 @@ class ScoredTable:
         return len(self.paper)
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) of a 1-D int array by sorting; numpy 2's np.unique hashes."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def aggregate(
     table: ScoredTable,
     filters: Optional[FilterSpec] = None,
@@ -177,13 +189,15 @@ def aggregate(
     bad = np.flatnonzero(~table.run_bilateral)
     if bad.size:
         first = table.run_starts[bad[0]]
-        regions = np.unique(table.region[table.run == bad[0]])
+        regions = sorted_distinct(table.region[table.run == bad[0]])
         raise InconsistentPair(
             f"paper {table.papers[table.paper[first]]!r} rows span regions "
             f"{[table.regions[c] for c in regions]}, expected exactly 2"
         )
-    admitted = np.array([filters.admits(t) for t in table.tags], dtype=bool)
-    keep = admitted[table.tag[table.run_starts]][table.run]
+    keep = np.ones(len(table), dtype=bool)
+    if not filters.admits_all():
+        admitted = np.array([filters.admits(t) for t in table.tags], dtype=bool)
+        keep = admitted[table.tag[table.run_starts]][table.run]
     pairs, pair, side = table.pairs, table.pair, table.side
     if filters.bri_class is not None:
         focal = table.region == (
@@ -214,7 +228,7 @@ def aggregate(
     key = (group_idx * 2 + side[kept]) * 2 + leader[kept]
     if counting_mode == COUNT_UNIQUE_AUTHOR:
         n_authors = len(table.authors)
-        key = np.unique(key * n_authors + table.author[kept]) // n_authors
+        key = sorted_distinct(key * n_authors + table.author[kept]) // n_authors
     counts = np.bincount(key, minlength=4 * len(groups)).reshape(-1, 2, 2)
     desc = filters.describe()
     out = []

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from leadshare.metrics import (
     lead_premium,
     lead_share,
     read_series,
+    sorted_distinct,
     supporter_share,
     write_series,
 )
@@ -145,6 +147,62 @@ def test_unique_author_counting():
     unique = aggregate(scored_table(rows), counting_mode=COUNT_UNIQUE_AUTHOR)
     assert unique[0].leaders["China"] == 1
     assert unique[0].supporters["U.S."] == 1
+
+
+def test_unique_author_counting_when_the_filter_keeps_no_row():
+    rows = [
+        row("P1", "China", author="A1", leader=True, areas=("Energy",)),
+        row("P1", "U.S.", author="A2", areas=("Energy",)),
+    ]
+    spec = FilterSpec(areas=frozenset({"Biotech"}))
+    assert aggregate(scored_table(rows), spec, counting_mode=COUNT_UNIQUE_AUTHOR) == []
+
+
+def test_unique_author_counting_when_every_row_has_one_author():
+    # one scientist on both sides of three papers counts once per
+    # (pair, year, side, role)
+    rows = [
+        row(f"P{p}", region, author="A1", year=year, leader=leader)
+        for p, year in enumerate((2019, 2020, 2020))
+        for region, leader in (("China", True), ("U.S.", False))
+    ]
+    unique = aggregate(scored_table(rows), counting_mode=COUNT_UNIQUE_AUTHOR)
+    assert [(c.year, c.leaders, c.supporters) for c in unique] == [
+        (year, {"China": 1, "U.S.": 0}, {"China": 0, "U.S.": 1}) for year in (2019, 2020)
+    ]
+    assert unique == oracle_aggregate(rows, counting_mode=COUNT_UNIQUE_AUTHOR)
+
+
+INT64 = np.iinfo(np.int64)
+int64_arrays = st.one_of(
+    st.lists(st.integers(INT64.min, INT64.max), max_size=40),
+    st.lists(st.sampled_from([INT64.min, INT64.min + 1, -1, 0, 1, INT64.max - 1, INT64.max])),
+    st.lists(st.integers(-3, 3), max_size=200),
+).map(lambda values: np.array(values, dtype=np.int64))
+
+
+@given(int64_arrays)
+def test_sorted_distinct_matches_np_unique(values):
+    got = sorted_distinct(values)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.unique(values))
+
+
+@pytest.mark.parametrize("values", [
+    [], [7], [-5, -5, -5, -5], [INT64.max, INT64.min, INT64.max, INT64.min],
+    [INT64.max - 1, INT64.max, INT64.max - 1], [3, -2, 3, 0, -2, INT64.min + 1],
+])
+def test_sorted_distinct_edge_cases(values):
+    values = np.array(values, dtype=np.int64)
+    assert np.array_equal(sorted_distinct(values), np.unique(values))
+
+
+def test_sorted_distinct_on_random_keys():
+    rng = np.random.default_rng(20)
+    for size in (2, 100, 29_000):
+        values = rng.integers(-(2**40), 2**40, size=size)
+        values = np.concatenate((values, values[: size // 3]))
+        assert np.array_equal(sorted_distinct(values), np.unique(values))
 
 
 SWEEP_THRESHOLDS = (0.3, 0.55, 0.7)
@@ -428,6 +486,14 @@ def test_filter_descriptions():
     assert FilterSpec(threshold=0.55).describe() == "threshold=0.55"
     with_threshold = FilterSpec(areas=frozenset({"Energy"}), threshold=0.5)
     assert with_threshold.describe() == "areas=Energy;threshold=0.5"
+
+
+def test_admits_all_only_without_a_tags_filter():
+    # the BRI class and the threshold restrict rows, not papers
+    assert FilterSpec().admits_all()
+    assert FilterSpec(bri_class="LowIncome", threshold=0.5).admits_all()
+    for key in ("areas", "fields", "if_bins"):
+        assert not FilterSpec(**{key: frozenset()}).admits_all()
 
 
 def test_aggregate_counts_contiguous_runs():

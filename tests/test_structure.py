@@ -73,6 +73,38 @@ def test_only_run_logs_in_pipeline():
     assert loggers == {"_run"}
 
 
+def plain_unique_calls(source: str) -> list[str]:
+    """Each np.unique call without a return_* keyword, as `line: call`."""
+    return [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.unique", "numpy.unique")
+        and not any((kw.arg or "").startswith("return_") for kw in node.keywords)
+    ]
+
+
+def test_no_plain_np_unique():
+    # numpy 2's np.unique without a return_* argument hashes its input
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := plain_unique_calls(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}, (
+        "count distinct keys with metrics.sorted_distinct: a plain np.unique hashes, "
+        "3.35 ms against 0.19 ms on 29k int64 keys and 767 ms against 12 ms on 1M"
+    )
+
+
+def test_plain_unique_calls_sees_calls_without_return_keywords():
+    assert plain_unique_calls("np.unique(k)\nx = numpy.unique(a, axis=0)") == [
+        "1: np.unique(k)", "2: numpy.unique(a, axis=0)",
+    ]
+    assert plain_unique_calls(
+        "np.unique(k, return_inverse=True)\nnp.unique(k, return_counts=c)\nsorted_distinct(k)"
+    ) == []
+
+
 # the underscore names of NamedTuple's public API
 NAMEDTUPLE_API = {"_fields", "_replace", "_asdict", "_make"}
 
