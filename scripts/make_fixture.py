@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from leadshare.records import write_corpus
+from leadshare.records import publication_to_json, write_corpus
 
 # the generators live with the tests, outside the package
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -46,7 +46,7 @@ def main() -> None:
     args.dest.mkdir(parents=True, exist_ok=True)
 
     records, contributions = demo_corpus(seed=FIXTURE_SEED, n_papers=200)
-    write_corpus(records, args.dest / "corpus.jsonl")
+    write_corpus([publication_to_json(r) for r in records], args.dest / "corpus.jsonl")
     with open(args.dest / "contributions.jsonl", "w", encoding="utf-8") as fh:
         n_statements = write_contributions(contributions, fh)
     (args.dest / "config.cfg").write_text(CONFIG_TEXT, encoding="utf-8")

@@ -34,7 +34,7 @@ from .metrics import (
     supporter_share,
 )
 from .pipeline import run_all, run_stage, run_sweep
-from .records import ContributionRecord, PublicationRecord
+from .records import ContributionRecord, CorpusTable, PublicationRecord
 from .roles import (
     RoleClusterModel,
     cluster_roles,
@@ -48,6 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "ContributionRecord",
+    "CorpusTable",
     "DataError",
     "FilterSpec",
     "LeadFeatureVector",

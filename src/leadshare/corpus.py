@@ -3,33 +3,20 @@
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import BelowRange, UnknownCountry
-from .records import PublicationRecord
+import numpy as np
+
+from .errors import UnknownCountry
+from .metrics import sorted_distinct
+from .records import CorpusTable
 from .tables import RegionMap, TopicMap
 
 log = logging.getLogger(__name__)
 
 MIN_YEAR_EXCLUSIVE = 1990
 MIN_IMPACT_FACTOR = 1.0
-
-
-def bilateral_pair(
-    record: PublicationRecord, region_map: RegionMap
-) -> Optional[tuple[str, str]]:
-    """Return the lexicographically ordered region pair, or None.
-
-    A paper is bilateral iff its authorships span exactly two distinct
-    regions.  Single-region and 3+-region papers return None.
-    """
-    regions = {region_map.region_of(a.country) for a in record.authorships}
-    if len(regions) != 2:
-        return None
-    first, second = sorted(regions)
-    return (first, second)
 
 
 @dataclass
@@ -46,75 +33,82 @@ class FilterStats:
 
 
 def filter_corpus(
-    records: Iterable[PublicationRecord],
+    table: CorpusTable,
     region_map: RegionMap,
     *,
     strict: bool = False,
     stats: Optional[FilterStats] = None,
     source: Optional[str] = None,
-) -> Iterator[tuple[PublicationRecord, tuple[str, str]]]:
-    """Yield (record, pair) for bilateral papers after 1990 with IF >= 1.
+) -> np.ndarray:
+    """The rows of the bilateral papers after 1990 with IF >= 1, in order.
 
-    Records naming a country absent from the region table are skipped with a
-    counted warning, or abort the run when strict is set, with an error
-    naming the paper and source.  Input order is preserved.
+    A paper is bilateral iff its authorships span exactly two distinct
+    regions; each distinct country is looked up once.  Papers naming a
+    country absent from the region table are skipped with a counted
+    warning, or abort the run when strict is set, with an error naming the
+    first such paper and the source.
     """
     if stats is None:
         stats = FilterStats()
-    for record in records:
-        stats.n_input += 1
-        if record.year <= MIN_YEAR_EXCLUSIVE:
-            stats.n_year += 1
-            continue
-        if record.impact_factor < MIN_IMPACT_FACTOR:
-            stats.n_impact += 1
-            continue
-        try:
-            pair = bilateral_pair(record, region_map)
-        except UnknownCountry as exc:
-            if strict:
-                raise UnknownCountry(exc.country, record.paper_id, source) from None
-            stats.n_unknown_country += 1
-            unknown = str(exc)
-            if unknown not in stats.unknown_countries:
-                stats.unknown_countries.add(unknown)
-                log.warning("skipping %s: %s", record.paper_id, unknown)
-            continue
-        if pair is None:
-            stats.n_not_bilateral += 1
-            continue
-        stats.n_kept += 1
-        yield record, pair
+    old = table.year <= MIN_YEAR_EXCLUSIVE
+    low = ~old & (table.impact < MIN_IMPACT_FACTOR)
+    regions = {c: region_map.region_of(c) for c in table.countries if c in region_map}
+    names = {r: i for i, r in enumerate(sorted(set(regions.values())), start=1)}
+    # each country's region as its index in names, 0 when unknown
+    code = np.array([names.get(regions.get(c), 0) for c in table.countries], dtype=np.int64)
+    width = len(names) + 1
+    owner = np.repeat(np.arange(len(table)), np.diff(table.auth_start))
+    pairs = sorted_distinct(owner * width + code[table.country])  # (paper, region)
+    unknown = np.zeros(len(table), dtype=bool)
+    unknown[pairs[pairs % width == 0] // width] = True
+    unknown &= ~old & ~low
+    bilateral = np.bincount(pairs // width, minlength=len(table)) == 2
+    kept = np.flatnonzero(~(old | low | unknown) & bilateral)
+    for i in np.flatnonzero(unknown).tolist():
+        countries = table.country[table.auth_start[i]:table.auth_start[i + 1]]
+        country = table.countries[countries[code[countries] == 0][0]]
+        if strict:
+            raise UnknownCountry(country, table.ids[table.paper[i]], source)
+        if (unknown_country := str(UnknownCountry(country))) not in stats.unknown_countries:
+            stats.unknown_countries.add(unknown_country)
+            log.warning("skipping %s: %s", table.ids[table.paper[i]], unknown_country)
+    stats.n_input += len(table)
+    stats.n_kept += len(kept)
+    stats.n_year += int(old.sum())
+    stats.n_impact += int(low.sum())
+    stats.n_unknown_country += int(unknown.sum())
+    stats.n_not_bilateral += len(table) - len(kept) - int((old | low | unknown).sum())
+    return kept
 
 
 def classify_topics(
-    record: PublicationRecord, topics: TopicMap
-) -> tuple[frozenset[str], frozenset[str]]:
-    """Tag a record with technology areas and scientific fields.
+    table: CorpusTable, topics: TopicMap
+) -> tuple[np.ndarray, list[tuple[frozenset[str], frozenset[str]]]]:
+    """Tag each paper with technology areas and scientific fields: per
+    paper, the index of its (areas, fields) among the distinct ones listed.
 
     Areas match concepts at any level; fields match level-0 concepts only.
-    Matching is exact string equality after trimming and casefolding, and a
-    record may carry several tags of either kind.
+    Matching is exact string equality after trimming and casefolding, each
+    distinct name is looked up once, and a paper may carry several tags of
+    either kind.
     """
-    areas: set[str] = set()
-    fields: set[str] = set()
-    for name, level in record.concepts:
-        key = name.strip().casefold()
-        hit = topics.areas_by_concept.get(key)
-        if hit:
-            areas.update(hit)
-        if level == 0:
-            hit = topics.fields_by_concept.get(key)
-            if hit:
-                fields.update(hit)
-    return frozenset(areas), frozenset(fields)
+    keys = [name.strip().casefold() for name in table.concepts]
+    areas = [topics.areas_by_concept.get(key, ()) for key in keys]
+    fields = [topics.fields_by_concept.get(key, ()) for key in keys]
+    concept, level0 = table.concept.tolist(), table.level0.tolist()
+    start = table.concept_start.tolist()
+    tags: dict[tuple[frozenset[str], frozenset[str]], int] = {}
+    code = np.empty(len(table), dtype=np.int64)
+    for i in range(len(table)):
+        entries = range(start[i], start[i + 1])
+        code[i] = tags.setdefault((
+            frozenset(tag for e in entries for tag in areas[concept[e]]),
+            frozenset(tag for e in entries if level0[e] for tag in fields[concept[e]]),
+        ), len(tags))
+    return code, list(tags)
 
 
-def impact_factor_bin(if_value: float, edges: Sequence[float]) -> int:
-    """Left-closed interval lookup: edges[i] <= if_value < edges[i+1].
-
-    The last bin is unbounded above.  Values below edges[0] are out of range.
-    """
-    if if_value < edges[0]:
-        raise BelowRange(if_value, edges[0])
-    return bisect_right(edges, if_value) - 1
+def impact_factor_bin(values: np.ndarray, edges: Sequence[float]) -> np.ndarray:
+    """Left-closed bins: bin i holds edges[i] <= value < edges[i+1], the
+    last bin is unbounded above, and values below edges[0] are in bin -1."""
+    return np.searchsorted(np.asarray(edges, dtype=np.float64), values, side="right") - 1

@@ -81,11 +81,6 @@ class HashMismatch(DataError):
     """An upstream artifact exists but no longer matches the manifest."""
 
 
-class BelowRange(NumericError):
-    def __init__(self, value, lower):
-        super().__init__(f"value {value} below first bin edge {lower}")
-
-
 class VocabularyTooSmall(NumericError):
     pass
 

@@ -1,22 +1,18 @@
 """Per-author temporal profiles and the nine lead-prediction features.
 
-`build_profiles` walks the corpus once in (sort date, paper id) order,
-keeping a running history per author: prior references and concept
-names, the prior paper count, first prior year, first-or-last count, and
-a histogram of the years in which corpus papers cited the prior papers.
-"Prior" means dated strictly earlier than the focal paper:
-the sweep reads f1-f8 for a whole date group before promoting the group
-into the histories, so same-day papers are not prior and feature vectors
-are invariant to how same-day ties are ordered.  Papers without a
-publication date sort at July 1.  f9 comes from the same sweep, ranking
-against a per-year snapshot of institution counts.
+`build_profiles` computes them for every authorship at once, as sorts and
+joins over the columns of a `CorpusTable`.  "Prior" means dated strictly
+earlier than the focal paper, so same-day papers are not prior and
+feature vectors are invariant to how same-day ties are ordered.  Papers
+without a publication date sort at July 1.
 
 Features, for author a on focal paper P:
 
   f1  focal references the author has cited before
   f2  focal concept names seen in the author's prior papers
   f3  focal references that are the author's own prior papers
-  f4  focal year minus the author's first prior year (0 on debut)
+  f4  focal year minus the author's first prior year (0 on debut), the
+      first prior paper being the earliest by (sort date, paper id)
   f5  number of prior papers
   f6  citations received by prior papers from corpus papers published
       strictly before the focal year
@@ -31,18 +27,14 @@ prestige source.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DuplicatePaperId
-from .records import PublicationRecord, check_unique, read_tsv, tsv_rows, write_tsv
+from .metrics import sorted_distinct
+from .records import CorpusTable, check_unique, csr_entries, read_tsv, tsv_rows, write_tsv
 
 
 class LeadFeatureVector(NamedTuple):
@@ -73,100 +65,139 @@ class FeatureTable(NamedTuple):
     X: np.ndarray
 
 
-@dataclass(slots=True)
-class _History:
-    """One author's papers dated before the sweep's current date group."""
-
-    refs: set[str] = field(default_factory=set)
-    concepts: set[str] = field(default_factory=set)
-    count: int = 0
-    first_year: int = 0
-    first_or_last: int = 0
-    # citing year -> citations these papers received from corpus papers
-    cited_in: dict[int, int] = field(default_factory=dict)
+# rows (or, in build_profiles, whole authors' rows) handled at a time
+_CHUNK_ROWS = 8192
 
 
-def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureTable:
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """For rows sorted by columns, the index of the first row of each
+    row's run of equal values."""
+    new = np.zeros(len(columns[0]), dtype=bool)
+    new[:1] = True
+    for column in columns:
+        new[1:] |= column[1:] != column[:-1]
+    return np.maximum.accumulate(np.where(new, np.arange(len(new)), 0))
+
+
+def _had_before(author: np.ndarray, day: np.ndarray, owner: np.ndarray, item: np.ndarray,
+                n_items: int, n_days: int) -> tuple[np.ndarray, np.ndarray]:
+    """For rows sorted by (author, day) and the (owner row, item) entries
+    of their papers: per row, how many of its items the author had on an
+    earlier day, and how many distinct items the author had before."""
+    key = author[owner] * n_items + item
+    s = np.argsort(key, kind="stable")  # by (author, item), then day
+    first = _run_starts(key[s])
+    row = owner[s]
+    when = day[row]
+    earlier = when[first] < when
+    # the day each distinct (author, item) first came, as author * n_days + day
+    head = first == np.arange(len(first))
+    firsts = np.sort(author[row[head]] * n_days + when[head])
+    base = author * n_days
+    return (
+        np.bincount(row[earlier], minlength=len(author)),
+        np.searchsorted(firsts, base + day) - np.searchsorted(firsts, base),
+    )
+
+
+def build_profiles(table: CorpusTable) -> FeatureTable:
     """The nine features of every authorship, one row per distinct author
-    of a paper, in input order then author position; records need not be
-    pre-sorted."""
-    seen: set[str] = set()
-    rows: dict[tuple[str, str], int] = {}
-    ordered: list[tuple[tuple[int, int, int], str, PublicationRecord]] = []
-    for record in corpus:
-        if record.paper_id in seen:
-            raise DuplicatePaperId(record.paper_id)
-        seen.add(record.paper_id)
-        ordered.append((record.sort_date(), record.paper_id, record))
-        for a in record.first_authorships():
-            rows[(record.paper_id, a.author_id)] = len(rows)
-    ordered.sort(key=lambda t: (t[0], t[1]))
-    # rows per author still to come; the last drops the author's history
-    left = Counter(author_id for _, author_id in rows)
-    # years of corpus papers citing each paper, and of each institution's
-    # papers (one entry per paper); complete before the sweep, since later
-    # papers cite earlier ones
-    citing_years: dict[str, list[int]] = {}
-    institution_years: dict[str, list[int]] = {}
-    for _, _, record in ordered:
-        for inst in {a.institution_id for a in record.authorships if a.institution_id}:
-            institution_years.setdefault(inst, []).append(record.year)
-        for cited in record.references:
-            citing_years.setdefault(cited, []).append(record.year)
-    # sorted, since hand-built records may date a paper outside its year
-    for years in institution_years.values():
-        years.sort()
-    # focal year -> sorted counts of papers before that year, one per
-    # institution that has any; built at the year's first paper
-    rank_snapshots: dict[int, list[int]] = {}
+    of a paper, in table order then author position.
 
-    X = np.empty((len(rows), len(FEATURE_NAMES)))
-    histories: defaultdict[str, _History] = defaultdict(_History)
-    # papers dated before the current date group; with rows they give f3
-    promoted: set[str] = set()
-    for _, group in groupby(ordered, key=itemgetter(0)):
-        group, promote = list(group), []
-        for _, paper_id, record in group:
-            refs, names, year = record.references, record.concept_names(), record.year
-            prior_refs = refs & promoted
-            ends = (0, len(record.authorships) - 1)
-            if (snapshot := rank_snapshots.get(year)) is None:
-                counts = (bisect_left(years, year) for years in institution_years.values())
-                snapshot = sorted(c for c in counts if c > 0)
-                rank_snapshots[year] = snapshot
-            for a in record.first_authorships():
-                h = histories[a.author_id]
-                # an institution with a paper before the year is in snapshot
-                own = bisect_left(institution_years.get(a.institution_id, ()), year)
-                X[rows[(paper_id, a.author_id)]] = (
-                    len(refs & h.refs),
-                    len(names & h.concepts),
-                    sum((r, a.author_id) in rows for r in prior_refs),
-                    (year - h.first_year) if h.count else 0,
-                    h.count,
-                    sum(n for y, n in h.cited_in.items() if y < year),
-                    len(h.concepts),
-                    h.first_or_last,
-                    bisect_right(snapshot, own) / len(snapshot) if own else 0.0,
-                )
-                left[a.author_id] -= 1
-                if left[a.author_id]:
-                    promote.append((h, record, names, a.position in ends))
-                else:
-                    del histories[a.author_id]
-        # promote the date group only now: same-day papers are not prior
-        promoted.update(paper_id for _, paper_id, _ in group)
-        for h, record, names, first_or_last in promote:
-            if not h.count:
-                h.first_year = record.year
-            h.count += 1
-            h.first_or_last += first_or_last
-            h.refs |= record.references
-            h.concepts |= names
-            for y in citing_years.get(record.paper_id, ()):
-                h.cited_in[y] = h.cited_in.get(y, 0) + 1
+    f4, f5 and f8 come from the author's rows sorted by (date, paper id);
+    f1, f2 and f7 from the first date of each (author, reference) and
+    (author, concept name); f3 from the references that are the author's
+    own earlier papers; f6 from (author, cited-paper date, citing year)
+    events, one pass per focal year.  Each chunk of whole authors is done
+    in turn, so the temporaries stay small.
+    """
+    n = len(table)
+    by_id = np.argsort(table.paper, kind="stable")
+    if (repeats := by_id[1:][table.paper[by_id[1:]] == table.paper[by_id[:-1]]]).size:
+        raise DuplicatePaperId(table.ids[table.paper[repeats.min()]])
+    at = np.flatnonzero(table.first)  # each row's authorship
+    paper = np.repeat(np.arange(n), np.diff(table.auth_start))[at]
+    author = table.author[at].astype(np.int64)
+    # each paper's date, as its index among the distinct dates
+    day = np.searchsorted(sorted_distinct(table.date), table.date)
+    n_days, n_authors = len(day) + 1, len(table.authors)  # n_days: more than any day
+    paper_of = np.full(len(table.ids), -1)  # the paper of each id that is one
+    paper_of[table.paper] = np.arange(n)
+    # the years of the corpus papers citing each paper, as CSR
+    citing, cited = np.repeat(np.arange(n), np.diff(table.ref_start)), paper_of[table.ref]
+    by_cited = np.argsort(cited, kind="stable")[np.count_nonzero(cited < 0):]
+    cite_start = np.searchsorted(cited[by_cited], np.arange(n + 1))
+    cite_year = table.year[citing[by_cited]]
+    # each paper's distinct concept names: a name at two levels counts once
+    named = np.ones(len(table.concept), dtype=bool)
+    named[1:] = table.concept[1:] != table.concept[:-1]
+    named[table.concept_start[:-1][np.diff(table.concept_start) > 0]] = True
+    name_start = np.concatenate(([0], np.cumsum(named)))[table.concept_start]
+    names, counts = table.concept[named], np.diff(table.auth_start)
+
+    def features(r: np.ndarray) -> np.ndarray:
+        """f1-f8 of rows r: whole authors' rows, by (author, date, paper id)."""
+        a, p = author[r], paper[r]
+        d, year = day[p], table.year[p]
+        out = np.empty((len(r), 8))
+        # the rows before the first of the row's date are prior
+        run, group = _run_starts(a), _run_starts(a, d)
+        out[:, 4] = group - run
+        position = table.position[at[r]]
+        before = np.concatenate(([0], np.cumsum((position == 0) | (position == counts[p] - 1))))
+        out[:, 7] = before[group] - before[run]
+        out[:, 3] = np.where(group > run, year - year[run], 0)
+        owner, ref = csr_entries(table.ref_start, p)
+        ref = table.ref[ref]
+        out[:, 0] = _had_before(a, d, owner, ref, len(table.ids), n_days)[0]
+        # f3: cited papers of an earlier date that have a row of the author
+        cited = paper_of[ref]
+        own = cited >= 0
+        own[own] = day[cited[own]] < d[owner[own]]
+        own[own] = np.isin(cited[own] * n_authors + a[owner[own]], p * n_authors + a, kind="sort")
+        out[:, 2] = np.bincount(owner[own], minlength=len(r))
+        owner, name = csr_entries(name_start, p)
+        out[:, 1], out[:, 6] = _had_before(a, d, owner, names[name], len(table.concepts), n_days)
+        # f6: the citations' (author, cited-paper date) keys come sorted
+        owner, cite = csr_entries(cite_start, p)
+        key, cite_year_of = (a * n_days + d)[owner], cite_year[cite]
+        for focal in sorted_distinct(year).tolist():
+            rows = np.flatnonzero(year == focal)
+            known, base = key[cite_year_of < focal], a[rows] * n_days
+            out[rows, 5] = np.searchsorted(known, base + d[rows]) - np.searchsorted(known, base)
+        return out
+
+    X = np.empty((len(at), len(FEATURE_NAMES)))
+    rank = np.empty(n, dtype=np.int64)  # each paper's place in (date, paper id) order
+    rank[np.lexsort((table.paper, table.date))] = np.arange(n)
+    o = np.lexsort((rank[paper], author))
+    cuts = sorted_distinct(np.append(_run_starts(author[o])[::_CHUNK_ROWS], len(o)))
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        X[o[lo:hi], :8] = features(o[lo:hi])
+    X[:, 8] = _affiliation_ranks(table, at, paper)
     X.flags.writeable = False
-    return FeatureTable(rows, X)
+    return FeatureTable(dict(zip(table.keys(at), range(len(at)))), X)
+
+
+def _affiliation_ranks(table: CorpusTable, at: np.ndarray, paper: np.ndarray) -> np.ndarray:
+    """f9 of each row: among the institutions with corpus papers before
+    the focal year, the share with at most as many as the row's own; one
+    bincount per focal year."""
+    owner = np.repeat(np.arange(len(table)), np.diff(table.auth_start))
+    n_inst = len(table.institutions)
+    pairs = sorted_distinct(owner * n_inst + table.institution)  # (paper, institution)
+    inst, inst_year = pairs % n_inst, table.year[pairs // n_inst]
+    if table.institutions[:1] == ("",):  # no institution
+        inst, inst_year = inst[inst > 0], inst_year[inst > 0]
+    year, own_inst = table.year[paper], table.institution[at]
+    f9 = np.zeros(len(at))
+    for focal in sorted_distinct(year).tolist():
+        rows = np.flatnonzero(year == focal)
+        counts = np.bincount(inst[inst_year < focal], minlength=n_inst)
+        ranked, own = np.sort(counts[counts > 0]), counts[own_inst[rows]]
+        rows, own = rows[own > 0], own[own > 0]
+        f9[rows] = np.searchsorted(ranked, own, "right") / len(ranked)
+    return f9
 
 
 _FEATURES_HEADER = "paper_id\tauthor_id\t" + "\t".join(FEATURE_NAMES)
@@ -174,9 +205,15 @@ _FEATURES_ROW = "%s\t%s" + "\t%d" * 8 + "\t%.9f"
 
 
 def write_features(table: FeatureTable, path: Path) -> FeatureTable:
-    """Write features.tsv; returns the table read_features decodes from it."""
+    """Write features.tsv; returns the table read_features decodes from it.
+    f1-f8 are formatted from an int64 copy of X, one chunk of rows at a time."""
+    keys, X = iter(table.rows), table.X
     write_tsv(path, _FEATURES_HEADER, (
-        _FEATURES_ROW % (*key, *x.tolist()) for key, x in zip(table.rows, table.X)
+        _FEATURES_ROW % (*key, *counts, f9)
+        for start in range(0, len(X), _CHUNK_ROWS)
+        # keys last: zip stops at the chunk's end before taking a key
+        for counts, f9, key in zip(X[start:start + _CHUNK_ROWS, :8].astype(np.int64).tolist(),
+                                   X[start:start + _CHUNK_ROWS, 8].tolist(), keys)
     ))
     X = table.X.copy()
     X[:, -1] = [float(f"{v:.9f}") for v in X[:, -1].tolist()]

@@ -19,7 +19,6 @@ import numpy as np
 
 from .corpus import classify_topics, impact_factor_bin
 from .errors import (
-    BelowRange,
     ConfigError,
     MalformedRecord,
     MissingUpstream,
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .features import FEATURE_NAMES, FeatureTable, LeadFeatureVector
 from .metrics import PaperTags, ScoredTable, sorted_distinct
-from .records import FieldError, PublicationRecord, check_unique, read_tsv, tsv_rows, write_tsv
+from .records import CorpusTable, FieldError, check_unique, read_tsv, tsv_rows, write_tsv
 from .tables import BriClassification, RegionMap, TopicMap
 
 LEADER = "Leader"
@@ -67,14 +66,9 @@ class EvalReport:
     tn: int
 
 
-def _standardize(X: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
-    return (X - means) / stds
-
-
 def _raw_scores(model: LinearLeadModel, X: np.ndarray) -> np.ndarray:
-    Z = _standardize(
-        X, np.asarray(model.feature_means), np.asarray(model.feature_stds)
-    )
+    Z = X - np.asarray(model.feature_means)
+    Z /= np.asarray(model.feature_stds)  # in place: one temporary, the same values
     return model.intercept + Z @ np.asarray(model.weights)
 
 
@@ -174,14 +168,20 @@ def fit(
     n_train = min(max(int(round(split_ratio * n)), 1), n - 1)
     train, test = perm[:n_train], perm[n_train:]
 
-    means = X[train].mean(axis=0)
-    stds = X[train].std(axis=0)
+    X_train = X[train]
+    means = X_train.mean(axis=0)
+    stds = X_train.std(axis=0)
     degenerate = stds <= _STD_FLOOR
     stds = np.where(degenerate, 1.0, stds)
-    active = ~degenerate
+    active = np.flatnonzero(~degenerate)
 
-    Z = _standardize(X[train], means, stds)
-    A = np.hstack([np.ones((n_train, 1)), Z[:, active]])
+    # the design: an intercept column, then each active column standardized;
+    # column-major, as the solve's BLAS calls have always been given it
+    A = np.empty((n_train, 1 + len(active)), order="F")
+    A[:, 0] = 1.0
+    for j, column in enumerate(active.tolist(), start=1):
+        np.subtract(X_train[:, column], means[column], out=A[:, j])
+        A[:, j] /= stds[column]
     if family == FAMILY_LOGISTIC:
         coef, damping = _fit_logistic(A, y[train])
     else:
@@ -204,9 +204,17 @@ def fit(
     return model, report
 
 
+def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes in order of first appearance, and each code's
+    index among them."""
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return distinct[order], np.argsort(order)[inverse]
+
+
 def score_corpus(
     model: LinearLeadModel,
-    records: Iterable[PublicationRecord],
+    table: CorpusTable,
     features: FeatureTable,
     region_map: RegionMap,
     topics: TopicMap,
@@ -215,47 +223,50 @@ def score_corpus(
     *,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> tuple[ScoredTable, int]:
-    """The scored table: one row per author of each paper, in input order.
+    """The scored table: one row per author of each paper, in table order.
 
     Each authorship's feature row is looked up in features; all rows are
-    predicted in one batch.  The table equals what read_scored decodes
-    from write_scored's file.  Papers below the first impact-factor edge
-    are skipped; the second return value counts them.
+    predicted in one batch.  Region, income class and tags are resolved
+    once per distinct country and paper topic.  The table equals what
+    read_scored decodes from write_scored's file.  Papers below the first
+    impact-factor edge are skipped; the second return value counts them.
     """
-    papers, authors, regions, tags = {}, {}, {}, {}
-    paper, author, region, years, tag, rows = [], [], [], [], [], []
-    below = 0
-    for record in records:
-        try:
-            if_bin = impact_factor_bin(record.impact_factor, if_edges)
-        except BelowRange:
-            below += 1
-            continue
-        areas, fields = classify_topics(record, topics)
-        for a in record.first_authorships():
-            row = features.rows.get((record.paper_id, a.author_id))
-            if row is None:
-                raise MissingUpstream(
-                    f"no feature row for {a.author_id} on "
-                    f"{record.paper_id}; re-run build-profiles"
-                )
-            paper.append(papers.setdefault(record.paper_id, len(papers)))
-            author.append(authors.setdefault(a.author_id, len(authors)))
-            region.append(regions.setdefault(region_map.region_of(a.country), len(regions)))
-            years.append(record.year)
-            row_tags = PaperTags(areas, fields, if_bin, bri.class_of(a.country), a.country)
-            tag.append(tags.setdefault(row_tags, len(tags)))
-            rows.append(row)
-    probs = predict_many(model, features.X[rows])
+    bins = impact_factor_bin(table.impact, if_edges)
+    topic, topic_tags = classify_topics(table, topics)
+    owner = np.repeat(np.arange(len(table)), np.diff(table.auth_start))
+    at = np.flatnonzero(table.first & (bins[owner] >= 0))
+    paper, author = owner[at], table.author[at]
+    found = np.fromiter((features.rows.get(key, -1) for key in table.keys(at)), np.int64, len(at))
+    if (missing := np.flatnonzero(found < 0)).size:
+        i = missing[0]
+        raise MissingUpstream(
+            f"no feature row for {table.authors[author[i]]} on "
+            f"{table.ids[table.paper[paper[i]]]}; re-run build-profiles"
+        )
+    used, country = np.unique(table.country[at], return_inverse=True)
+    names = [table.countries[c] for c in used.tolist()]
+    regions = sorted({region_map.region_of(c) for c in names})
+    region = np.array([regions.index(region_map.region_of(c)) for c in names], np.int64)
+    income = [bri.class_of(c) for c in names]
+    # a row's tags are its paper's topic and bin and its country
+    bins_n, names_n = len(if_edges), len(names)
+    tag_codes, tag = _first_seen((topic[paper] * bins_n + bins[paper]) * names_n + country)
+    tags = [
+        PaperTags(*topic_tags[t // bins_n], t % bins_n, income[c], names[c])
+        for t, c in zip(*map(np.ndarray.tolist, np.divmod(tag_codes, max(names_n, 1))))
+    ]
+    paper_codes, paper_code = _first_seen(paper)
+    author_codes, author_code = _first_seen(author)
+    probs = predict_many(model, features.X[found])
     # the table must equal what read_scored decodes from write_scored's
     # file, which holds lead_prob at 9 decimals: lead_prob is rounded to
     # those 9, while is_leader is decided on the unrounded probability
-    rounded = [float(f"{p:.9f}") for p in probs.tolist()]
+    rounded = np.fromiter((float(f"{p:.9f}") for p in probs.tolist()), np.float64, len(probs))
     return ScoredTable(
-        papers, paper, authors, author, regions, region,
-        np.array(years, dtype=np.int64), np.array(rounded, dtype=np.float64),
-        probs > threshold, tags, tag,
-    ), below
+        [table.ids[p] for p in table.paper[paper_codes].tolist()], paper_code,
+        [table.authors[a] for a in author_codes.tolist()], author_code, regions, region[country],
+        table.year[paper], rounded, probs > threshold, tags, tag,
+    ), int(np.count_nonzero(bins < 0))
 
 
 def _vector(text: str) -> tuple[float, ...]:

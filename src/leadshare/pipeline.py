@@ -64,7 +64,9 @@ from .metrics import (
     write_series,
 )
 from .records import (
+    CorpusTable,
     check_unique,
+    publication_to_json,
     read_contributions,
     read_corpus,
     read_tsv,
@@ -246,9 +248,14 @@ def _stage_inputs(
     return inputs
 
 
-def _read_corpus_file(path: Path) -> list:
+def _read_corpus_file(path: Path, lines: Optional[list[str]] = None) -> CorpusTable:
+    """The corpus file as a table, each record folded in as it is parsed;
+    given lines, each record's canonical line is appended to them."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        return list(read_corpus(fh, source=str(path)))
+        records = read_corpus(fh, source=str(path))
+        if lines is None:
+            return CorpusTable(records)
+        return CorpusTable(lines.append(publication_to_json(r)) or r for r in records)
 
 
 # each artifact a stage reads, and its reader; the names resolve per call,
@@ -303,17 +310,19 @@ class Artifacts:
 
 def _stage_ingest(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
     region_map = load_region_map(config.regions)
-    records = _read_corpus_file(config.corpus)
+    lines: list[str] = []
+    table = _read_corpus_file(config.corpus, lines)
     stats = FilterStats()
     # filtered first, so an unknown country under strict changes no output
-    kept = [rec for rec, _ in filter_corpus(
-        records, region_map, strict=config.strict, stats=stats, source=str(config.corpus)
-    )]
+    kept = filter_corpus(
+        table, region_map, strict=config.strict, stats=stats, source=str(config.corpus)
+    )
     out = config.output_dir
-    write_corpus(records, out / "corpus.jsonl", out / "bilateral.jsonl", {r.paper_id for r in kept})
+    write_corpus(lines, out / "corpus.jsonl")
+    write_corpus([lines[i] for i in kept.tolist()], out / "bilateral.jsonl")
     # every record ingest accepts decodes back from its line unchanged
-    artifacts.hand_on("corpus.jsonl", records)
-    artifacts.hand_on("bilateral.jsonl", kept)
+    artifacts.hand_on("corpus.jsonl", table)
+    artifacts.hand_on("bilateral.jsonl", table.take(kept))
     return {
         "records": stats.n_input, "bilateral": stats.n_kept, "pre_1991": stats.n_year,
         "low_impact": stats.n_impact, "not_bilateral": stats.n_not_bilateral,
@@ -335,10 +344,10 @@ def _stage_train_roles(config: PipelineConfig, artifacts: Artifacts) -> dict[str
 
 
 def _stage_build_profiles(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
-    records = artifacts.read("corpus.jsonl")
-    features = write_features(build_profiles(records), config.output_dir / "features.tsv")
+    table = artifacts.read("corpus.jsonl")
+    features = write_features(build_profiles(table), config.output_dir / "features.tsv")
     artifacts.hand_on("features.tsv", features)
-    return {"papers": len(records)}
+    return {"papers": len(table)}
 
 
 def _stage_fit_model(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:

@@ -3,7 +3,7 @@
 The corpus is JSON Lines: one publication object per line with the fields
 
     paper_id      str, once per corpus
-    year          int
+    year          int, 1500 to 9999
     pub_date      "YYYY-MM-DD" or null; may be missing
     journal_id    str
     impact_factor finite float >= 0
@@ -20,7 +20,8 @@ decode to a lone surrogate.
 The stages pass their results to each other as line-based artifacts:
 `write_tsv` writes every one of them, and `read_tsv` reads a tab-separated
 one back, checking its header and column count and naming the file and
-line of any cell that does not parse.
+line of any cell that does not parse.  The stages that read a corpus hold
+it as a `CorpusTable`, coded columns folded in record by record.
 """
 
 from __future__ import annotations
@@ -30,12 +31,15 @@ import json
 import os
 import re
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
+
+import numpy as np
 
 from .errors import InvariantViolation, MalformedRecord, RecordError
 
@@ -74,21 +78,11 @@ class PublicationRecord:
     references: frozenset[str]
     authorships: tuple[AuthorshipRecord, ...]
 
-    def concept_names(self) -> frozenset[str]:
-        return frozenset(name for name, _ in self.concepts)
-
     def sort_date(self) -> tuple[int, int, int]:
         """Chronological key; missing dates sort as July 1 of their year."""
         if self.pub_date is not None:
             return (self.pub_date.year, self.pub_date.month, self.pub_date.day)
         return (self.year,) + MISSING_DATE_MONTH_DAY
-
-    def first_authorships(self) -> list[AuthorshipRecord]:
-        """Each author's first authorship, in position order."""
-        firsts: dict[str, AuthorshipRecord] = {}
-        for a in self.authorships:
-            firsts.setdefault(a.author_id, a)
-        return list(firsts.values())
 
 
 def _require(obj: dict, key: str, line_no: int):
@@ -166,6 +160,8 @@ def parse_publication_line(line: str, line_no: int = 0) -> PublicationRecord:
         raise MalformedRecord(line_no, "year", "must be an integer")
     if year < 1500:
         raise InvariantViolation(line_no, "year", f"year {year} < 1500")
+    if year > 9999:  # a four-digit year, as every date has
+        raise InvariantViolation(line_no, "year", f"year {year} > 9999")
 
     pub_date = _parse_date(obj.get("pub_date"), line_no)
     if pub_date is not None and pub_date.year != year:
@@ -423,13 +419,120 @@ def read_contributions(
     yield from _read_lines(parse_contribution_line, lines, source, "paper_id", "author_id")
 
 
-def write_corpus(
-    records: Iterable[PublicationRecord], path: Path,
-    kept_path: Optional[Path] = None, kept_ids: Collection[str] = (),
-) -> None:
-    """Write records to path and, given kept_path, those whose paper_id is
-    in kept_ids to kept_path, in order; each record is serialized once."""
-    lines = [(r.paper_id, publication_to_json(r)) for r in records]
-    write_tsv(path, None, (line for _, line in lines))
-    if kept_path is not None:
-        write_tsv(kept_path, None, (line for pid, line in lines if pid in kept_ids))
+def write_corpus(lines: Iterable[str], path: Path) -> None:
+    """Write corpus lines, publication_to_json's, to path."""
+    write_tsv(path, None, lines)
+
+
+# the string pools of a CorpusTable, each with the columns that code into it
+_POOLS = {
+    "ids": ("paper", "ref"), "authors": ("author",), "countries": ("country",),
+    "institutions": ("institution",), "concepts": ("concept",),
+}
+# the CSR offsets of a CorpusTable, each with the columns it slices
+_SEGMENTS = {
+    "auth_start": ("author", "position", "country", "institution", "first"),
+    "ref_start": ("ref",), "concept_start": ("concept", "level0"),
+}
+
+
+def csr_entries(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry of each row of CSR offsets start, rows in turn: the
+    entry's index into rows and its own index."""
+    lengths = start[rows + 1] - start[rows]
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    index = np.repeat(start[rows] - np.cumsum(lengths) + lengths, lengths)
+    index += np.arange(len(index))
+    return owner, index
+
+
+def _sorted_pool(pool: dict[str, int], *columns: array) -> tuple:
+    """pool's strings in sorted order, then each column of codes into pool
+    recoded into them."""
+    names = sorted(pool)
+    rank = np.empty(len(names), np.int32)
+    rank[np.fromiter(map(pool.__getitem__, names), np.int64, len(names))] = np.arange(len(names))
+    return (tuple(names), *(rank[np.frombuffer(c, np.int32)] for c in columns))
+
+
+class CorpusTable:
+    """The corpus as numpy columns, one row per paper, in input order.
+
+    Each distinct string is stored once, in sorted tuples: `ids` (paper
+    ids and references), `authors`, `countries`, `institutions` and
+    `concepts` (names).  int32 columns code into them, so code order is
+    string order.  Per paper: `paper` (its id), `date` (its sort date as
+    yyyymmdd, July 1 when undated), `year` and `impact`.  Authorships,
+    references and concepts are CSR arrays: paper i's authorships are
+    entries `auth_start[i]:auth_start[i + 1]` of `author`, `position`,
+    `country`, `institution` and `first` (the author's first authorship on
+    the paper), in position order; its sorted references are those entries
+    of `ref` under `ref_start`, and its sorted (name, level) concepts those
+    of `concept` and `level0` (level 0) under `concept_start`.
+    """
+
+    def __init__(self, records: Iterable[PublicationRecord] = ()):
+        ids, authors, countries, institutions, concepts = ({} for _ in _POOLS)
+        paper, author, position, country, institution, ref, concept = (array("i") for _ in range(7))
+        date, year, impact = array("q"), array("q"), array("d")
+        first, level0 = array("b"), array("b")
+        starts = auth_start, ref_start, concept_start = tuple(array("q", [0]) for _ in _SEGMENTS)
+        for r in records:
+            paper.append(ids.setdefault(r.paper_id, len(ids)))
+            y, m, d = r.sort_date()
+            date.append(y * 10_000 + m * 100 + d)
+            year.append(r.year)
+            impact.append(r.impact_factor)
+            seen: dict[str, int] = {}
+            for i, a in enumerate(r.authorships):
+                author.append(authors.setdefault(a.author_id, len(authors)))
+                position.append(a.position)
+                country.append(countries.setdefault(a.country, len(countries)))
+                institution.append(institutions.setdefault(a.institution_id, len(institutions)))
+                first.append(seen.setdefault(a.author_id, i) == i)
+            ref.extend([ids.setdefault(x, len(ids)) for x in sorted(r.references)])
+            for name, level in sorted(r.concepts):
+                concept.append(concepts.setdefault(name, len(concepts)))
+                level0.append(level == 0)
+            for start, column in zip(starts, (author, ref, concept)):
+                start.append(len(column))
+        self.ids, self.paper, self.ref = _sorted_pool(ids, paper, ref)
+        self.authors, self.author = _sorted_pool(authors, author)
+        self.countries, self.country = _sorted_pool(countries, country)
+        self.institutions, self.institution = _sorted_pool(institutions, institution)
+        self.concepts, self.concept = _sorted_pool(concepts, concept)
+        self.position = np.frombuffer(position, np.int32)
+        self.first, self.level0 = np.frombuffer(first, bool), np.frombuffer(level0, bool)
+        self.date, self.year = np.frombuffer(date, np.int64), np.frombuffer(year, np.int64)
+        self.impact = np.frombuffer(impact, np.float64)
+        for name, start in zip(_SEGMENTS, starts):
+            setattr(self, name, np.frombuffer(start, np.int64))
+
+    def __len__(self) -> int:
+        return len(self.paper)
+
+    def keys(self, at: np.ndarray) -> Iterator[tuple[str, str]]:
+        """The (paper_id, author_id) of each authorship in at."""
+        papers = np.repeat(self.paper, np.diff(self.auth_start))[at]
+        return zip(map(self.ids.__getitem__, papers.tolist()),
+                   map(self.authors.__getitem__, self.author[at].tolist()))
+
+    def take(self, rows: np.ndarray) -> CorpusTable:
+        """The table of the given rows, in their order: the table that
+        their records make."""
+        out = CorpusTable()
+        for name in ("paper", "date", "year", "impact"):
+            setattr(out, name, getattr(self, name)[rows])
+        for name, columns in _SEGMENTS.items():
+            owner, at = csr_entries(getattr(self, name), rows)
+            setattr(out, name, np.searchsorted(owner, np.arange(len(rows) + 1)))
+            for column in columns:
+                setattr(out, column, getattr(self, column)[at])
+        for pool, columns in _POOLS.items():
+            codes = [getattr(out, column) for column in columns]
+            used, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+            setattr(out, pool, tuple(map(getattr(self, pool).__getitem__, used.tolist())))
+            ends = np.cumsum([len(c) for c in codes])[:-1]
+            for column, part in zip(columns, np.split(inverse.astype(np.int32), ends)):
+                setattr(out, column, part)
+        return out

@@ -84,6 +84,8 @@ def parse_publication_line(line: str, line_no: int = 0) -> PublicationRecord:
         raise MalformedRecord(line_no, "year", "must be an integer")
     if year < 1500:
         raise InvariantViolation(line_no, "year", f"year {year} < 1500")
+    if year > 9999:  # a four-digit year, as every date has
+        raise InvariantViolation(line_no, "year", f"year {year} > 9999")
 
     pub_date = _parse_date(obj.get("pub_date"), line_no)
     if pub_date is not None and pub_date.year != year:

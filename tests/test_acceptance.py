@@ -23,7 +23,7 @@ from leadshare.metrics import (
     supporter_share,
 )
 from leadshare.pipeline import MANIFEST_NAME, STAGE_TABLE, STAGES, run_all, run_stage
-from leadshare.records import write_corpus
+from leadshare.records import CorpusTable, publication_to_json, write_corpus
 from leadshare.roles import LEAD, build_cooccurrence, cluster_roles, label_clusters
 from synth import (
     perf_corpus,
@@ -49,7 +49,7 @@ def test_criterion_1_feature_oracle_agreement():
     mismatches = []
     for seed in range(100):
         corpus = random_corpus(seed, max_papers=50, max_authors=20)
-        table = build_profiles(corpus)
+        table = build_profiles(CorpusTable(corpus))
         by_id = {r.paper_id: r for r in corpus}
         for paper_id, author_id in table.rows:
             vec = feature_vector(table, paper_id, author_id)
@@ -266,7 +266,7 @@ def test_criterion_8_determinism_and_throughput(fixture_dir, tmp_path):
     records, contributions = perf_corpus(seed=7, n_authorships=100_000)
     big = tmp_path / "big"
     big.mkdir()
-    write_corpus(records, big / "corpus.jsonl")
+    write_corpus([publication_to_json(r) for r in records], big / "corpus.jsonl")
     with open(big / "contributions.jsonl", "w", encoding="utf-8") as fh:
         write_contributions(contributions, fh)
     config = PipelineConfig(

@@ -1,27 +1,29 @@
 """Record parsing, corpus filters, topic tagging, and the static tables."""
 
 import copy
+import gc
 import datetime
 import json
 import math
 import string
+import tracemalloc
 from typing import Iterator
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import reference_records
 from helpers import assert_same, make_record
+from synth import random_corpus
 from leadshare.corpus import (
     FilterStats,
-    bilateral_pair,
     classify_topics,
     filter_corpus,
     impact_factor_bin,
 )
 from leadshare.errors import (
-    BelowRange,
     InvariantViolation,
     MalformedRecord,
     RecordError,
@@ -33,6 +35,7 @@ from leadshare.records import (
     SEPARATORS,
     AuthorshipRecord,
     ContributionRecord,
+    CorpusTable,
     PublicationRecord,
     parse_contribution_line,
     parse_publication_line,
@@ -136,6 +139,7 @@ def test_invalid_json_rejected():
     ("year", "2015", MalformedRecord),
     ("year", True, MalformedRecord),
     ("year", 1200, InvariantViolation),
+    ("year", 10_000, InvariantViolation),
     ("pub_date", "2015-13-40", MalformedRecord),
     ("pub_date", "2016-03-02", InvariantViolation),  # year mismatch
     ("impact_factor", "high", MalformedRecord),
@@ -404,7 +408,7 @@ _MISSING, _OWN_ID = object(), object()
 # path is also tried missing and holding a value of each JSON type
 _PUBLICATION_FAULTS = [
     (("paper_id",), ["", 7]),
-    (("year",), [1499, True, 2015.0]),
+    (("year",), [1499, 10_000, 10**20, True, 2015.0]),
     (("pub_date",), ["2015-13-40", "1499-01-01", 20150101]),
     (("journal_id",), [7]),
     (("impact_factor",), [-0.5, math.nan, math.inf, 10**400, True, "3"]),
@@ -570,7 +574,76 @@ def test_encoder_writes_what_json_dumps_writes(record):
     assert publication_to_json(record) == reference_records.publication_to_json(record)
 
 
+# -- the corpus table --------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_taken_rows_make_the_table_their_records_make(seed, data):
+    corpus = random_corpus(seed, max_papers=30, max_authors=8)
+    rows = sorted(data.draw(st.sets(st.integers(0, len(corpus) - 1))))
+    assert_same(CorpusTable(corpus).take(np.array(rows, dtype=np.int64)),
+                CorpusTable([corpus[i] for i in rows]))
+
+
+def test_table_codes_strings_in_sorted_order():
+    records = [
+        make_record("P2", 2001, date="2001-03-04", authors=("B", "A", "B"),
+                    countries=("Japan", "China", "Japan"), refs=("P1", "X9"),
+                    concepts=(("beta", 1), ("alpha", 0), ("beta", 0))),
+        make_record("P1", 2000, authors=("A",), countries=("China",), institutions=("",)),
+    ]
+    table = CorpusTable(records)
+    assert (table.ids, table.authors, table.concepts) == (("P1", "P2", "X9"), ("A", "B"), ("alpha", "beta"))
+    assert table.paper.tolist() == [1, 0] and table.ref.tolist() == [0, 2]
+    assert (table.date.tolist(), table.year.tolist()) == ([20010304, 20000701], [2001, 2000])
+    assert table.auth_start.tolist() == [0, 3, 4]
+    assert table.author.tolist() == [1, 0, 1, 0] and table.position.tolist() == [0, 1, 2, 0]
+    assert table.first.tolist() == [True, True, False, True]
+    assert table.institutions == ("", "I1", "I2", "I3")
+    assert table.concept.tolist() == [0, 1, 1] and table.level0.tolist() == [True, True, False]
+    assert table.concept_start.tolist() == [0, 3, 3] and len(table) == 2
+
+
+def test_corpus_decode_memory(tmp_path):
+    # the table holds at most a third of what the records hold: 2k papers
+    # of OpenAlex-like ids, 10k authorships by 3k authors.  Both share the
+    # interned strings of a decode held throughout, so that neither count
+    # holds them or the growth of sys.intern's table
+    rng = np.random.default_rng(5)
+    lines = [json.dumps({
+        "paper_id": f"W{2_000_000_000 + i}", "year": 2000 + i % 22,
+        "pub_date": f"{2000 + i % 22}-{1 + i % 12:02d}-{1 + i % 28:02d}",
+        "journal_id": f"S{rng.integers(4_000)}", "impact_factor": float(rng.random()) * 20,
+        "concepts": [{"name": f"C{c}", "level": int(c % 3)} for c in rng.choice(200, 4, replace=False)],
+        "references": [f"W{2_000_000_000 + r}" for r in rng.integers(0, max(i, 1), 6) if r != i]
+        + [f"W{1_000_000 + i}"],
+        "authorships": [
+            {"author_id": f"A{3_000_000_000 + a}", "position": j, "country": ["China", "Kenya"][j % 2],
+             "institution_id": f"I{4_000_000 + a % 300}"}
+            for j, a in enumerate(rng.choice(3_000, 5, replace=False).tolist())
+        ],
+    }) for i in range(2_000)]
+    strings, held = list(read_corpus(lines)), {}
+    for name, decode in (("records", list), ("table", CorpusTable)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            decoded = decode(read_corpus(lines))
+            held[name] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(decoded) == len(strings)
+        del decoded
+    assert held["table"] <= held["records"] / 3, held
+
+
 # -- corpus filters ----------------------------------------------------------
+
+
+def kept_ids(records, region_map, **kwargs) -> list[str]:
+    """The paper ids filter_corpus keeps of records, in order."""
+    return [records[i].paper_id for i in filter_corpus(CorpusTable(records), region_map, **kwargs)]
 
 
 def test_year_filter_is_strict(region_map):
@@ -578,8 +651,7 @@ def test_year_filter_is_strict(region_map):
         make_record("P1", 1990, date=None),
         make_record("P2", 1991),
     ]
-    kept = [r.paper_id for r, _ in filter_corpus(records, region_map)]
-    assert kept == ["P2"]
+    assert kept_ids(records, region_map) == ["P2"]
 
 
 def test_impact_filter_is_inclusive(region_map):
@@ -587,8 +659,7 @@ def test_impact_filter_is_inclusive(region_map):
         make_record("P1", 2000, impact=0.999),
         make_record("P2", 2000, impact=1.0),
     ]
-    kept = [r.paper_id for r, _ in filter_corpus(records, region_map)]
-    assert kept == ["P2"]
+    assert kept_ids(records, region_map) == ["P2"]
 
 
 def test_bilateral_means_exactly_two_regions(region_map):
@@ -600,35 +671,44 @@ def test_bilateral_means_exactly_two_regions(region_map):
         make_record("P5", 2000, countries=("Vietnam", "India")),  # both South Asia
     ]
     stats = FilterStats()
-    kept = list(filter_corpus(records, region_map, stats=stats))
-    assert [(r.paper_id, pair) for r, pair in kept] == [("P3", ("China", "U.S."))]
+    assert kept_ids(records, region_map, stats=stats) == ["P3"]
     assert stats.n_not_bilateral == 4
     assert stats.n_kept == 1
     assert stats.n_input == 5
 
 
-def test_bilateral_pair_is_sorted(region_map):
-    rec = make_record("P1", 2000, countries=("United States", "China"))
-    assert bilateral_pair(rec, region_map) == ("China", "U.S.")
-    rec = make_record("P2", 2000, countries=("Japan", "Japan"))
-    assert bilateral_pair(rec, region_map) is None
+def test_bilateral_whatever_the_author_order(region_map):
+    records = [
+        make_record("P1", 2000, countries=("United States", "China")),
+        make_record("P2", 2000, countries=("China", "United States", "China")),
+        make_record("P3", 2000, countries=("Japan", "Japan")),
+    ]
+    assert kept_ids(records, region_map) == ["P1", "P2"]
 
 
 def test_unknown_country_skipped_with_stats(region_map, caplog):
     records = [
         make_record("P1", 2000, countries=("China", "Atlantis")),
         make_record("P2", 2000),
+        make_record("P3", 2000, countries=("Atlantis", "Lemuria")),
+        make_record("P4", 1980, countries=("Lemuria", "China")),
     ]
     stats = FilterStats()
-    kept = [r.paper_id for r, _ in filter_corpus(records, region_map, stats=stats)]
-    assert kept == ["P2"]
-    assert stats.n_unknown_country == 1
+    assert kept_ids(records, region_map, stats=stats) == ["P2"]
+    assert (stats.n_unknown_country, stats.n_year) == (2, 1)
+    # one warning per unknown country, naming the first paper with it
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping P1: country not in region table: 'Atlantis'",
+    ]
 
 
 def test_unknown_country_strict_raises(region_map):
-    records = [make_record("P1", 2000, countries=("China", "Atlantis"))]
+    records = [
+        make_record("P0", 1980, countries=("China", "Lemuria")),
+        make_record("P1", 2000, countries=("China", "Atlantis", "Lemuria")),
+    ]
     with pytest.raises(UnknownCountry) as exc:
-        list(filter_corpus(records, region_map, strict=True))
+        filter_corpus(CorpusTable(records), region_map, strict=True)
     assert exc.value.country == "Atlantis"
     assert str(exc.value) == "paper 'P1': country not in region table: 'Atlantis'"
 
@@ -642,10 +722,16 @@ def test_filter_counts_are_consistent(region_map):
         make_record("P5", 2000),
     ]
     stats = FilterStats()
-    kept = list(filter_corpus(records, region_map, stats=stats))
+    kept = filter_corpus(CorpusTable(records), region_map, stats=stats)
     assert len(kept) == stats.n_kept == 1
     assert stats.n_input == stats.n_kept + stats.n_year + stats.n_impact \
         + stats.n_not_bilateral + stats.n_unknown_country
+
+
+def test_empty_corpus_keeps_nothing(region_map):
+    stats = FilterStats()
+    assert filter_corpus(CorpusTable(), region_map, stats=stats).tolist() == []
+    assert stats == FilterStats()
 
 
 # -- impact factor bins ------------------------------------------------------
@@ -660,8 +746,8 @@ def test_if_bins_left_closed(value, expected):
 
 
 def test_if_below_first_edge():
-    with pytest.raises(BelowRange):
-        impact_factor_bin(0.5, (1, 2, 4, 8, 16))
+    assert impact_factor_bin(0.5, (1, 2, 4, 8, 16)) == -1
+    assert impact_factor_bin(np.array([0.5, 1.0, 20.0]), (1, 2)).tolist() == [-1, 0, 1]
 
 
 @settings(max_examples=50)
@@ -677,33 +763,50 @@ def test_if_bin_brackets_value(value):
 # -- topic tagging -----------------------------------------------------------
 
 
+def topic_tags(rec, topics) -> tuple[frozenset, frozenset]:
+    code, tags = classify_topics(CorpusTable([rec]), topics)
+    return tags[code[0]]
+
+
 def test_area_matches_any_level(topics):
     name = sorted(topics.area_concepts["Artificial Intelligence"])[0]
     rec = make_record("P1", 2020, concepts=((name, 2),))
-    areas, fields = classify_topics(rec, topics)
+    areas, fields = topic_tags(rec, topics)
     assert "Artificial Intelligence" in areas
 
 
 def test_field_matches_level_zero_only(topics):
     name = sorted(topics.field_concepts["computer science"])[0]
     rec = make_record("P1", 2020, concepts=((name, 0),))
-    _, fields = classify_topics(rec, topics)
+    _, fields = topic_tags(rec, topics)
     assert "computer science" in fields
     rec = make_record("P2", 2020, concepts=((name, 1),))
-    _, fields = classify_topics(rec, topics)
+    _, fields = topic_tags(rec, topics)
     assert "computer science" not in fields
 
 
 def test_topic_matching_folds_case_and_whitespace(topics):
     name = sorted(topics.area_concepts["Quantum Technology"])[0]
     rec = make_record("P1", 2020, concepts=((" " + name.upper() + " ", 3),))
-    areas, _ = classify_topics(rec, topics)
+    areas, _ = topic_tags(rec, topics)
     assert "Quantum Technology" in areas
 
 
 def test_unmatched_concepts_yield_no_tags(topics):
     rec = make_record("P1", 2020, concepts=(("completely made up topic", 0),))
-    assert classify_topics(rec, topics) == (frozenset(), frozenset())
+    assert topic_tags(rec, topics) == (frozenset(), frozenset())
+
+
+def test_papers_with_equal_tags_share_one_code(topics):
+    area = sorted(topics.area_concepts["Energy"])
+    records = [
+        make_record("P1", 2020, concepts=((area[0], 1),)),
+        make_record("P2", 2020, concepts=(("made up", 0),)),
+        make_record("P3", 2020, concepts=((area[0].upper(), 2), ("other", 0))),
+    ]
+    code, tags = classify_topics(CorpusTable(records), topics)
+    assert code.tolist() == [0, 1, 0]
+    assert tags == [(frozenset({"Energy"}), frozenset()), (frozenset(), frozenset())]
 
 
 # -- static tables -----------------------------------------------------------

@@ -1,10 +1,12 @@
 """The feature table: the nine lead-prediction features per authorship.
 
 The hand corpus below is small enough to verify every feature by eye;
-the property tests check the sweep implementation against a brute-force
-oracle that rescans the raw record list per query.
+the property tests check the array program against a brute-force oracle
+that rescans the raw record list per query, and byte for byte against
+the per-authorship sweep in reference_features.py.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -12,11 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_features
+from leadshare import features
 from helpers import feature_vector, make_record, oracle_features
 from leadshare.errors import DuplicatePaperId, InvariantViolation, MalformedRecord
 from leadshare.features import FEATURE_NAMES, build_profiles, read_features, write_features
-from leadshare.records import AuthorshipRecord, PublicationRecord
+from leadshare.records import AuthorshipRecord, CorpusTable, PublicationRecord
 from synth import random_corpus
+
+
+def profiles_of(corpus):
+    """The feature table of a list of records."""
+    return build_profiles(CorpusTable(corpus))
 
 
 def hand_corpus():
@@ -58,7 +67,7 @@ def hand_corpus():
 @pytest.fixture(scope="module")
 def hand_table():
     corpus = hand_corpus()
-    return corpus, build_profiles(corpus)
+    return corpus, profiles_of(corpus)
 
 
 def test_established_author(hand_table):
@@ -113,30 +122,73 @@ def test_self_citation_counts_own_prior_papers_only(cited, f3):
             countries=("China", "Japan"), refs=(cited,),
         ),
     ]
-    v = feature_vector(build_profiles(corpus), "P4", "A1")
+    v = feature_vector(profiles_of(corpus), "P4", "A1")
     assert v.f3_self_citations == f3
     assert tuple(v) == oracle_features(corpus, corpus[3], "A1")
 
 
 def test_duplicate_paper_id():
     corpus = hand_corpus()
-    with pytest.raises(DuplicatePaperId):
-        build_profiles(corpus + [corpus[0]])
+    corpus = corpus[:3] + [corpus[1]] + corpus[3:] + [corpus[0]]
+    with pytest.raises(DuplicatePaperId) as got:
+        profiles_of(corpus)
+    with pytest.raises(DuplicatePaperId) as want:
+        reference_features.build_profiles(corpus)
+    assert str(got.value) == str(want.value)
 
 
 def test_empty_corpus_index():
-    table = build_profiles([])
+    table = profiles_of([])
     assert table.rows == {}
     assert table.X.shape == (0, len(FEATURE_NAMES))
     assert table.X.dtype == np.float64 and not table.X.flags.writeable
+    assert table.X.tobytes() == reference_features.build_profiles([]).X.tobytes()
+
+
+def varied_corpus(seed: int, max_papers: int, max_authors: int) -> list[PublicationRecord]:
+    """random_corpus(seed), which already holds undated (July 1) papers,
+    empty institution ids and references outside the corpus, with more of
+    what the sweep treats apart: papers dated on the day of an earlier one,
+    sometimes outside their own year, and authors repeated at a later
+    position on one paper."""
+    rng = random.Random(seed)
+    corpus: list[PublicationRecord] = []
+    for rec in random_corpus(seed, max_papers=max_papers, max_authors=max_authors):
+        roll = rng.random()
+        if roll < 0.25 and corpus:
+            rec = dataclasses.replace(rec, pub_date=rng.choice(corpus).pub_date)
+        elif roll < 0.4:
+            a = rng.choice(rec.authorships)
+            again = AuthorshipRecord(
+                a.author_id, len(rec.authorships), a.country, rng.choice(["", "I9", a.institution_id])
+            )
+            rec = dataclasses.replace(rec, authorships=rec.authorships + (again,))
+        corpus.append(rec)
+    return corpus
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([(12, 6), (60, 20), (150, 3)]),
+       st.sampled_from([1, 7, features._CHUNK_ROWS]))
+def test_matches_the_reference_sweep_byte_for_byte(seed, shape, chunk_rows):
+    # (150, 3): two or three authors share up to 150 papers, so each carries
+    # long histories with same-day groups and citations across many years;
+    # small chunks split the authors over many chunks
+    corpus = varied_corpus(seed, *shape)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(features, "_CHUNK_ROWS", chunk_rows)
+        got = profiles_of(corpus)
+    want = reference_features.build_profiles(corpus)
+    assert list(got.rows.items()) == list(want.rows.items())
+    assert got.X.tobytes() == want.X.tobytes()
 
 
 def test_input_order_is_irrelevant():
     corpus = hand_corpus()
     shuffled = list(corpus)
     random.Random(9).shuffle(shuffled)
-    a = build_profiles(corpus)
-    b = build_profiles(shuffled)
+    a = profiles_of(corpus)
+    b = profiles_of(shuffled)
     for rec in corpus:
         for auth in rec.authorships:
             assert feature_vector(a, rec.paper_id, auth.author_id) == feature_vector(
@@ -147,7 +199,7 @@ def test_input_order_is_irrelevant():
 def test_rows_in_input_order_then_position():
     corpus = hand_corpus()
     random.Random(4).shuffle(corpus)
-    table = build_profiles(corpus)
+    table = profiles_of(corpus)
     keys = [(r.paper_id, a.author_id) for r in corpus for a in r.authorships]
     assert list(table.rows.items()) == [(key, i) for i, key in enumerate(keys)]
     assert table.X.shape == (len(keys), len(FEATURE_NAMES))
@@ -162,7 +214,7 @@ def test_repeated_author_gives_one_row_at_first_position():
         ),
         make_record("P2", 2011, date="2011-01-10", authors=("A1", "A2")),
     ]
-    table = build_profiles(corpus)
+    table = profiles_of(corpus)
     assert list(table.rows) == [
         ("P1", "A2"), ("P1", "A1"), ("P1", "A3"), ("P2", "A1"), ("P2", "A2"),
     ]
@@ -176,7 +228,7 @@ def test_repeated_author_gives_one_row_at_first_position():
 @given(st.integers(0, 10_000))
 def test_oracle_equivalence_random(seed):
     corpus = random_corpus(seed, max_papers=12, max_authors=6)
-    table = build_profiles(corpus)
+    table = profiles_of(corpus)
     for rec in corpus:
         for a in rec.authorships:
             v = feature_vector(table, rec.paper_id, a.author_id)
@@ -192,7 +244,7 @@ def test_oracle_equivalence_long_histories(seed):
     # dozens of prior papers, undated July 1 ties and citations across years
     corpus = random_corpus(seed, max_papers=120, max_authors=3)
     by_id = {rec.paper_id: rec for rec in corpus}
-    table = build_profiles(corpus)
+    table = profiles_of(corpus)
     assert len(table.rows) == sum(len(rec.authorships) for rec in corpus)
     for paper_id, author_id in table.rows:
         v = feature_vector(table, paper_id, author_id)
@@ -208,8 +260,8 @@ def test_temporal_causality(seed):
     ordered = sorted(corpus, key=lambda r: (r.sort_date(), r.paper_id))
     focal = ordered[len(ordered) // 2]
     truncated = [r for r in corpus if r.sort_date() <= focal.sort_date()]
-    full = build_profiles(corpus)
-    cut = build_profiles(truncated)
+    full = profiles_of(corpus)
+    cut = profiles_of(truncated)
     for a in focal.authorships:
         assert feature_vector(full, focal.paper_id, a.author_id) == feature_vector(
             cut, focal.paper_id, a.author_id
@@ -222,13 +274,13 @@ def test_monotone_history(seed):
     corpus = random_corpus(seed, max_papers=10, max_authors=5)
     focal = max(corpus, key=lambda r: (r.sort_date(), r.paper_id))
     author = focal.authorships[0].author_id
-    before = feature_vector(build_profiles(corpus), focal.paper_id, author)
+    before = feature_vector(profiles_of(corpus), focal.paper_id, author)
     extra = make_record(
         "EARLY1", 1994, date="1994-05-05",
         authors=(author,), countries=("China",), institutions=("I1",),
         refs=(), concepts=(("ancient topic", 1),),
     )
-    after = feature_vector(build_profiles(corpus + [extra]), focal.paper_id, author)
+    after = feature_vector(profiles_of(corpus + [extra]), focal.paper_id, author)
     assert after.f5_prior_pub_count == before.f5_prior_pub_count + 1
     assert after.f7_unique_keywords >= before.f7_unique_keywords
     assert after.f8_first_or_last_count >= before.f8_first_or_last_count
@@ -240,7 +292,7 @@ def test_f9_invariant_to_volume_scaling(seed, k):
     corpus = random_corpus(seed, max_papers=10, max_authors=5)
     focal = max(corpus, key=lambda r: (r.sort_date(), r.paper_id))
     author = focal.authorships[0].author_id
-    before = feature_vector(build_profiles(corpus), focal.paper_id, author)
+    before = feature_vector(profiles_of(corpus), focal.paper_id, author)
     # replicate every earlier-year paper's institution footprint k-fold
     # with fresh papers that cannot touch any other feature
     clones = []
@@ -265,7 +317,7 @@ def test_f9_invariant_to_volume_scaling(seed, k):
                     ),
                 )
             )
-    after = feature_vector(build_profiles(corpus + clones), focal.paper_id, author)
+    after = feature_vector(profiles_of(corpus + clones), focal.paper_id, author)
     assert after.f9_affiliation_score == pytest.approx(
         before.f9_affiliation_score, abs=1e-12
     )
@@ -275,7 +327,7 @@ def test_features_file_round_trip(tmp_path):
     path = tmp_path / "features.tsv"
     # the random corpus holds f9 values that 9 decimals round
     for corpus in (hand_corpus(), random_corpus(0, max_papers=40, max_authors=8)):
-        table = build_profiles(corpus)
+        table = profiles_of(corpus)
         write_features(table, path)
         decoded = read_features(path)
         assert decoded.rows == table.rows

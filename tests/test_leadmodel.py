@@ -16,7 +16,7 @@ from leadshare.errors import (
 )
 from leadshare.features import LeadFeatureVector, build_profiles, read_features
 from leadshare.metrics import FilterSpec, aggregate
-from leadshare.records import read_corpus
+from leadshare.records import CorpusTable, read_corpus
 from leadshare.leadmodel import (
     LEADER,
     SUPPORTER,
@@ -304,12 +304,19 @@ def scoring_setup(request):
     return corpus, model, region_map, topics, bri
 
 
+def bilateral(corpus, region_map) -> CorpusTable:
+    """The table of the papers of corpus that ingest keeps."""
+    table = CorpusTable(corpus)
+    return table.take(filter_corpus(table, region_map))
+
+
 def test_score_corpus_matches_composition(scoring_setup):
     corpus, model, region_map, topics, bri = scoring_setup
     edges = (1, 2, 4, 8, 16)
-    records = [rec for rec, _pair in filter_corpus(corpus, region_map)]
-    features = build_profiles(corpus)
-    table, below = score_corpus(model, records, features, region_map, topics, bri, edges)
+    features = build_profiles(CorpusTable(corpus))
+    table, below = score_corpus(
+        model, bilateral(corpus, region_map), features, region_map, topics, bri, edges
+    )
     assert (len(table), below) == (4, 0)
     for i in range(len(table)):
         paper_id, author_id = table.papers[table.paper[i]], table.authors[table.author[i]]
@@ -320,17 +327,17 @@ def test_score_corpus_matches_composition(scoring_setup):
         assert table.is_leader[i] == (prob > 0.65)
         assert table.regions[table.region[i]] == region_map.region_of(tags.country)
         assert table.year[i] == rec.year
-        areas, fields = classify_topics(rec, topics)
-        assert (tags.areas, tags.fields) == (areas, fields)
+        code, topic_tags = classify_topics(CorpusTable([rec]), topics)
+        assert (tags.areas, tags.fields) == topic_tags[code[0]]
         assert tags.if_bin == impact_factor_bin(rec.impact_factor, edges)
         assert tags.bri_class == bri.class_of(tags.country)
 
 
 def test_scored_file_round_trip(tmp_path, scoring_setup):
     corpus, model, region_map, topics, bri = scoring_setup
-    records = [rec for rec, _pair in filter_corpus(corpus, region_map)]
     table, _below = score_corpus(
-        model, records, build_profiles(corpus), region_map, topics, bri, (1, 2, 4, 8, 16)
+        model, bilateral(corpus, region_map), build_profiles(CorpusTable(corpus)),
+        region_map, topics, bri, (1, 2, 4, 8, 16),
     )
     path = tmp_path / "scored.tsv"
     write_scored(table, path)
@@ -343,9 +350,9 @@ def test_handed_on_table_is_the_decoded_one(tmp_path, fixture_dir, region_map, t
     # the fixture's score stage, rerun on its committed upstream artifacts
     out = fixture_dir / "out"
     with open(out / "bilateral.jsonl", encoding="utf-8") as fh:
-        records = list(read_corpus(fh))
+        corpus = CorpusTable(read_corpus(fh))
     table, below = score_corpus(
-        read_model(out / "model.tsv"), records, read_features(out / "features.tsv"),
+        read_model(out / "model.tsv"), corpus, read_features(out / "features.tsv"),
         region_map, topics, bri, (1, 2, 4, 8, 16), threshold=0.65,
     )
     path = tmp_path / "scored.tsv"
@@ -353,17 +360,24 @@ def test_handed_on_table_is_the_decoded_one(tmp_path, fixture_dir, region_map, t
     assert path.read_bytes() == (out / "scored.tsv").read_bytes()
     assert (len(table), below) == (744, 0)
     assert_same(read_scored(path), table)
+    # papers below the first edge are skipped and counted
+    table, below = score_corpus(
+        read_model(out / "model.tsv"), corpus, read_features(out / "features.tsv"),
+        region_map, topics, bri, (4, 8), threshold=0.65,
+    )
+    kept = corpus.impact >= 4
+    assert below == np.count_nonzero(~kept) > 0
+    assert len(table.papers) == np.count_nonzero(kept)
 
 
 def test_rounding_decides_the_threshold_count(tmp_path, scoring_setup):
     # every row scores 0.6000000004, which scored.tsv writes as 0.600000000:
     # a threshold of 0.6 must count it as a supporter in both tables
     corpus, _model, region_map, topics, bri = scoring_setup
-    records = [rec for rec, _pair in filter_corpus(corpus, region_map)]
     model = flat_model(intercept=0.6000000004)
     table, _below = score_corpus(
-        model, records, build_profiles(corpus), region_map, topics, bri,
-        (1, 2, 4, 8, 16), threshold=0.6,
+        model, bilateral(corpus, region_map), build_profiles(CorpusTable(corpus)),
+        region_map, topics, bri, (1, 2, 4, 8, 16), threshold=0.6,
     )
     path = tmp_path / "scored.tsv"
     write_scored(table, path)

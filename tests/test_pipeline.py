@@ -12,12 +12,13 @@ import shutil
 import threading
 import time
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
 import leadshare.pipeline
 import leadshare.records
-from helpers import assert_same
+from helpers import assert_same, make_record
 from leadshare.cli import main
 from leadshare.config import (
     DEFAULT_IF_EDGES,
@@ -46,6 +47,7 @@ from leadshare.pipeline import (
     run_sweep,
     write_manifest,
 )
+from leadshare.records import PublicationRecord
 from leadshare.tables import AREA_TAGS, FIELD_TAGS, HIGH_INCOME, LOW_INCOME
 
 ALL_ARTIFACTS = tuple(rel for stage in STAGES for rel in STAGE_TABLE[stage].writes)
@@ -203,14 +205,17 @@ class TestCaching:
         cloned = clone(pristine[0], tmp_path)
         path = cloned.output_dir / "corpus.jsonl"
         before = path.read_bytes()
-        to_json, written = leadshare.records.publication_to_json, itertools.count()
+        write, written = leadshare.pipeline.write_corpus, itertools.count()
 
-        def crash(record):
+        def crash(line):
             if next(written) == 100:
                 raise RuntimeError("crash")
-            return to_json(record)
+            return line
 
-        monkeypatch.setattr(leadshare.records, "publication_to_json", crash)
+        # the 101st line raises as write_tsv takes it
+        monkeypatch.setattr(
+            leadshare.pipeline, "write_corpus", lambda lines, *args: write(map(crash, lines), *args)
+        )
         with pytest.raises(RuntimeError, match="crash"):
             run_stage("ingest", cloned, force=True)
         monkeypatch.undo()
@@ -343,6 +348,24 @@ class TestDecodeOnce:
     def test_handed_on_value_is_the_decoded_one(self, handed_on, rel):
         out, handed = handed_on
         assert_same(handed[rel], leadshare.pipeline._DECODERS[rel](out / rel), rel)
+
+    def test_nothing_handed_on_is_a_record(self, handed_on):
+        # build-profiles and score take the corpus as tables, not records
+        def records(value) -> Iterator[PublicationRecord]:
+            if isinstance(value, PublicationRecord):
+                yield value
+            elif isinstance(value, (list, tuple, set, frozenset)):
+                for item in value:
+                    yield from records(item)
+            elif isinstance(value, dict):
+                yield from records(list(value.items()))
+            elif hasattr(value, "__dict__") and not isinstance(value, type):
+                yield from records(list(vars(value).values()))
+
+        _, handed = handed_on
+        assert {"corpus.jsonl", "bilateral.jsonl"} <= set(handed)
+        assert next(records(list(handed.values())), None) is None
+        assert next(records([make_record("P1", 2000)]), None) is not None
 
     def test_all_matches_separate_stages(self, pristine, fixture_config):
         for stage in STAGES:
