@@ -1,44 +1,26 @@
-"""Stage orchestration with content-hash caching.
+"""The pipeline's stages.
 
 Eight stages (ingest through export) form a fixed dependency chain, and
 two sweeps re-forecast along one axis.  `STAGE_TABLE` declares each one:
 its function, raw input, packaged tables, upstream artifacts, config
-slice and outputs.
-
-Every stage records (input hashes, config-slice hash, output hashes) in
-manifest.tsv.  A stage whose recorded line still matches is skipped, so
-re-running is a no-op and editing one config key recomputes only the
-stages whose slice contains it.  Caching is content based: timestamps
-never matter, and an artifact edited out-of-band is reported as stale
-rather than silently reused.
+slice and outputs.  `cache.run` runs a stage unless its manifest line
+still matches.
 
 Within one run_all, run_stage or run_sweep call each artifact is decoded
-at most once (see `Artifacts`); nothing decoded outlives the call.
+at most once (see `cache.Artifacts`); nothing decoded outlives the call.
 """
 
 from __future__ import annotations
 
-import fcntl
 import functools
-import gc
-import hashlib
-import logging
 import math
-import os
-from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
+from .cache import Artifacts, Stage, run
 from .config import PipelineConfig
 from .corpus import FilterStats, filter_corpus
-from .errors import (
-    ConfigError,
-    HashMismatch,
-    MissingUpstream,
-    TooFewPoints,
-    ZeroVariance,
-)
+from .errors import ConfigError, TooFewPoints, ZeroVariance
 from .features import build_profiles, read_features, write_features
 from .forecast import ForecastRow, confidence_band, forecast_series, write_forecast
 from .leadmodel import (
@@ -65,12 +47,9 @@ from .metrics import (
 )
 from .records import (
     CorpusTable,
-    check_unique,
     publication_to_json,
     read_contributions,
     read_corpus,
-    read_tsv,
-    tsv_rows,
     write_corpus,
     write_tsv,
 )
@@ -92,160 +71,7 @@ from .tables import (
     load_bri_classification,
     load_region_map,
     load_topic_map,
-    table_bytes,
 )
-
-log = logging.getLogger("leadshare.pipeline")
-
-MANIFEST_NAME = "manifest.tsv"
-_MANIFEST_HEADER = "stage\tinputs\tconfig\toutputs"
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One pipeline step: what it hashes, what it reads and what it writes.
-
-    `fn` takes the config and the call's `Artifacts` and returns the
-    stage's counts, which `_run` logs; `help` is the CLI help line, `raw`
-    names the config key of a raw input file, `tables` the packaged tables
-    the stage reads, `reads` its upstream artifacts and `config_keys` the
-    config slice its behavior depends on; changing any other key leaves
-    the stage cached.  A sweep names in `values` the config key it sweeps,
-    which joins its slice as "values".
-    """
-
-    name: str
-    fn: Callable[..., dict[str, float]]
-    help: str
-    raw: Optional[str] = None
-    tables: tuple[str, ...] = ()
-    reads: tuple[str, ...] = ()
-    config_keys: tuple[str, ...] = ()
-    writes: tuple[str, ...] = ()
-    values: Optional[str] = None
-
-
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-@dataclass
-class ManifestEntry:
-    stage: str
-    inputs: dict[str, str]
-    config_hash: str
-    outputs: dict[str, str]
-
-
-def _encode_hashes(hashes: dict[str, str]) -> str:
-    return ",".join(f"{k}={v}" for k, v in sorted(hashes.items())) or "-"
-
-
-def _decode_hashes(text: str) -> dict[str, str]:
-    if text == "-":
-        return {}
-    return dict(part.partition("=")[::2] for part in text.split(","))
-
-
-def _manifest_entries(lines: list[str]) -> dict[str, ManifestEntry]:
-    rows = list(tsv_rows(lines))
-    check_unique([stage for stage, *_ in rows], "stage")
-    return {
-        stage: ManifestEntry(stage, _decode_hashes(ins), cfg, _decode_hashes(outs))
-        for stage, ins, cfg, outs in rows
-    }
-
-
-def read_manifest(path: Path) -> dict[str, ManifestEntry]:
-    """manifest.tsv; a stage on two lines raises InvariantViolation."""
-    if not Path(path).exists():
-        return {}
-    return read_tsv(path, _MANIFEST_HEADER, _manifest_entries)
-
-
-def write_manifest(entries: dict[str, ManifestEntry], path: Path) -> None:
-    order = {name: i for i, name in enumerate(STAGE_TABLE)}
-    write_tsv(path, _MANIFEST_HEADER, (
-        f"{stage}\t{_encode_hashes(e.inputs)}\t{e.config_hash}\t"
-        f"{_encode_hashes(e.outputs)}"
-        for stage, e in sorted(
-            entries.items(), key=lambda item: order.get(item[0], len(order))
-        )
-    ))
-
-
-def _config_slice_hash(config: PipelineConfig, stage: Stage) -> str:
-    pieces = {key: getattr(config, key) for key in stage.config_keys}
-    if stage.values is not None:
-        pieces["values"] = getattr(config, stage.values)
-    text = repr(sorted(pieces.items()))
-    return _sha256_bytes(text.encode("utf-8"))
-
-
-def _table_inputs(config: PipelineConfig, names: Sequence[str]) -> dict[str, str]:
-    paths = {
-        "regions": ("regions.tsv", config.regions),
-        "bri": ("bri_countries.tsv", config.bri),
-        "areas": ("technology_areas.tsv", config.areas_table),
-        "fields": ("scientific_fields.tsv", config.fields_table),
-    }
-    out = {}
-    for name in names:
-        packaged, override = paths[name]
-        out[f"table:{name}"] = _sha256_bytes(table_bytes(packaged, override))
-    return out
-
-
-def _producer(rel: str) -> str:
-    return next(stage.name for stage in STAGE_TABLE.values() if rel in stage.writes)
-
-
-def _artifact_inputs(
-    config: PipelineConfig,
-    manifest: dict[str, ManifestEntry],
-    relpaths: Sequence[str],
-) -> dict[str, str]:
-    out = {}
-    for rel in relpaths:
-        path = config.output_dir / rel
-        producer = _producer(rel)
-        if not path.exists():
-            raise MissingUpstream(f"missing {rel}; run the {producer!r} stage first")
-        digest = _sha256_file(path)
-        entry = manifest.get(producer)
-        if entry is not None:
-            recorded = entry.outputs.get(rel)
-            if recorded is not None and recorded != digest:
-                raise HashMismatch(
-                    f"{rel} does not match the manifest; it was modified "
-                    f"outside the pipeline (re-run {producer!r})"
-                )
-        out[rel] = digest
-    return out
-
-
-def _stage_inputs(
-    stage: Stage, config: PipelineConfig, manifest: dict[str, ManifestEntry]
-) -> dict[str, str]:
-    inputs = {}
-    if stage.raw is not None:
-        path = getattr(config, stage.raw)
-        if path is None:
-            raise ConfigError(f"config key {stage.raw!r} is required for this stage")
-        if not Path(path).exists():
-            raise ConfigError(f"{stage.raw} file not found: {path}")
-        inputs[f"raw:{stage.raw}"] = _sha256_file(Path(path))
-    inputs.update(_artifact_inputs(config, manifest, stage.reads))
-    inputs.update(_table_inputs(config, stage.tables))
-    return inputs
 
 
 def _read_corpus_file(path: Path, lines: Optional[list[str]] = None) -> CorpusTable:
@@ -268,41 +94,6 @@ _DECODERS: dict[str, Callable[[Path], object]] = {
     "scored.tsv": lambda path: read_scored(path),
     "series.tsv": lambda path: read_series(path),
 }
-
-
-class Artifacts:
-    """The artifacts decoded within one run_all, run_stage or run_sweep call.
-
-    Entries are keyed by (artifact name, SHA-256): `_run` sets `inputs` to
-    the digests it computed for the running stage, so a file changed since
-    it was decoded never hits.  `readers` counts each artifact's reads still
-    to come, and `done` drops the entries that no later stage reads.
-    """
-
-    def __init__(self, output_dir: Path, stages: Iterable[str]):
-        self.output_dir = output_dir
-        self.readers = Counter(rel for name in stages for rel in STAGE_TABLE[name].reads)
-        self.entries: dict[tuple[str, str], object] = {}
-        self.inputs: dict[str, str] = {}
-        self.handed: dict[str, object] = {}
-
-    def read(self, rel: str):
-        """An artifact the running stage reads, decoded."""
-        key = (rel, self.inputs[rel])
-        if key not in self.entries:
-            self.entries[key] = _DECODERS[rel](self.output_dir / rel)
-        return self.entries[key]
-
-    def hand_on(self, rel: str, value: object) -> None:
-        """What an artifact the running stage wrote decodes to."""
-        self.handed[rel] = value
-
-    def done(self, stage: Stage, outputs: dict[str, str]) -> None:
-        """stage ran, writing outputs (name -> digest), or was cached."""
-        self.readers.subtract(stage.reads)
-        self.entries.update(((rel, outputs[rel]), v) for rel, v in self.handed.items())
-        self.handed = {}
-        self.entries = {k: v for k, v in self.entries.items() if self.readers[k[0]] > 0}
 
 
 # ---------------------------------------------------------------- stages
@@ -671,73 +462,6 @@ SWEEP_AXES = tuple(
 )
 
 
-def _is_cached(
-    entry: Optional[ManifestEntry],
-    inputs: dict[str, str],
-    config_hash: str,
-    config: PipelineConfig,
-    artifacts: tuple[str, ...],
-) -> bool:
-    if entry is None:
-        return False
-    if entry.inputs != inputs or entry.config_hash != config_hash:
-        return False
-    for rel in artifacts:
-        path = config.output_dir / rel
-        if not path.exists():
-            return False
-        if entry.outputs.get(rel) != _sha256_file(path):
-            return False
-    return True
-
-
-def _run(
-    name: str, config: PipelineConfig, force: bool,
-    artifacts: Optional[Artifacts] = None,
-) -> str:
-    """Hash the inputs, skip when the manifest line still matches, else run
-    the stage, record its line and log its counts.  artifacts holds what
-    the calling run_all decoded; a standalone stage starts its own.  A
-    flock on output_dir, which makes no file, keeps concurrent runs from
-    interleaving (POSIX only)."""
-    stage = STAGE_TABLE[name]
-    artifacts = artifacts or Artifacts(config.output_dir, (name,))
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    lock = os.open(config.output_dir, os.O_RDONLY)
-    try:
-        fcntl.flock(lock, fcntl.LOCK_EX)
-        manifest_path = config.output_dir / MANIFEST_NAME
-        manifest = read_manifest(manifest_path)
-        artifacts.inputs = inputs = _stage_inputs(stage, config, manifest)
-        config_hash = _config_slice_hash(config, stage)
-        if not force and _is_cached(
-            manifest.get(name), inputs, config_hash, config, stage.writes
-        ):
-            artifacts.done(stage, {})
-            log.info("%s: cached", name)
-            return "cached"
-        # no stage may build reference cycles at scale: the cyclic collector
-        # is paused while one runs, as its passes over the live graph free nothing
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            counts = stage.fn(config, artifacts)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        outputs = {rel: _sha256_file(config.output_dir / rel) for rel in stage.writes}
-        manifest[name] = ManifestEntry(name, inputs, config_hash, outputs)
-        write_manifest(manifest, manifest_path)
-    finally:
-        os.close(lock)
-    artifacts.done(stage, outputs)
-    log.info("%s: ran: %s", name, ", ".join(
-        f"{key}={value:.3f}" if isinstance(value, float) else f"{key}={value}"
-        for key, value in counts.items()
-    ))
-    return "ran"
-
-
 def run_stage(
     stage: str, config: PipelineConfig, force: bool = False,
     artifacts: Optional[Artifacts] = None,
@@ -746,11 +470,11 @@ def run_stage(
     run_all passes the artifacts its earlier stages decoded."""
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
-    return _run(stage, config, force, artifacts)
+    return run(STAGE_TABLE, _DECODERS, stage, config, force, artifacts)
 
 
 def run_all(config: PipelineConfig, force: bool = False) -> dict[str, str]:
-    artifacts = Artifacts(config.output_dir, STAGES)
+    artifacts = Artifacts(config.output_dir, [STAGE_TABLE[s] for s in STAGES], _DECODERS)
     return {stage: run_stage(stage, config, force, artifacts) for stage in STAGES}
 
 
@@ -768,4 +492,5 @@ def run_sweep(
     name = f"sweep-{axis}"
     # PipelineConfig checks the values and sorts them without repeats, so
     # neither order nor a repeat re-runs the sweep or changes its bytes
-    return _run(name, config.replace(**{STAGE_TABLE[name].values: values}), force)
+    config = config.replace(**{STAGE_TABLE[name].values: values})
+    return run(STAGE_TABLE, _DECODERS, name, config, force)

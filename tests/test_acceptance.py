@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from helpers import feature_vector, fit_inputs, oracle_features
+from leadshare.cache import MANIFEST_NAME
 from leadshare.config import PipelineConfig
 from leadshare.features import build_profiles
 from leadshare.forecast import confidence_band, fit_points, parity_year
@@ -22,7 +23,7 @@ from leadshare.metrics import (
     lead_share,
     supporter_share,
 )
-from leadshare.pipeline import MANIFEST_NAME, STAGE_TABLE, STAGES, run_all, run_stage
+from leadshare.pipeline import STAGE_TABLE, STAGES, run_all, run_stage
 from leadshare.records import CorpusTable, publication_to_json, write_corpus
 from leadshare.roles import LEAD, build_cooccurrence, cluster_roles, label_clusters
 from synth import (

@@ -16,9 +16,17 @@ from typing import Iterator
 
 import pytest
 
+import leadshare.cache
 import leadshare.pipeline
 import leadshare.records
 from helpers import assert_same, make_record
+from leadshare.cache import (
+    MANIFEST_NAME,
+    ManifestEntry,
+    read_manifest,
+    stale_reasons,
+    write_manifest,
+)
 from leadshare.cli import main
 from leadshare.config import (
     DEFAULT_IF_EDGES,
@@ -35,18 +43,7 @@ from leadshare.errors import (
 )
 from leadshare.leadmodel import FAMILY_LOGISTIC
 from leadshare.metrics import COUNT_UNIQUE_AUTHOR
-from leadshare.pipeline import (
-    MANIFEST_NAME,
-    STAGE_TABLE,
-    STAGES,
-    SWEEP_AXES,
-    ManifestEntry,
-    read_manifest,
-    run_all,
-    run_stage,
-    run_sweep,
-    write_manifest,
-)
+from leadshare.pipeline import STAGE_TABLE, STAGES, SWEEP_AXES, run_all, run_stage, run_sweep
 from leadshare.records import PublicationRecord
 from leadshare.tables import AREA_TAGS, FIELD_TAGS, HIGH_INCOME, LOW_INCOME
 
@@ -280,9 +277,39 @@ class TestCaching:
             ),
         }
         path = tmp_path / MANIFEST_NAME
-        write_manifest(entries, path)
+        write_manifest(entries, path, STAGE_TABLE)
         assert read_manifest(path) == entries
         assert read_manifest(tmp_path / "absent.tsv") == {}
+
+    # each case changes one thing that aggregate's manifest line vouches
+    # for, or the line itself, and the reason it should give
+    @pytest.mark.parametrize("change, expected", [
+        (lambda entry, out: entry, []),
+        (lambda entry, out: None, ["no manifest line"]),
+        (lambda entry, out: (out / "series.tsv").unlink() or entry, ["output series.tsv missing"]),
+        (
+            lambda entry, out: dataclasses.replace(
+                entry, inputs={**entry.inputs, "scored.tsv": "0" * 64}
+            ),
+            ["input scored.tsv changed"],
+        ),
+        (
+            lambda entry, out: dataclasses.replace(entry, config_hash="0" * 64),
+            ["config slice changed"],
+        ),
+        (
+            lambda entry, out: (out / "counts.tsv").write_text("edited\n", encoding="utf-8")
+            and entry,
+            ["output counts.tsv changed"],
+        ),
+    ], ids=["untouched", "no-line", "output-missing", "input", "config", "output"])
+    def test_stale_reasons(self, pristine, tmp_path, change, expected):
+        out = clone(pristine[0], tmp_path).output_dir
+        entry = read_manifest(out / MANIFEST_NAME)["aggregate"]
+        writes = STAGE_TABLE["aggregate"].writes
+        assert stale_reasons(
+            change(entry, out), entry.inputs, entry.config_hash, out, writes
+        ) == expected
 
 
 class TestDecodeOnce:
@@ -326,7 +353,7 @@ class TestDecodeOnce:
     def handed_on(self, fixture_dir, tmp_path_factory) -> tuple[Path, dict[str, object]]:
         """A cold run_all of the fixture, and what its stages handed on."""
         handed: dict[str, object] = {}
-        hand_on = leadshare.pipeline.Artifacts.hand_on
+        hand_on = leadshare.cache.Artifacts.hand_on
 
         def spy(artifacts, rel, value):
             handed[rel] = value
@@ -334,7 +361,7 @@ class TestDecodeOnce:
 
         out = tmp_path_factory.mktemp("handed") / "out"
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(leadshare.pipeline.Artifacts, "hand_on", spy)
+            patch.setattr(leadshare.cache.Artifacts, "hand_on", spy)
             run_all(PipelineConfig(
                 corpus=fixture_dir / "corpus.jsonl",
                 contributions=fixture_dir / "contributions.jsonl",
@@ -573,6 +600,20 @@ def forget_producer(out: Path, rel: str) -> None:
     manifest.write_text("\n".join(kept) + "\n", encoding="utf-8")
 
 
+@pytest.fixture
+def reasons(monkeypatch) -> list[list[str]]:
+    """The stale reasons each stage that checks its manifest line finds."""
+    found = []
+    stale_reasons = leadshare.cache.stale_reasons
+
+    def spy(*args):
+        found.append(stale_reasons(*args))
+        return found[-1]
+
+    monkeypatch.setattr(leadshare.cache, "stale_reasons", spy)
+    return found
+
+
 class TestConfigSlice:
     def test_alternatives_cover_every_key(self):
         fields = {f.name for f in dataclasses.fields(PipelineConfig)}
@@ -590,15 +631,30 @@ class TestConfigSlice:
         for key in ALTERNATIVES
         if key not in STAGE_TABLE[stage].config_keys
     ])
-    def test_key_outside_slice_changes_nothing(self, swept, tmp_path, stage, key):
+    def test_key_outside_slice_changes_nothing(self, swept, tmp_path, reasons, stage, key):
         config = clone(swept, tmp_path).replace(**{key: ALTERNATIVES[key]})
         paths = [config.output_dir / rel for rel in STAGE_TABLE[stage].writes]
         before = [p.read_bytes() for p in paths]
         assert run_named(stage, config) == "cached"
+        assert reasons == [[]]
         # forced, the stage must reproduce its outputs: it reads no key
         # that its slice leaves out
         assert run_named(stage, config, force=True) == "ran"
         assert [p.read_bytes() for p in paths] == before
+
+    @pytest.mark.parametrize("stage, key", [
+        (stage, key) for stage in STAGE_TABLE for key in ALTERNATIVES
+        if key in STAGE_TABLE[stage].config_keys
+    ])
+    def test_key_inside_slice_reruns(self, swept, tmp_path, reasons, stage, key):
+        config = clone(swept, tmp_path).replace(**{key: ALTERNATIVES[key]})
+        if (stage, key) == ("ingest", "strict"):
+            # the stage runs and rejects the fixture's paper of no region
+            with pytest.raises(UnknownCountry):
+                run_named(stage, config)
+        else:
+            assert run_named(stage, config) == "ran"
+        assert reasons == [["config slice changed"]]
 
 
 class TestExport:
@@ -1105,6 +1161,37 @@ class TestCli:
         assert main(["--config", str(cfg_file), "ingest"]) == 3
         err = capsys.readouterr().err
         assert "manifest.tsv" in err and "line 2" in err
+
+    @pytest.mark.parametrize(
+        "stage, field, value, command",
+        [
+            ("score", "outputs", "scored.tsv", "aggregate"),
+            ("fit-model", "inputs", "garbage", "fit-model"),
+            ("forecast", "config", "A" * 64, "forecast"),
+        ],
+        ids=["outputs-without-digest", "inputs-without-digest", "config-upper-case"],
+    )
+    def test_damaged_manifest_cell_is_data_error(
+        self, pristine, tmp_path, capsys, stage, field, value, command
+    ):
+        # a cell that holds no digest must neither blame an intact artifact
+        # nor re-run a stage: the command names the cell and changes nothing
+        out = clone(pristine[0], tmp_path).output_dir
+        manifest = out / MANIFEST_NAME
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        line_no = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{stage}\t"))
+        cells = lines[line_no - 1].split("\t")
+        cells[lines[0].split("\t").index(field)] = value
+        lines[line_no - 1] = "\t".join(cells)
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"output_dir = {out}\n", encoding="utf-8")
+        assert main(["--config", str(cfg_file), command]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {manifest}: line {line_no}, field {field!r}: "
+        )
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
     def test_tiny_vocabulary_is_numeric_error(self, tmp_path, capsys):
         contributions = tmp_path / "thin.jsonl"

@@ -65,12 +65,62 @@ def test_opens_for_writing_reads_modes_and_flags():
 
 
 def test_only_run_logs_in_pipeline():
-    # each stage returns its counts, and _run logs them in one line
+    # each stage returns its counts, and the cache engine's run logs them
+    # in one line; no stage code logs
     loggers = {
-        function for function, call in calls(SRC / "pipeline.py")
+        f"{path.stem}.{function}"
+        for path in (SRC / "pipeline.py", SRC / "cache.py")
+        for function, call in calls(path)
         if ast.unparse(call.func).startswith("log.")
     }
-    assert loggers == {"_run"}
+    assert loggers == {"cache.run"}
+
+
+def imported_modules(source: str) -> set[str]:
+    """Every module that source imports, a relative import as
+    leadshare.<module>."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = "leadshare." if node.level else ""
+            if node.module:
+                found.add(package + node.module)
+            else:
+                found.update(package + alias.name for alias in node.names)
+    return found
+
+
+# the modules a stage computes with
+STAGE_LAYERS = (
+    "features", "leadmodel", "metrics", "roles", "forecast", "corpus", "kmeans", "tdist",
+)
+
+
+def test_cache_engine_and_stages_stay_apart():
+    # cache.py knows the stages only through the table and readers its
+    # caller passes in; pipeline.py leaves hashing, the lock and the
+    # collector pause to cache.py
+    engine = imported_modules((SRC / "cache.py").read_text(encoding="utf-8"))
+    assert engine & {f"leadshare.{name}" for name in STAGE_LAYERS} == set()
+    stages = imported_modules((SRC / "pipeline.py").read_text(encoding="utf-8"))
+    assert stages & {"hashlib", "fcntl", "gc"} == set()
+    assert [
+        ast.unparse(call) for _, call in calls(SRC / "pipeline.py")
+        if ast.unparse(call.func) == "os.open"
+    ] == []
+
+
+def test_imported_modules_sees_every_form_of_import():
+    assert imported_modules(
+        "import gc, os.path\nfrom hashlib import sha256\n"
+        "from .features import build_profiles\nfrom . import roles\n"
+        "from leadshare.metrics import aggregate"
+    ) == {
+        "gc", "os.path", "hashlib", "leadshare.features", "leadshare.roles",
+        "leadshare.metrics",
+    }
 
 
 def plain_unique_calls(source: str) -> list[str]:
