@@ -8,6 +8,7 @@ paths fall back to the packaged reference tables.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, get_type_hints
@@ -68,6 +69,10 @@ class PipelineConfig:
             raise ConfigError(
                 f"confidence_level must be in (0,1), got {self.confidence_level}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not math.isfinite(self.horizon):
+            raise ConfigError(f"horizon must be finite, got {self.horizon}")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError(f"split_ratio must be in (0,1), got {self.split_ratio}")
         if self.counting_mode not in (COUNT_AUTHOR_PAPER, COUNT_UNIQUE_AUTHOR):

@@ -56,8 +56,8 @@ from .records import (
 from .roles import (
     build_cooccurrence,
     cluster_roles,
+    code_statements,
     label_clusters,
-    normalize_records,
     read_training_labels,
     training_labels,
     write_role_model,
@@ -123,13 +123,12 @@ def _stage_ingest(config: PipelineConfig, artifacts: Artifacts) -> dict[str, flo
 
 def _stage_train_roles(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
     with open(config.contributions, encoding="utf-8", errors="surrogateescape") as fh:
-        statements = normalize_records(read_contributions(fh, source=str(config.contributions)))
+        statements = code_statements(read_contributions(fh, source=str(config.contributions)))
     matrix = build_cooccurrence(statements)
-    partition = cluster_roles(matrix, seed=config.seed)
-    model = label_clusters(partition)
+    model = label_clusters(cluster_roles(matrix, seed=config.seed))
     write_role_model(model, config.output_dir / "roles.tsv")
     labels = training_labels(statements, model, strict_binary=config.strict_binary_labels)
-    labels = write_training_labels(labels, config.output_dir / "labels.tsv")
+    write_training_labels(labels, config.output_dir / "labels.tsv")
     artifacts.hand_on("labels.tsv", labels)
     return {"verbs": len(matrix.vocabulary), "labels": len(labels)}
 

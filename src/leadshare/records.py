@@ -133,6 +133,9 @@ def _parse_date(raw, line_no: int) -> Optional[datetime.date]:
     if raw is None:
         return None
     try:
+        # YYYY-MM-DD only: from Python 3.11 on fromisoformat takes other ISO forms
+        if not re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", raw):
+            raise ValueError
         return datetime.date.fromisoformat(raw)
     except (TypeError, ValueError):
         raise MalformedRecord(line_no, "pub_date", f"not an ISO date: {raw!r}")

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -100,11 +99,9 @@ def _inflections(verb: str) -> set[str]:
     return forms
 
 
-_LEMMAS: dict[str, str] = {}
-for _label, _verbs in SEED_VERBS.items():
-    for _verb in _verbs:
-        for _form in _inflections(_verb):
-            _LEMMAS[_form] = _verb
+_LEMMAS = {
+    form: verb for verbs in SEED_VERBS.values() for verb in verbs for form in _inflections(verb)
+}
 
 
 def normalize_verb(text: str) -> str:
@@ -113,36 +110,52 @@ def normalize_verb(text: str) -> str:
     return _LEMMAS.get(cleaned, cleaned)
 
 
-def normalize_records(records: Iterable[ContributionRecord]) -> list[ContributionRecord]:
-    """Each record with normalized verbs, empty ones dropped; each verb list is normalized once."""
-    normalized: dict[tuple[str, ...], tuple[str, ...]] = {}
-    out = []
+@dataclass(frozen=True)
+class StatementTable:
+    """Contribution statements coded by unit: the set of a statement's
+    normalized, non-empty verbs, which is all its counts and values use."""
+
+    # each statement's ids, in input order: two lists of the parser's
+    # interned strings, since a tuple per statement lifts peak RSS
+    paper_ids: list[str]
+    author_ids: list[str]
+    unit: list[int]  # each statement's index into units
+    units: tuple[frozenset[str], ...]  # distinct, in order of first appearance
+
+
+def code_statements(records: Iterable[ContributionRecord]) -> StatementTable:
+    """The statements as a table; each distinct verb list is normalized once."""
+    paper_ids, author_ids, unit = [], [], []
+    units: dict[frozenset[str], int] = {}
+    by_verbs: dict[tuple[str, ...], int] = {}
     for r in records:
-        if r.verbs not in normalized:
-            normalized[r.verbs] = tuple(v for v in map(normalize_verb, r.verbs) if v)
-        out.append(ContributionRecord(r.paper_id, r.author_id, normalized[r.verbs]))
-    return out
+        paper_ids.append(r.paper_id)
+        author_ids.append(r.author_id)
+        code = by_verbs.get(r.verbs)
+        if code is None:
+            verbs = frozenset(v for v in map(normalize_verb, r.verbs) if v)
+            code = by_verbs[r.verbs] = units.setdefault(verbs, len(units))
+        unit.append(code)
+    return StatementTable(paper_ids, author_ids, unit, tuple(units))
 
 
 @dataclass(frozen=True)
 class CooccurrenceMatrix:
-    """Symmetric verb co-occurrence counts over (paper, author) units."""
+    """Symmetric verb co-occurrence counts over statements."""
 
     vocabulary: tuple[str, ...]
     counts: np.ndarray
 
 
-def build_cooccurrence(records: Iterable[ContributionRecord]) -> CooccurrenceMatrix:
+def build_cooccurrence(statements: StatementTable) -> CooccurrenceMatrix:
     """Count within-statement verb co-occurrence, deduplicated per unit."""
-    units = Counter(frozenset(record.verbs) for record in records)
-    units.pop(frozenset(), None)
-    if not units:
+    vocabulary = tuple(sorted(frozenset().union(*statements.units)))
+    if not vocabulary:
         raise EmptyCorpus("no contribution statements")
-    vocabulary = tuple(sorted(frozenset().union(*units)))
     index = {v: i for i, v in enumerate(vocabulary)}
     counts = np.zeros((len(vocabulary), len(vocabulary)), dtype=np.int64)
-    # each distinct verb set adds its number of statements to its block
-    for unit, n in units.items():
+    # each unit adds its number of statements to its block
+    for unit, n in zip(statements.units, np.bincount(statements.unit).tolist()):
         ids = [index[v] for v in unit]
         counts[np.ix_(ids, ids)] += n
     return CooccurrenceMatrix(vocabulary=vocabulary, counts=counts)
@@ -175,9 +188,7 @@ class RolePartition:
 
 def cluster_roles(matrix: CooccurrenceMatrix, k: int = 3, seed: int = 0) -> RolePartition:
     if len(matrix.vocabulary) < k:
-        raise VocabularyTooSmall(
-            f"{len(matrix.vocabulary)} verbs cannot form {k} clusters"
-        )
+        raise VocabularyTooSmall(f"{len(matrix.vocabulary)} verbs cannot form {k} clusters")
     emb = ppmi_embedding(matrix)
     result = kmeans(emb, k, seed)
     if not result.converged:
@@ -188,16 +199,8 @@ def cluster_roles(matrix: CooccurrenceMatrix, k: int = 3, seed: int = 0) -> Role
     groups: dict[int, set[str]] = {c: set() for c in range(k)}
     for verb, label in zip(matrix.vocabulary, result.labels):
         groups[int(label)].add(verb)
-    clusters = tuple(
-        frozenset(g) for g in sorted(groups.values(), key=lambda g: min(g))
-    )
-    return RolePartition(
-        clusters=clusters,
-        seed=seed,
-        n_iter=result.n_iter,
-        converged=result.converged,
-        inertia=result.inertia,
-    )
+    clusters = tuple(sorted(map(frozenset, groups.values()), key=min))
+    return RolePartition(clusters, seed, result.n_iter, result.converged, result.inertia)
 
 
 @dataclass(frozen=True)
@@ -232,55 +235,38 @@ def label_clusters(partition: RolePartition) -> RoleClusterModel:
             raise AmbiguousLabeling(
                 f"cluster {i} contains no seed verbs: {sorted(partition.clusters[i])[:8]}"
             )
-    best_perm = None
-    best_total = -1
-    tied = False
-    for perm in itertools.permutations(ROLE_LABELS):
-        total = sum(scores[c][perm[c]] for c in range(3))
-        if total > best_total:
-            best_perm, best_total, tied = perm, total, False
-        elif total == best_total and perm != best_perm:
-            tied = True
-    if tied or best_perm is None:
-        raise AmbiguousLabeling(
-            "two label assignments tie on seed-verb counts"
-        )
+    totals = {
+        perm: sum(row[label] for row, label in zip(scores, perm))
+        for perm in itertools.permutations(ROLE_LABELS)
+    }
+    best = max(totals.values())
+    best_perm, *tied = [perm for perm, total in totals.items() if total == best]
+    if tied:
+        raise AmbiguousLabeling("two label assignments tie on seed-verb counts")
     by_verb = {
         verb: label
         for cluster, label in zip(partition.clusters, best_perm)
         for verb in cluster
     }
     return RoleClusterModel(
-        by_verb=by_verb,
-        seed=partition.seed,
-        k=3,
-        n_iter=partition.n_iter,
-        converged=partition.converged,
+        by_verb, partition.seed, k=3, n_iter=partition.n_iter, converged=partition.converged
     )
 
 
 def fractional_lead_value(
-    record: ContributionRecord,
+    verbs: AbstractSet[str],
     model: RoleClusterModel,
     *,
     strict_binary: bool = False,
 ) -> float:
-    """Share of the author's distinct known verbs that are Lead verbs.
+    """Share of the distinct known verbs that are Lead verbs.
 
-    Unknown verbs are dropped with a warning.  With strict_binary the value
-    collapses to 1.0 whenever any Lead verb is present, else 0.0.
+    Unknown verbs are left out.  With strict_binary the value collapses to
+    1.0 whenever any Lead verb is present, else 0.0.
     """
-    distinct = set(record.verbs)
-    known = [v for v in distinct if v in model.by_verb]
+    known = [v for v in verbs if v in model.by_verb]
     if not known:
-        raise NoKnownVerbs(
-            f"no verbs of {record.author_id} on {record.paper_id} are in the model"
-        )
-    if len(known) < len(distinct):
-        log.warning(
-            "dropping %d unknown verb(s) for %s on %s",
-            len(distinct) - len(known), record.author_id, record.paper_id,
-        )
+        raise NoKnownVerbs(f"none of the verbs {sorted(verbs)} are in the model")
     lead = sum(1 for v in known if model.by_verb[v] == LEAD)
     if strict_binary:
         return 1.0 if lead else 0.0
@@ -295,27 +281,36 @@ class TrainingLabel:
 
 
 def training_labels(
-    records: Iterable[ContributionRecord],
+    statements: StatementTable,
     model: RoleClusterModel,
     *,
     strict_binary: bool = False,
-) -> Iterator[TrainingLabel]:
-    """Label each statement, skipping those with no known verbs; each verb set is valued once."""
-    skipped = 0
-    values: dict[frozenset[str], Optional[float]] = {}
-    for record in records:
-        unit = frozenset(record.verbs)
-        if unit not in values:
+) -> list[TrainingLabel]:
+    """Label each statement, skipping those with no known verbs.
+
+    Each unit is valued once, rounded to the 9 decimals labels.tsv holds;
+    its unknown verbs are reported once, naming its first statement.
+    """
+    labels: list[TrainingLabel] = []
+    values: list[Optional[float]] = []
+    rows = zip(statements.paper_ids, statements.author_ids, statements.unit)
+    for paper_id, author_id, code in rows:
+        if code == len(values):  # units are numbered in order of first appearance
+            verbs = statements.units[code]
             try:
-                values[unit] = fractional_lead_value(record, model, strict_binary=strict_binary)
+                value = round(fractional_lead_value(verbs, model, strict_binary=strict_binary), 9)
             except NoKnownVerbs:
-                values[unit] = None
-        if values[unit] is None:
-            skipped += 1
-            continue
-        yield TrainingLabel(record.paper_id, record.author_id, values[unit])
-    if skipped:
+                value = None
+            else:
+                if unknown := len(verbs.difference(model.by_verb)):
+                    log.warning("dropping %d unknown verb(s) for %s on %s",
+                                unknown, author_id, paper_id)
+            values.append(value)
+        if values[code] is not None:
+            labels.append(TrainingLabel(paper_id, author_id, values[code]))
+    if skipped := len(statements.unit) - len(labels):
         log.warning("skipped %d statement(s) with no known verbs", skipped)
+    return labels
 
 
 def write_role_model(model: RoleClusterModel, path: Path) -> None:
@@ -332,12 +327,9 @@ def write_role_model(model: RoleClusterModel, path: Path) -> None:
 _LABELS_HEADER = "paper_id\tauthor_id\tlead_value"
 
 
-def write_training_labels(labels: Iterable[TrainingLabel], path: Path) -> list[TrainingLabel]:
-    """Write labels.tsv; returns the labels read_training_labels decodes from it."""
-    rows = [(lab.paper_id, lab.author_id, f"{lab.lead_value:.9f}") for lab in labels]
-    write_tsv(path, _LABELS_HEADER, map("\t".join, rows))
-    value = {text: float(text) for _, _, text in rows}  # one float per distinct value
-    return [TrainingLabel(p, a, value[text]) for p, a, text in rows]
+def write_training_labels(labels: Iterable[TrainingLabel], path: Path) -> None:
+    rows = (f"{lab.paper_id}\t{lab.author_id}\t{lab.lead_value:.9f}" for lab in labels)
+    write_tsv(path, _LABELS_HEADER, rows)
 
 
 def _lead_value(text: str) -> float:

@@ -25,7 +25,7 @@ from leadshare.metrics import (
 )
 from leadshare.pipeline import STAGE_TABLE, STAGES, run_all, run_stage
 from leadshare.records import CorpusTable, publication_to_json, write_corpus
-from leadshare.roles import LEAD, build_cooccurrence, cluster_roles, label_clusters
+from leadshare.roles import LEAD, build_cooccurrence, cluster_roles, code_statements, label_clusters
 from synth import (
     perf_corpus,
     planted_blocks,
@@ -160,7 +160,7 @@ def test_criterion_4_planted_role_recovery():
     lead_block_ok = 0
     for seed in range(100):
         records, _ = planted_contributions(seed=seed, within=0.9, across=0.05)
-        partition = cluster_roles(build_cooccurrence(records), seed=seed)
+        partition = cluster_roles(build_cooccurrence(code_statements(records)), seed=seed)
         if {frozenset(c) for c in partition.clusters} != expected:
             continue
         recovered += 1

@@ -141,6 +141,9 @@ def test_invalid_json_rejected():
     ("year", 1200, InvariantViolation),
     ("year", 10_000, InvariantViolation),
     ("pub_date", "2015-13-40", MalformedRecord),
+    # forms of 2015-03-02 that Python 3.11's fromisoformat takes
+    ("pub_date", "20150302", MalformedRecord),
+    ("pub_date", "2015-W10-1", MalformedRecord),
     ("pub_date", "2016-03-02", InvariantViolation),  # year mismatch
     ("impact_factor", "high", MalformedRecord),
     ("impact_factor", -0.1, InvariantViolation),
@@ -409,7 +412,7 @@ _MISSING, _OWN_ID = object(), object()
 _PUBLICATION_FAULTS = [
     (("paper_id",), ["", 7]),
     (("year",), [1499, 10_000, 10**20, True, 2015.0]),
-    (("pub_date",), ["2015-13-40", "1499-01-01", 20150101]),
+    (("pub_date",), ["2015-13-40", "1499-01-01", 20150101, "20150302", "2015-W10-1"]),
     (("journal_id",), [7]),
     (("impact_factor",), [-0.5, math.nan, math.inf, 10**400, True, "3"]),
     # a set holds one of a concept and its twin at an equal level of

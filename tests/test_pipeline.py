@@ -7,6 +7,7 @@ import gc
 import itertools
 import json
 import logging
+import math
 import os
 import shutil
 import threading
@@ -784,6 +785,9 @@ class TestConfig:
             {"pairs": (("China", "China"),)},
             {"if_bins": (1.5,)},
             {"if_bins": (True,)},
+            {"seed": -1},
+            {"horizon": math.inf},
+            {"horizon": math.nan},
         ],
     )
     def test_validation(self, kwargs):
@@ -942,6 +946,21 @@ class TestCli:
         out = tmp_path / "out"
         assert not (out / "sweep_threshold.tsv").exists()
         assert "sweep-threshold" not in read_manifest(out / MANIFEST_NAME)
+
+    def test_negative_seed_fails_before_ingest(self, tmp_path, fixture_dir, capsys):
+        cfg_file = self.write_config(tmp_path, fixture_dir)
+        assert main(["--config", str(cfg_file), "--seed", "-1", "all"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_horizon_fails_before_ingest(self, tmp_path, fixture_dir, capsys, value):
+        cfg_file = self.write_config(tmp_path, fixture_dir)
+        with open(cfg_file, "a", encoding="utf-8") as fh:
+            fh.write(f"horizon = {value}\n")
+        assert main(["--config", str(cfg_file), "all"]) == 2
+        assert "horizon must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "line",

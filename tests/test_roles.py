@@ -26,12 +26,13 @@ from leadshare.roles import (
     CooccurrenceMatrix,
     RoleClusterModel,
     RolePartition,
+    StatementTable,
     TrainingLabel,
     build_cooccurrence,
     cluster_roles,
+    code_statements,
     fractional_lead_value,
     label_clusters,
-    normalize_records,
     normalize_verb,
     ppmi_embedding,
     read_training_labels,
@@ -43,6 +44,10 @@ from synth import planted_blocks, planted_contributions
 
 def stmt(*verbs, paper="P1", author="A1"):
     return ContributionRecord(paper_id=paper, author_id=author, verbs=tuple(verbs))
+
+
+def cooccurrence(*records):
+    return build_cooccurrence(code_statements(records))
 
 
 @pytest.mark.parametrize("raw,lemma", [
@@ -67,13 +72,25 @@ def test_normalize_verb(raw, lemma):
     assert normalize_verb(raw) == lemma
 
 
-def test_normalize_record_drops_empty_tokens():
-    [rec] = normalize_records([stmt("Conceived", "..", "  ")])
-    assert rec.verbs == ("conceive",)
+def test_code_statements_drops_empty_tokens():
+    table = code_statements([stmt("Conceived", "..", "  ")])
+    assert table == StatementTable(["P1"], ["A1"], [0], (frozenset({"conceive"}),))
+
+
+def test_code_statements_codes_each_unit_once():
+    # inflections, repeats and order within a list give one unit
+    table = code_statements([
+        stmt("led", "helped", author="A1"), stmt("help", "lead", "lead", author="A2"),
+        stmt("..", author="A3"), stmt(author="A4"), stmt("helped", "led", paper="P2"),
+    ])
+    assert table.paper_ids == ["P1", "P1", "P1", "P1", "P2"]
+    assert table.author_ids == ["A1", "A2", "A3", "A4", "A1"]
+    assert table.unit == [0, 0, 1, 1, 0]
+    assert table.units == (frozenset({"lead", "help"}), frozenset())
 
 
 def test_cooccurrence_counts():
-    matrix = build_cooccurrence([stmt("a", "b"), stmt("b", "c", paper="P2")])
+    matrix = cooccurrence(stmt("a", "b"), stmt("b", "c", paper="P2"))
     assert matrix.vocabulary == ("a", "b", "c")
     c = matrix.counts
     ia, ib, ic = 0, 1, 2
@@ -83,21 +100,21 @@ def test_cooccurrence_counts():
 
 
 def test_cooccurrence_dedups_within_statement():
-    matrix = build_cooccurrence([stmt("a", "a", "b")])
+    matrix = cooccurrence(stmt("a", "a", "b"))
     assert matrix.counts[0, 0] == 1
     assert matrix.counts[0, 1] == 1
 
 
 def test_cooccurrence_empty_corpus():
     with pytest.raises(EmptyCorpus):
-        build_cooccurrence([])
+        cooccurrence()
     with pytest.raises(EmptyCorpus):
-        build_cooccurrence([stmt()])
+        cooccurrence(stmt(), stmt(".."))
 
 
 def test_ppmi_against_direct_computation():
-    matrix = build_cooccurrence(
-        [stmt("a", "b"), stmt("a", "b"), stmt("b", "c", paper="P2"), stmt("c")]
+    matrix = cooccurrence(
+        stmt("a", "b"), stmt("a", "b"), stmt("b", "c", paper="P2"), stmt("c")
     )
     emb = ppmi_embedding(matrix)
     smoothed = matrix.counts.astype(float) + 1.0
@@ -162,12 +179,12 @@ def test_kmeans_rejects_too_few_points():
 
 def test_cluster_roles_requires_vocabulary():
     with pytest.raises(VocabularyTooSmall):
-        cluster_roles(build_cooccurrence([stmt("a", "b")]), k=3)
+        cluster_roles(cooccurrence(stmt("a", "b")), k=3)
 
 
 def test_planted_blocks_recovered():
     records, truth = planted_contributions(seed=5)
-    partition = cluster_roles(build_cooccurrence(records), seed=5)
+    partition = cluster_roles(cooccurrence(*records), seed=5)
     expected = {frozenset(block) for block in planted_blocks()}
     assert {frozenset(c) for c in partition.clusters} == expected
     model = label_clusters(partition)
@@ -212,7 +229,7 @@ def test_label_clusters_needs_three_clusters():
 
 def test_labeling_invariant_under_cluster_order():
     records, _ = planted_contributions(seed=11)
-    partition = cluster_roles(build_cooccurrence(records), seed=11)
+    partition = cluster_roles(cooccurrence(*records), seed=11)
     flipped = RolePartition(
         clusters=tuple(reversed(partition.clusters)),
         seed=partition.seed, n_iter=partition.n_iter,
@@ -224,40 +241,61 @@ def test_labeling_invariant_under_cluster_order():
 @pytest.fixture(scope="module")
 def planted_model():
     records, _ = planted_contributions(seed=3)
-    return label_clusters(cluster_roles(build_cooccurrence(records), seed=3))
+    return label_clusters(cluster_roles(cooccurrence(*records), seed=3))
 
 
 def test_fractional_lead_value(planted_model):
-    assert fractional_lead_value(stmt("conceive", "help"), planted_model) == 0.5
-    # repeated verbs count once
-    assert fractional_lead_value(stmt("conceive", "conceive", "help"), planted_model) == 0.5
-    assert fractional_lead_value(stmt("participate"), planted_model) == 0.0
-    assert fractional_lead_value(stmt("design", "lead"), planted_model) == 1.0
+    assert fractional_lead_value({"conceive", "help"}, planted_model) == 0.5
+    assert fractional_lead_value({"participate"}, planted_model) == 0.0
+    assert fractional_lead_value({"design", "lead"}, planted_model) == 1.0
 
 
 def test_fractional_lead_value_unknown_verbs(planted_model):
-    # unknown verbs are dropped from the denominator
-    assert fractional_lead_value(stmt("help", "zzzz"), planted_model) == 0.0
-    assert fractional_lead_value(stmt("conceive", "zzzz"), planted_model) == 1.0
-    with pytest.raises(NoKnownVerbs):
-        fractional_lead_value(stmt("zzzz", "wwww"), planted_model)
+    # unknown verbs are dropped from the denominator, and nothing is logged
+    with mock.patch.object(roles, "log") as log:
+        assert fractional_lead_value({"help", "zzzz"}, planted_model) == 0.0
+        assert fractional_lead_value({"conceive", "zzzz"}, planted_model) == 1.0
+        with pytest.raises(NoKnownVerbs):
+            fractional_lead_value({"zzzz", "wwww"}, planted_model)
+        with pytest.raises(NoKnownVerbs):
+            fractional_lead_value(frozenset(), planted_model)
+    assert log.mock_calls == []
 
 
 def test_strict_binary_collapse(planted_model):
-    rec = stmt("conceive", "help", "assist")
-    assert fractional_lead_value(rec, planted_model) == pytest.approx(1 / 3)
-    assert fractional_lead_value(rec, planted_model, strict_binary=True) == 1.0
-    assert fractional_lead_value(stmt("help"), planted_model, strict_binary=True) == 0.0
+    verbs = {"conceive", "help", "assist"}
+    assert fractional_lead_value(verbs, planted_model) == pytest.approx(1 / 3)
+    assert fractional_lead_value(verbs, planted_model, strict_binary=True) == 1.0
+    assert fractional_lead_value({"help"}, planted_model, strict_binary=True) == 0.0
 
 
 def test_training_labels_skip_unknown_only(planted_model):
-    records = [
-        stmt("conceive", "help", paper="P1"),
+    statements = code_statements([
+        stmt("conceive", "help", "assist", paper="P1"),
         stmt("zzzz", paper="P2"),
         stmt("assist", paper="P3"),
+    ])
+    labels = training_labels(statements, planted_model)
+    # each value is held at the 9 decimals labels.tsv writes
+    assert [(l.paper_id, l.lead_value) for l in labels] == [("P1", 0.333333333), ("P3", 0.0)]
+
+
+def test_training_labels_log_once_per_unit(planted_model):
+    statements = code_statements([
+        stmt("zzzz", paper="P1", author="A1"),
+        stmt("help", "wwww", "zzzz", paper="P1", author="A2"),
+        stmt("zzzz", paper="P2", author="A1"),
+        stmt("Helped", "wwww", "zzzz", paper="P2", author="A2"),
+        stmt("conceive", "wwww", paper="P3", author="A3"),
+    ])
+    with mock.patch.object(roles, "log") as log:
+        labels = training_labels(statements, planted_model)
+    assert [(l.paper_id, l.author_id) for l in labels] == [("P1", "A2"), ("P2", "A2"), ("P3", "A3")]
+    assert [c.args for c in log.warning.call_args_list] == [
+        ("dropping %d unknown verb(s) for %s on %s", 2, "A2", "P1"),
+        ("dropping %d unknown verb(s) for %s on %s", 1, "A3", "P3"),
+        ("skipped %d statement(s) with no known verbs", 2),
     ]
-    labels = list(training_labels(records, planted_model))
-    assert [(l.paper_id, l.lead_value) for l in labels] == [("P1", 0.5), ("P3", 0.0)]
 
 
 def reference_cooccurrence(records):
@@ -282,15 +320,16 @@ def reference_cooccurrence(records):
 
 
 def reference_labels(records, model, strict_binary):
-    """training_labels valuing every statement, and its skipped count."""
+    """training_labels valuing every statement, as labels.tsv holds the
+    values, and its skipped count."""
     labels, skipped = [], 0
     for record in records:
         try:
-            value = fractional_lead_value(record, model, strict_binary=strict_binary)
+            value = fractional_lead_value(set(record.verbs), model, strict_binary=strict_binary)
         except NoKnownVerbs:
             skipped += 1
             continue
-        labels.append(TrainingLabel(record.paper_id, record.author_id, value))
+        labels.append(TrainingLabel(record.paper_id, record.author_id, float(f"{value:.9f}")))
     return labels, skipped
 
 
@@ -317,23 +356,28 @@ def test_distinct_verb_lists_counted_like_each_statement(verb_lists, picks, stri
     # once per distinct list or set, with the results of doing it per statement
     raw = [stmt(*verb_lists[i % len(verb_lists)], paper=f"P{n}")
            for n, i in enumerate(picks)]
-    statements = normalize_records(raw)
-    assert statements == [
+    table = code_statements(raw)
+    # each statement normalized on its own
+    normalized = [
         stmt(*(v for v in map(normalize_verb, r.verbs) if v), paper=r.paper_id)
         for r in raw
     ]
-    if any(r.verbs for r in statements):
-        vocabulary, counts = reference_cooccurrence(statements)
-        matrix = build_cooccurrence(statements)
+    assert table.paper_ids == [r.paper_id for r in raw]
+    assert table.author_ids == [r.author_id for r in raw]
+    assert [table.units[code] for code in table.unit] == [frozenset(r.verbs) for r in normalized]
+    assert len(set(table.units)) == len(table.units)
+    if any(r.verbs for r in normalized):
+        vocabulary, counts = reference_cooccurrence(normalized)
+        matrix = build_cooccurrence(table)
         assert matrix.vocabulary == vocabulary
         assert np.array_equal(matrix.counts, counts)
         assert matrix.counts.dtype == np.int64
     else:
         with pytest.raises(EmptyCorpus):
-            build_cooccurrence(statements)
-    expected, skipped = reference_labels(statements, _MODEL, strict_binary)
+            build_cooccurrence(table)
+    expected, skipped = reference_labels(normalized, _MODEL, strict_binary)
     with mock.patch.object(roles, "log") as log:
-        labels = list(training_labels(statements, _MODEL, strict_binary=strict_binary))
+        labels = training_labels(table, _MODEL, strict_binary=strict_binary)
     assert labels == expected
     logged = [c.args[1] for c in log.warning.call_args_list if c.args[0].startswith("skipped")]
     assert logged == ([skipped] if skipped else [])

@@ -155,6 +155,41 @@ def test_plain_unique_calls_sees_calls_without_return_keywords():
     ) == []
 
 
+RECORD_CLASSES = {"PublicationRecord", "AuthorshipRecord", "ContributionRecord"}
+
+
+def record_constructions(source: str) -> list[str]:
+    """Each call that builds a parsed-record dataclass, as `line: call`."""
+    return [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rsplit(".", 1)[-1] in RECORD_CLASSES
+    ]
+
+
+def test_only_the_parser_builds_records():
+    # the validating parser is the one place a record is built; a stage
+    # codes what it needs from the parsed records instead of rebuilding them
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "records.py"
+        and (lines := record_constructions(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_record_constructions_sees_bare_and_qualified_calls():
+    assert record_constructions(
+        "ContributionRecord(p, a, v)\nx = records.PublicationRecord(**kw)\n"
+        "AuthorshipRecord(*row)\nContributionRecord\nTrainingLabel(p, a, 1.0)"
+    ) == [
+        "1: ContributionRecord(p, a, v)", "2: records.PublicationRecord(**kw)",
+        "3: AuthorshipRecord(*row)",
+    ]
+
+
 # the underscore names of NamedTuple's public API
 NAMEDTUPLE_API = {"_fields", "_replace", "_asdict", "_make"}
 
