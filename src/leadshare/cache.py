@@ -132,18 +132,42 @@ def _config_slice_hash(config: PipelineConfig, stage: Stage) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+# each packaged table: its file name and the config key naming a replacement
+_TABLES = {
+    "regions": ("regions.tsv", "regions"),
+    "bri": ("bri_countries.tsv", "bri"),
+    "areas": ("technology_areas.tsv", "areas_table"),
+    "fields": ("scientific_fields.tsv", "fields_table"),
+}
+
+
+def _input_file(config: PipelineConfig, key: str) -> Optional[Path]:
+    """The file config key names, or None; ConfigError unless a regular file."""
+    path = getattr(config, key)
+    if path is not None and not Path(path).is_file():
+        raise ConfigError(f"{key} file not found: {path}")
+    return path
+
+
 def _table_inputs(config: PipelineConfig, names: Sequence[str]) -> dict[str, str]:
-    paths = {
-        "regions": ("regions.tsv", config.regions),
-        "bri": ("bri_countries.tsv", config.bri),
-        "areas": ("technology_areas.tsv", config.areas_table),
-        "fields": ("scientific_fields.tsv", config.fields_table),
-    }
     out = {}
     for name in names:
-        packaged, override = paths[name]
-        out[f"table:{name}"] = hashlib.sha256(table_bytes(packaged, override)).hexdigest()
+        packaged, key = _TABLES[name]
+        data = table_bytes(packaged, _input_file(config, key))
+        out[f"table:{name}"] = hashlib.sha256(data).hexdigest()
     return out
+
+
+def _check_inputs_are_not_outputs(table: Mapping[str, Stage], config: PipelineConfig) -> None:
+    """ConfigError when a configured input file is the manifest or a file
+    some stage writes: running a stage could overwrite it."""
+    written = {MANIFEST_NAME, *(rel for stage in table.values() for rel in stage.writes)}
+    out = config.output_dir.resolve()
+    raw = [stage.raw for stage in table.values() if stage.raw is not None]
+    for key in raw + [key for _, key in _TABLES.values()]:
+        path = getattr(config, key)
+        if path is not None and (rel := os.path.relpath(Path(path).resolve(), out)) in written:
+            raise ConfigError(f"{key} file {path} is the pipeline's output {rel}")
 
 
 def _stage_inputs(
@@ -152,11 +176,9 @@ def _stage_inputs(
 ) -> dict[str, str]:
     inputs = {}
     if stage.raw is not None:
-        path = getattr(config, stage.raw)
+        path = _input_file(config, stage.raw)
         if path is None:
             raise ConfigError(f"config key {stage.raw!r} is required for this stage")
-        if not Path(path).exists():
-            raise ConfigError(f"{stage.raw} file not found: {path}")
         inputs[f"raw:{stage.raw}"] = _sha256_file(Path(path))
     for rel in stage.reads:
         path = config.output_dir / rel
@@ -248,7 +270,10 @@ def run(
     interleaving (POSIX only)."""
     stage = table[name]
     artifacts = artifacts or Artifacts(config.output_dir, (stage,), decoders)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output_dir {config.output_dir}: {exc.strerror}") from None
     lock = os.open(config.output_dir, os.O_RDONLY)
     try:
         fcntl.flock(lock, fcntl.LOCK_EX)
@@ -262,6 +287,8 @@ def run(
             artifacts.done(stage, {})
             log.info("%s: cached", name)
             return "cached"
+        # checked only before a stage writes, so a cached re-run pays nothing
+        _check_inputs_are_not_outputs(table, config)
         # no stage may build reference cycles at scale: the cyclic collector
         # is paused while one runs, as its passes over the live graph free nothing
         gc_was_enabled = gc.isenabled()

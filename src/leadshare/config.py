@@ -79,9 +79,10 @@ class PipelineConfig:
             raise ConfigError(f"unknown counting_mode {self.counting_mode!r}")
         if self.model_family not in (FAMILY_LINEAR, FAMILY_LOGISTIC):
             raise ConfigError(f"unknown model_family {self.model_family!r}")
-        if list(self.if_bin_edges) != sorted(self.if_bin_edges) or len(
-            set(self.if_bin_edges)
-        ) != len(self.if_bin_edges):
+        edges = self.if_bin_edges
+        if not all(map(math.isfinite, edges)):
+            raise ConfigError(f"if_bin_edges must be finite, got {edges}")
+        if any(b <= a for a, b in zip(edges, edges[1:])):
             raise ConfigError("if_bin_edges must be strictly increasing")
         if not self.if_bin_edges:
             raise ConfigError("if_bin_edges must not be empty")

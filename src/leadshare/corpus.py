@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import UnknownCountry
-from .metrics import sorted_distinct
-from .records import CorpusTable
+from .records import CorpusTable, sorted_distinct
 from .tables import RegionMap, TopicMap
 
 log = logging.getLogger(__name__)
@@ -19,37 +17,22 @@ MIN_YEAR_EXCLUSIVE = 1990
 MIN_IMPACT_FACTOR = 1.0
 
 
-@dataclass
-class FilterStats:
-    """Counters for one filter_corpus pass, reported by the ingest stage."""
-
-    n_input: int = 0
-    n_kept: int = 0
-    n_year: int = 0
-    n_impact: int = 0
-    n_not_bilateral: int = 0
-    n_unknown_country: int = 0
-    unknown_countries: set[str] = field(default_factory=set)
-
-
 def filter_corpus(
     table: CorpusTable,
     region_map: RegionMap,
     *,
     strict: bool = False,
-    stats: Optional[FilterStats] = None,
     source: Optional[str] = None,
-) -> np.ndarray:
-    """The rows of the bilateral papers after 1990 with IF >= 1, in order.
+) -> tuple[np.ndarray, dict[str, int]]:
+    """The rows of the bilateral papers after 1990 with IF >= 1, in order,
+    and ingest's counts: papers read, kept, and dropped for each reason.
 
     A paper is bilateral iff its authorships span exactly two distinct
     regions; each distinct country is looked up once.  Papers naming a
-    country absent from the region table are skipped with a counted
-    warning, or abort the run when strict is set, with an error naming the
+    country absent from the region table are skipped with a warning per
+    country, or abort the run when strict is set, with an error naming the
     first such paper and the source.
     """
-    if stats is None:
-        stats = FilterStats()
     old = table.year <= MIN_YEAR_EXCLUSIVE
     low = ~old & (table.impact < MIN_IMPACT_FACTOR)
     regions = {c: region_map.region_of(c) for c in table.countries if c in region_map}
@@ -63,22 +46,22 @@ def filter_corpus(
     unknown[pairs[pairs % width == 0] // width] = True
     unknown &= ~old & ~low
     bilateral = np.bincount(pairs // width, minlength=len(table)) == 2
-    kept = np.flatnonzero(~(old | low | unknown) & bilateral)
+    dropped = old | low | unknown
+    kept = np.flatnonzero(~dropped & bilateral)
+    warned: set[str] = set()
     for i in np.flatnonzero(unknown).tolist():
         countries = table.country[table.auth_start[i]:table.auth_start[i + 1]]
         country = table.countries[countries[code[countries] == 0][0]]
         if strict:
             raise UnknownCountry(country, table.ids[table.paper[i]], source)
-        if (unknown_country := str(UnknownCountry(country))) not in stats.unknown_countries:
-            stats.unknown_countries.add(unknown_country)
-            log.warning("skipping %s: %s", table.ids[table.paper[i]], unknown_country)
-    stats.n_input += len(table)
-    stats.n_kept += len(kept)
-    stats.n_year += int(old.sum())
-    stats.n_impact += int(low.sum())
-    stats.n_unknown_country += int(unknown.sum())
-    stats.n_not_bilateral += len(table) - len(kept) - int((old | low | unknown).sum())
-    return kept
+        if country not in warned:
+            warned.add(country)
+            log.warning("skipping %s: %s", table.ids[table.paper[i]], UnknownCountry(country))
+    return kept, {
+        "records": len(table), "bilateral": len(kept), "pre_1991": int(old.sum()),
+        "low_impact": int(low.sum()), "not_bilateral": int((~dropped & ~bilateral).sum()),
+        "unknown_country": int(unknown.sum()),
+    }
 
 
 def classify_topics(

@@ -33,8 +33,9 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import DuplicatePaperId
-from .metrics import sorted_distinct
-from .records import CorpusTable, check_unique, csr_entries, read_tsv, tsv_rows, write_tsv
+from .records import (
+    CorpusTable, check_unique, csr_entries, read_tsv, sorted_distinct, tsv_rows, write_tsv,
+)
 
 
 class LeadFeatureVector(NamedTuple):

@@ -25,8 +25,10 @@ from .errors import (
     TooFewExamples,
 )
 from .features import FEATURE_NAMES, FeatureTable, LeadFeatureVector
-from .metrics import PaperTags, ScoredTable, sorted_distinct
-from .records import CorpusTable, FieldError, check_unique, read_tsv, tsv_rows, write_tsv
+from .metrics import PaperTags, ScoredTable
+from .records import (
+    CorpusTable, FieldError, check_unique, read_tsv, sorted_distinct, tsv_rows, write_tsv,
+)
 from .tables import BriClassification, RegionMap, TopicMap
 
 LEADER = "Leader"

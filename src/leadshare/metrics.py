@@ -30,7 +30,7 @@ from .errors import (
     NoLeaders,
     NoSupporters,
 )
-from .records import check_unique, read_tsv, tsv_rows, write_tsv
+from .records import check_unique, read_tsv, sorted_distinct, tsv_rows, write_tsv
 
 LEAD_SHARE = "LeadShare"
 SUPPORTER_SHARE = "SupporterShare"
@@ -158,14 +158,6 @@ class ScoredTable:
 
     def __len__(self) -> int:
         return len(self.paper)
-
-
-def sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """np.unique(values) of a 1-D int array by sorting; numpy 2's np.unique hashes."""
-    values = np.sort(values)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
 
 
 def aggregate(

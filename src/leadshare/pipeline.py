@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .cache import Artifacts, Stage, run
 from .config import PipelineConfig
-from .corpus import FilterStats, filter_corpus
+from .corpus import filter_corpus
 from .errors import ConfigError, TooFewPoints, ZeroVariance
 from .features import build_profiles, read_features, write_features
 from .forecast import ForecastRow, confidence_band, forecast_series, write_forecast
@@ -103,22 +103,15 @@ def _stage_ingest(config: PipelineConfig, artifacts: Artifacts) -> dict[str, flo
     region_map = load_region_map(config.regions)
     lines: list[str] = []
     table = _read_corpus_file(config.corpus, lines)
-    stats = FilterStats()
     # filtered first, so an unknown country under strict changes no output
-    kept = filter_corpus(
-        table, region_map, strict=config.strict, stats=stats, source=str(config.corpus)
-    )
+    kept, counts = filter_corpus(table, region_map, strict=config.strict, source=str(config.corpus))
     out = config.output_dir
     write_corpus(lines, out / "corpus.jsonl")
     write_corpus([lines[i] for i in kept.tolist()], out / "bilateral.jsonl")
     # every record ingest accepts decodes back from its line unchanged
     artifacts.hand_on("corpus.jsonl", table)
     artifacts.hand_on("bilateral.jsonl", table.take(kept))
-    return {
-        "records": stats.n_input, "bilateral": stats.n_kept, "pre_1991": stats.n_year,
-        "low_impact": stats.n_impact, "not_bilateral": stats.n_not_bilateral,
-        "unknown_country": stats.n_unknown_country,
-    }
+    return counts
 
 
 def _stage_train_roles(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:

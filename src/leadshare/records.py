@@ -449,6 +449,14 @@ def csr_entries(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
     return owner, index
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) of a 1-D int array by sorting; numpy 2's np.unique hashes."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _sorted_pool(pool: dict[str, int], *columns: array) -> tuple:
     """pool's strings in sorted order, then each column of codes into pool
     recoded into them."""

@@ -288,26 +288,17 @@ def training_labels(
 ) -> list[TrainingLabel]:
     """Label each statement, skipping those with no known verbs.
 
-    Each unit is valued once, rounded to the 9 decimals labels.tsv holds;
-    its unknown verbs are reported once, naming its first statement.
+    Each unit is valued once, rounded to the 9 decimals labels.tsv holds.
     """
-    labels: list[TrainingLabel] = []
     values: list[Optional[float]] = []
+    for verbs in statements.units:
+        try:
+            lead = fractional_lead_value(verbs, model, strict_binary=strict_binary)
+            values.append(round(lead, 9))
+        except NoKnownVerbs:
+            values.append(None)
     rows = zip(statements.paper_ids, statements.author_ids, statements.unit)
-    for paper_id, author_id, code in rows:
-        if code == len(values):  # units are numbered in order of first appearance
-            verbs = statements.units[code]
-            try:
-                value = round(fractional_lead_value(verbs, model, strict_binary=strict_binary), 9)
-            except NoKnownVerbs:
-                value = None
-            else:
-                if unknown := len(verbs.difference(model.by_verb)):
-                    log.warning("dropping %d unknown verb(s) for %s on %s",
-                                unknown, author_id, paper_id)
-            values.append(value)
-        if values[code] is not None:
-            labels.append(TrainingLabel(paper_id, author_id, values[code]))
+    labels = [TrainingLabel(p, a, values[code]) for p, a, code in rows if values[code] is not None]
     if skipped := len(statements.unit) - len(labels):
         log.warning("skipped %d statement(s) with no known verbs", skipped)
     return labels

@@ -17,12 +17,7 @@ from hypothesis import strategies as st
 import reference_records
 from helpers import assert_same, make_record
 from synth import random_corpus
-from leadshare.corpus import (
-    FilterStats,
-    classify_topics,
-    filter_corpus,
-    impact_factor_bin,
-)
+from leadshare.corpus import classify_topics, filter_corpus, impact_factor_bin
 from leadshare.errors import (
     InvariantViolation,
     MalformedRecord,
@@ -646,7 +641,8 @@ def test_corpus_decode_memory(tmp_path):
 
 def kept_ids(records, region_map, **kwargs) -> list[str]:
     """The paper ids filter_corpus keeps of records, in order."""
-    return [records[i].paper_id for i in filter_corpus(CorpusTable(records), region_map, **kwargs)]
+    kept, _counts = filter_corpus(CorpusTable(records), region_map, **kwargs)
+    return [records[i].paper_id for i in kept]
 
 
 def test_year_filter_is_strict(region_map):
@@ -673,11 +669,9 @@ def test_bilateral_means_exactly_two_regions(region_map):
         make_record("P4", 2000, countries=("Italy", "Germany")),  # both EU+
         make_record("P5", 2000, countries=("Vietnam", "India")),  # both South Asia
     ]
-    stats = FilterStats()
-    assert kept_ids(records, region_map, stats=stats) == ["P3"]
-    assert stats.n_not_bilateral == 4
-    assert stats.n_kept == 1
-    assert stats.n_input == 5
+    kept, counts = filter_corpus(CorpusTable(records), region_map)
+    assert [records[i].paper_id for i in kept] == ["P3"]
+    assert (counts["not_bilateral"], counts["bilateral"], counts["records"]) == (4, 1, 5)
 
 
 def test_bilateral_whatever_the_author_order(region_map):
@@ -696,9 +690,9 @@ def test_unknown_country_skipped_with_stats(region_map, caplog):
         make_record("P3", 2000, countries=("Atlantis", "Lemuria")),
         make_record("P4", 1980, countries=("Lemuria", "China")),
     ]
-    stats = FilterStats()
-    assert kept_ids(records, region_map, stats=stats) == ["P2"]
-    assert (stats.n_unknown_country, stats.n_year) == (2, 1)
+    kept, counts = filter_corpus(CorpusTable(records), region_map)
+    assert [records[i].paper_id for i in kept] == ["P2"]
+    assert (counts["unknown_country"], counts["pre_1991"]) == (2, 1)
     # one warning per unknown country, naming the first paper with it
     assert [r.getMessage() for r in caplog.records] == [
         "skipping P1: country not in region table: 'Atlantis'",
@@ -724,17 +718,19 @@ def test_filter_counts_are_consistent(region_map):
         make_record("P4", 2000, countries=("China", "Nowhere")),
         make_record("P5", 2000),
     ]
-    stats = FilterStats()
-    kept = filter_corpus(CorpusTable(records), region_map, stats=stats)
-    assert len(kept) == stats.n_kept == 1
-    assert stats.n_input == stats.n_kept + stats.n_year + stats.n_impact \
-        + stats.n_not_bilateral + stats.n_unknown_country
+    kept, counts = filter_corpus(CorpusTable(records), region_map)
+    # ingest logs these keys in this order
+    assert list(counts) == [
+        "records", "bilateral", "pre_1991", "low_impact", "not_bilateral", "unknown_country",
+    ]
+    assert len(kept) == counts["bilateral"] == 1
+    assert counts["records"] == sum(list(counts.values())[1:])
 
 
 def test_empty_corpus_keeps_nothing(region_map):
-    stats = FilterStats()
-    assert filter_corpus(CorpusTable(), region_map, stats=stats).tolist() == []
-    assert stats == FilterStats()
+    kept, counts = filter_corpus(CorpusTable(), region_map)
+    assert kept.tolist() == []
+    assert set(counts.values()) == {0}
 
 
 # -- impact factor bins ------------------------------------------------------

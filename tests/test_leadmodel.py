@@ -307,7 +307,8 @@ def scoring_setup(request):
 def bilateral(corpus, region_map) -> CorpusTable:
     """The table of the papers of corpus that ingest keeps."""
     table = CorpusTable(corpus)
-    return table.take(filter_corpus(table, region_map))
+    kept, _counts = filter_corpus(table, region_map)
+    return table.take(kept)
 
 
 def test_score_corpus_matches_composition(scoring_setup):

@@ -26,10 +26,10 @@ from leadshare.metrics import (
     lead_premium,
     lead_share,
     read_series,
-    sorted_distinct,
     supporter_share,
     write_series,
 )
+from leadshare.records import sorted_distinct
 
 
 def row(

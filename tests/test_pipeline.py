@@ -788,6 +788,9 @@ class TestConfig:
             {"seed": -1},
             {"horizon": math.inf},
             {"horizon": math.nan},
+            {"if_bin_edges": (1.0, math.nan, 3.0)},
+            {"if_bin_edges": (1.0, math.inf)},
+            {"if_bin_edges": (-math.inf, 1.0)},
         ],
     )
     def test_validation(self, kwargs):
@@ -1136,6 +1139,73 @@ class TestCli:
             f"error: {manifest}: line {len(lines)}, field 'stage': "
             "'ingest' repeats line 2"
         )
+
+    @pytest.mark.parametrize("key", ["regions", "bri", "areas_table", "fields_table"])
+    def test_missing_table_is_config_error(self, pristine, tmp_path, fixture_dir, capsys, key):
+        out = clone(pristine[0], tmp_path).output_dir
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        cfg_file = self.write_config(tmp_path, fixture_dir)
+        with open(cfg_file, "a", encoding="utf-8") as fh:
+            fh.write(f"{key} = nope.tsv\n")
+        assert main(["--config", str(cfg_file), "all"]) == 2
+        assert f"error: {key} file not found: {tmp_path / 'nope.tsv'}\n" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+
+    @pytest.mark.parametrize("key", ["regions", "corpus"])
+    def test_directory_input_is_config_error(self, tmp_path, fixture_dir, capsys, key):
+        paths = {
+            "corpus": fixture_dir / "corpus.jsonl", key: tmp_path, "output_dir": tmp_path / "out",
+        }
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in paths.items()), encoding="utf-8")
+        assert main(["--config", str(cfg_file), "ingest"]) == 2
+        assert f"error: {key} file not found: {tmp_path}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out" / MANIFEST_NAME).exists()
+
+    @pytest.mark.parametrize("rel", ["taken", "taken/out"])
+    def test_output_dir_in_place_of_a_file_is_config_error(
+        self, tmp_path, fixture_dir, capsys, rel
+    ):
+        (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            f"corpus = {fixture_dir / 'corpus.jsonl'}\noutput_dir = {tmp_path / rel}\n",
+            encoding="utf-8",
+        )
+        assert main(["--config", str(cfg_file), "ingest"]) == 2
+        assert f"error: cannot make output_dir {tmp_path / rel}: " in capsys.readouterr().err
+        assert (tmp_path / "taken").read_text(encoding="utf-8") == "not a directory\n"
+
+    @pytest.mark.parametrize(
+        "change, key, rel, command",
+        [
+            ({"output_dir": "."}, "corpus", "corpus.jsonl", "ingest"),
+            ({"contributions": "out/labels.tsv"}, "contributions", "out/labels.tsv", "all"),
+        ],
+        ids=["corpus", "contributions"],
+    )
+    def test_input_that_is_an_output_is_config_error(
+        self, tmp_path, fixture_dir, capsys, change, key, rel, command
+    ):
+        # output_dir = . would write ingest's canonical lines over corpus.jsonl
+        (tmp_path / "out").mkdir()
+        shutil.copyfile(fixture_dir / "contributions.jsonl", tmp_path / "contributions.jsonl")
+        shutil.copyfile(fixture_dir / "contributions.jsonl", tmp_path / "out" / "labels.tsv")
+        text = (fixture_dir / "corpus.jsonl").read_text(encoding="utf-8")
+        note = text.replace("{", '{"note": "kept", ', 1)
+        (tmp_path / "corpus.jsonl").write_text(note, encoding="utf-8")
+        keys = {
+            "corpus": "corpus.jsonl", "contributions": "contributions.jsonl", "output_dir": "out",
+            **change,
+        }
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()), encoding="utf-8")
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        assert main(["--config", str(cfg_file), command]) == 2
+        error = f"error: {key} file {tmp_path / rel} is the pipeline's output {Path(rel).name}\n"
+        assert error in capsys.readouterr().err
+        # no artifact and no manifest: the run stopped before writing
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
     def test_missing_corpus_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
