@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .config import PipelineConfig
 from .errors import ConfigError, HashMismatch, MissingUpstream
-from .records import FieldError, check_unique, read_tsv, tsv_rows, write_tsv
+from .records import TEMP_SUFFIX, FieldError, check_unique, read_tsv, tsv_rows, write_tsv
 from .tables import table_bytes
 
 # each stage's one log line, under the logger name the README documents
@@ -70,7 +70,6 @@ def _sha256_file(path: Path) -> str:
 
 @dataclass
 class ManifestEntry:
-    stage: str
     inputs: dict[str, str]
     config_hash: str
     outputs: dict[str, str]
@@ -97,9 +96,8 @@ def _manifest_entries(lines: list[str]) -> dict[str, ManifestEntry]:
     for stage, ins, cfg, outs in rows:
         if not _SHA256.fullmatch(cfg):
             raise FieldError("config", f"expected a SHA-256 hex digest, got {cfg!r}")
-        entries[stage] = ManifestEntry(
-            stage, _decode_hashes(ins, "inputs"), cfg, _decode_hashes(outs, "outputs")
-        )
+        inputs, outputs = _decode_hashes(ins, "inputs"), _decode_hashes(outs, "outputs")
+        entries[stage] = ManifestEntry(inputs, cfg, outputs)
     return entries
 
 
@@ -160,8 +158,9 @@ def _table_inputs(config: PipelineConfig, names: Sequence[str]) -> dict[str, str
 
 def _check_inputs_are_not_outputs(table: Mapping[str, Stage], config: PipelineConfig) -> None:
     """ConfigError when a configured input file is the manifest or a file
-    some stage writes: running a stage could overwrite it."""
+    some stage writes, or its temp file: running a stage could overwrite it."""
     written = {MANIFEST_NAME, *(rel for stage in table.values() for rel in stage.writes)}
+    written |= {rel + TEMP_SUFFIX for rel in written}
     out = config.output_dir.resolve()
     raw = [stage.raw for stage in table.values() if stage.raw is not None]
     for key in raw + [key for _, key in _TABLES.values()]:
@@ -263,11 +262,11 @@ def run(
     config: PipelineConfig, force: bool, artifacts: Optional[Artifacts] = None,
 ) -> str:
     """Run table[name] unless its manifest line still matches (see
-    stale_reasons), then record its line and log its counts; 'ran' or
-    'cached'.  artifacts holds what the calling run_all decoded; a
-    standalone stage starts its own, decoding with decoders.  A flock on
-    output_dir, which makes no file, keeps concurrent runs from
-    interleaving (POSIX only)."""
+    stale_reasons), making its outputs' directories first, then record its
+    line and log its counts; 'ran' or 'cached'.  artifacts holds what the
+    calling run_all decoded; a standalone stage starts its own, decoding
+    with decoders.  A flock on output_dir, which makes no file, keeps
+    concurrent runs from interleaving (POSIX only)."""
     stage = table[name]
     artifacts = artifacts or Artifacts(config.output_dir, (stage,), decoders)
     try:
@@ -289,6 +288,11 @@ def run(
             return "cached"
         # checked only before a stage writes, so a cached re-run pays nothing
         _check_inputs_are_not_outputs(table, config)
+        for directory in sorted({(config.output_dir / rel).parent for rel in stage.writes}):
+            try:
+                directory.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot make directory {directory}: {exc.strerror}") from None
         # no stage may build reference cycles at scale: the cyclic collector
         # is paused while one runs, as its passes over the live graph free nothing
         gc_was_enabled = gc.isenabled()
@@ -299,7 +303,7 @@ def run(
             if gc_was_enabled:
                 gc.enable()
         outputs = {rel: _sha256_file(config.output_dir / rel) for rel in stage.writes}
-        manifest[name] = ManifestEntry(name, inputs, config_hash, outputs)
+        manifest[name] = ManifestEntry(inputs, config_hash, outputs)
         write_manifest(manifest, manifest_path, table)
     finally:
         os.close(lock)

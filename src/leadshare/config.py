@@ -55,7 +55,11 @@ class PipelineConfig:
     threshold_sweep: tuple[float, ...] = DEFAULT_THRESHOLD_SWEEP
 
     def __post_init__(self) -> None:
-        # a pair names two regions in either order; series keys sort them
+        # a pair names two different regions in either order; series keys sort them
+        for pair in self.pairs:
+            if len(pair) != 2 or pair[0] == pair[1]:
+                sides = "|".join(map(str, pair))
+                raise ConfigError(f"pair {sides} must join two different regions")
         object.__setattr__(self, "pairs", tuple(tuple(sorted(p)) for p in self.pairs))
         if not 0.0 < self.lead_threshold < 1.0:
             raise ConfigError(
@@ -108,9 +112,6 @@ class PipelineConfig:
         for r in (self.focal_region, *(side for pair in self.pairs for side in pair)):
             if r not in GLOBAL_REGIONS:
                 raise ConfigError(f"unknown region {r!r}")
-        for a, b in self.pairs:
-            if a == b:
-                raise ConfigError(f"pair {a}|{b} must join two different regions")
         # these keys are sets: order and repeats change no output and no hash
         for key in ("pairs", "areas", "fields", "if_bins", "bri_classes", "threshold_sweep"):
             object.__setattr__(self, key, tuple(sorted(set(getattr(self, key)))))

@@ -64,6 +64,14 @@ def filter_corpus(
     }
 
 
+def _reverse_index(concepts: dict[str, frozenset[str]]) -> dict[str, tuple[str, ...]]:
+    index: dict[str, set[str]] = {}
+    for tag, names in concepts.items():
+        for name in names:
+            index.setdefault(name.casefold(), set()).add(tag)
+    return {name: tuple(sorted(tags)) for name, tags in index.items()}
+
+
 def classify_topics(
     table: CorpusTable, topics: TopicMap
 ) -> tuple[np.ndarray, list[tuple[frozenset[str], frozenset[str]]]]:
@@ -76,8 +84,9 @@ def classify_topics(
     either kind.
     """
     keys = [name.strip().casefold() for name in table.concepts]
-    areas = [topics.areas_by_concept.get(key, ()) for key in keys]
-    fields = [topics.fields_by_concept.get(key, ()) for key in keys]
+    by_area, by_field = _reverse_index(topics.area_concepts), _reverse_index(topics.field_concepts)
+    areas = [by_area.get(key, ()) for key in keys]
+    fields = [by_field.get(key, ()) for key in keys]
     concept, level0 = table.concept.tolist(), table.level0.tolist()
     start = table.concept_start.tolist()
     tags: dict[tuple[frozenset[str], frozenset[str]], int] = {}

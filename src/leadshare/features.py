@@ -144,7 +144,7 @@ def build_profiles(table: CorpusTable) -> FeatureTable:
         # the rows before the first of the row's date are prior
         run, group = _run_starts(a), _run_starts(a, d)
         out[:, 4] = group - run
-        position = table.position[at[r]]
+        position = at[r] - table.auth_start[p]
         before = np.concatenate(([0], np.cumsum((position == 0) | (position == counts[p] - 1))))
         out[:, 7] = before[group] - before[run]
         out[:, 3] = np.where(group > run, year - year[run], 0)

@@ -232,10 +232,7 @@ def parity_year(
 
 @dataclass(frozen=True)
 class ForecastRow:
-    pair: tuple[str, str]
-    focal: str
-    metric: str
-    filter_desc: str
+    series: RegionSeries
     fit: RegressionFit
     parity: ParityForecast
 
@@ -250,14 +247,7 @@ def forecast_series(
     fit = ols_fit(series, window, confidence_level)
     if threshold is None:
         threshold = PARITY_THRESHOLDS[series.metric]
-    return ForecastRow(
-        pair=series.pair,
-        focal=series.focal,
-        metric=series.metric,
-        filter_desc=series.filter_desc,
-        fit=fit,
-        parity=parity_year(fit, threshold, horizon),
-    )
+    return ForecastRow(series, fit, parity_year(fit, threshold, horizon))
 
 
 _FORECAST_HEADER = (
@@ -272,7 +262,7 @@ def _fmt_year(x: Optional[float]) -> str:
 
 def write_forecast(rows: Iterable[ForecastRow], path: Path) -> None:
     write_tsv(path, _FORECAST_HEADER, (
-        f"{r.pair[0]}|{r.pair[1]}\t{r.focal}\t{r.metric}\t{r.filter_desc}\t"
+        f"{'|'.join(r.series.pair)}\t{r.series.focal}\t{r.series.metric}\t{r.series.filter_desc}\t"
         f"{r.parity.threshold:.9f}\t{r.fit.slope:.9f}\t{r.fit.intercept:.9f}\t"
         f"{_fmt_year(r.parity.point_year)}\t{_fmt_year(r.parity.lower_year)}\t"
         f"{_fmt_year(r.parity.upper_year)}\t"

@@ -247,8 +247,6 @@ def score_corpus(
         )
     used, country = np.unique(table.country[at], return_inverse=True)
     names = [table.countries[c] for c in used.tolist()]
-    regions = sorted({region_map.region_of(c) for c in names})
-    region = np.array([regions.index(region_map.region_of(c)) for c in names], np.int64)
     income = [bri.class_of(c) for c in names]
     # a row's tags are its paper's topic and bin and its country
     bins_n, names_n = len(if_edges), len(names)
@@ -266,7 +264,8 @@ def score_corpus(
     rounded = np.fromiter((float(f"{p:.9f}") for p in probs.tolist()), np.float64, len(probs))
     return ScoredTable(
         [table.ids[p] for p in table.paper[paper_codes].tolist()], paper_code,
-        [table.authors[a] for a in author_codes.tolist()], author_code, regions, region[country],
+        [table.authors[a] for a in author_codes.tolist()], author_code,
+        [region_map.region_of(c) for c in names], country,
         table.year[paper], rounded, probs > threshold, tags, tag,
     ), int(np.count_nonzero(bins < 0))
 

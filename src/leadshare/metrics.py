@@ -114,8 +114,8 @@ class ScoredTable:
 
     Paper ids, author ids, regions and tags are stored once each and coded
     per row (`paper` indexes `papers`, and so on); the constructor takes
-    each column's distinct values (a dict's keys will do) and codes, and
-    sorts the regions, so region codes follow string order.  A paper is a
+    each column's values (a dict's keys will do) and codes, and sorts the
+    distinct regions, so region codes follow string order.  A paper is a
     contiguous run of rows with one paper_id: `run` numbers the runs per
     row and `run_starts` holds each run's first row.  A run is bilateral
     when it spans exactly two regions; then `pair` codes its row's entry
@@ -131,7 +131,7 @@ class ScoredTable:
         self.papers, self.paper = tuple(papers), np.asarray(paper, np.int64)
         self.authors, self.author = tuple(authors), np.asarray(author, np.int64)
         names = tuple(regions)
-        self.regions = tuple(sorted(names))
+        self.regions = tuple(sorted(set(names)))
         self.region = np.array([self.regions.index(n) for n in names], np.int64)[region]
         self.year, self.lead_prob, self.is_leader = year, lead_prob, is_leader
         self.tags, self.tag = tuple(tags), np.asarray(tag, np.int64)

@@ -352,14 +352,13 @@ def _stage_export(config: PipelineConfig, artifacts: Artifacts) -> dict[str, flo
     scored = artifacts.read("scored.tsv")
     _counts, sweep = _tally(config, scored, _sweep_specs("threshold", config))
     sources = {"series": series_list, "sweep": sweep}
-    export_dir = config.output_dir / "export"
-    export_dir.mkdir(parents=True, exist_ok=True)
     # every cell is a region name, BRI:<class>, a metric, kind or tag name,
     # or a number, and none holds a comma, quote or newline: joined with
     # commas they are the CSV that csv.writer would write
     for name, (source, keep) in _FIGURES.items():
         rows = (row for s in sources[source] if keep(s) for row in _series_plot_rows(config, s))
-        write_tsv(export_dir / f"{name}.csv", ",".join(_CSV_HEADER), map(",".join, rows))
+        path = config.output_dir / f"export/{name}.csv"
+        write_tsv(path, ",".join(_CSV_HEADER), map(",".join, rows))
     return {"figure_tables": len(_FIGURES)}
 
 

@@ -347,11 +347,14 @@ def check_unique(keys: list, field: str, first: int = 2) -> dict:
     return index
 
 
+TEMP_SUFFIX = ".tmp"  # write_tsv writes a file at its name plus this, then renames it
+
+
 def write_tsv(path: Path, header: Optional[str], lines: Iterable[str]) -> None:
     """Write any line-based artifact: header (unless None), then each line
-    and "\\n", to `<name>.tmp`, which replaces path once complete; if
+    and "\\n", to its temp file, which replaces path once complete; if
     anything raises first, path keeps its old bytes and no temp remains."""
-    tmp = Path(f"{path}.tmp")
+    tmp = Path(f"{path}{TEMP_SUFFIX}")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             if header is not None:
@@ -434,7 +437,7 @@ _POOLS = {
 }
 # the CSR offsets of a CorpusTable, each with the columns it slices
 _SEGMENTS = {
-    "auth_start": ("author", "position", "country", "institution", "first"),
+    "auth_start": ("author", "country", "institution", "first"),
     "ref_start": ("ref",), "concept_start": ("concept", "level0"),
 }
 
@@ -475,16 +478,16 @@ class CorpusTable:
     string order.  Per paper: `paper` (its id), `date` (its sort date as
     yyyymmdd, July 1 when undated), `year` and `impact`.  Authorships,
     references and concepts are CSR arrays: paper i's authorships are
-    entries `auth_start[i]:auth_start[i + 1]` of `author`, `position`,
-    `country`, `institution` and `first` (the author's first authorship on
-    the paper), in position order; its sorted references are those entries
-    of `ref` under `ref_start`, and its sorted (name, level) concepts those
-    of `concept` and `level0` (level 0) under `concept_start`.
+    entries `auth_start[i]:auth_start[i + 1]` of `author`, `country`,
+    `institution` and `first` (the author's first authorship on the
+    paper), an entry's index being its position; its sorted references are
+    those of `ref` under `ref_start`, and its sorted (name, level) concepts
+    those of `concept` and `level0` (level 0) under `concept_start`.
     """
 
     def __init__(self, records: Iterable[PublicationRecord] = ()):
         ids, authors, countries, institutions, concepts = ({} for _ in _POOLS)
-        paper, author, position, country, institution, ref, concept = (array("i") for _ in range(7))
+        paper, author, country, institution, ref, concept = (array("i") for _ in range(6))
         date, year, impact = array("q"), array("q"), array("d")
         first, level0 = array("b"), array("b")
         starts = auth_start, ref_start, concept_start = tuple(array("q", [0]) for _ in _SEGMENTS)
@@ -497,7 +500,6 @@ class CorpusTable:
             seen: dict[str, int] = {}
             for i, a in enumerate(r.authorships):
                 author.append(authors.setdefault(a.author_id, len(authors)))
-                position.append(a.position)
                 country.append(countries.setdefault(a.country, len(countries)))
                 institution.append(institutions.setdefault(a.institution_id, len(institutions)))
                 first.append(seen.setdefault(a.author_id, i) == i)
@@ -512,7 +514,6 @@ class CorpusTable:
         self.countries, self.country = _sorted_pool(countries, country)
         self.institutions, self.institution = _sorted_pool(institutions, institution)
         self.concepts, self.concept = _sorted_pool(concepts, concept)
-        self.position = np.frombuffer(position, np.int32)
         self.first, self.level0 = np.frombuffer(first, bool), np.frombuffer(level0, bool)
         self.date, self.year = np.frombuffer(date, np.int64), np.frombuffer(year, np.int64)
         self.impact = np.frombuffer(impact, np.float64)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
@@ -161,16 +161,10 @@ class BriClassification:
 
 @dataclass(frozen=True)
 class TopicMap:
-    """Concept lists for the 11 technology areas and 6 scientific fields.
-
-    ``areas_by_concept``/``fields_by_concept`` are reverse indexes keyed by
-    the trimmed, casefolded concept name; a concept may map to several tags.
-    """
+    """Concept lists for the 11 technology areas and 6 scientific fields."""
 
     area_concepts: dict[str, frozenset[str]]
     field_concepts: dict[str, frozenset[str]]
-    areas_by_concept: dict[str, tuple[str, ...]] = field(repr=False, default_factory=dict)
-    fields_by_concept: dict[str, tuple[str, ...]] = field(repr=False, default_factory=dict)
 
 
 def load_region_map(path: Optional[Path] = None) -> RegionMap:
@@ -207,14 +201,6 @@ def load_bri_classification(path: Optional[Path] = None) -> BriClassification:
     return BriClassification(by_country=by_country)
 
 
-def _reverse_index(concepts: dict[str, frozenset[str]]) -> dict[str, tuple[str, ...]]:
-    index: dict[str, set[str]] = {}
-    for tag, names in concepts.items():
-        for name in names:
-            index.setdefault(name.casefold(), set()).add(tag)
-    return {name: tuple(sorted(tags)) for name, tags in index.items()}
-
-
 def _load_tagged_concepts(
     path: Optional[Path],
     packaged_name: str,
@@ -245,12 +231,7 @@ def load_topic_map(
     field_concepts = _load_tagged_concepts(
         field_path, "scientific_fields.tsv", ("field", "concept"), FIELD_TAGS
     )
-    return TopicMap(
-        area_concepts=area_concepts,
-        field_concepts=field_concepts,
-        areas_by_concept=_reverse_index(area_concepts),
-        fields_by_concept=_reverse_index(field_concepts),
-    )
+    return TopicMap(area_concepts=area_concepts, field_concepts=field_concepts)
 
 
 def table_bytes(packaged_name: str, path: Optional[Path] = None) -> bytes:

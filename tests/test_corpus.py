@@ -596,7 +596,7 @@ def test_table_codes_strings_in_sorted_order():
     assert table.paper.tolist() == [1, 0] and table.ref.tolist() == [0, 2]
     assert (table.date.tolist(), table.year.tolist()) == ([20010304, 20000701], [2001, 2000])
     assert table.auth_start.tolist() == [0, 3, 4]
-    assert table.author.tolist() == [1, 0, 1, 0] and table.position.tolist() == [0, 1, 2, 0]
+    assert table.author.tolist() == [1, 0, 1, 0]
     assert table.first.tolist() == [True, True, False, True]
     assert table.institutions == ("", "I1", "I2", "I3")
     assert table.concept.tolist() == [0, 1, 1] and table.level0.tolist() == [True, True, False]

@@ -268,14 +268,11 @@ class TestCaching:
     def test_manifest_round_trip(self, tmp_path):
         entries = {
             "ingest": ManifestEntry(
-                stage="ingest",
                 inputs={"raw:corpus": "a" * 64, "table:regions": "b" * 64},
                 config_hash="c" * 64,
                 outputs={"corpus.jsonl": "d" * 64},
             ),
-            "train-roles": ManifestEntry(
-                stage="train-roles", inputs={}, config_hash="e" * 64, outputs={}
-            ),
+            "train-roles": ManifestEntry(inputs={}, config_hash="e" * 64, outputs={}),
         }
         path = tmp_path / MANIFEST_NAME
         write_manifest(entries, path, STAGE_TABLE)
@@ -791,6 +788,8 @@ class TestConfig:
             {"if_bin_edges": (1.0, math.nan, 3.0)},
             {"if_bin_edges": (1.0, math.inf)},
             {"if_bin_edges": (-math.inf, 1.0)},
+            {"pairs": (("China",),)},
+            {"pairs": (("China", "U.S.", "Russia"),)},
         ],
     )
     def test_validation(self, kwargs):
@@ -1181,19 +1180,22 @@ class TestCli:
         [
             ({"output_dir": "."}, "corpus", "corpus.jsonl", "ingest"),
             ({"contributions": "out/labels.tsv"}, "contributions", "out/labels.tsv", "all"),
+            ({"corpus": "out/corpus.jsonl.tmp"}, "corpus", "out/corpus.jsonl.tmp", "ingest"),
         ],
-        ids=["corpus", "contributions"],
+        ids=["corpus", "contributions", "temp-name"],
     )
     def test_input_that_is_an_output_is_config_error(
         self, tmp_path, fixture_dir, capsys, change, key, rel, command
     ):
-        # output_dir = . would write ingest's canonical lines over corpus.jsonl
+        # output_dir = . would write ingest's canonical lines over corpus.jsonl,
+        # and ingest would write out/corpus.jsonl.tmp over, then rename it away
         (tmp_path / "out").mkdir()
         shutil.copyfile(fixture_dir / "contributions.jsonl", tmp_path / "contributions.jsonl")
         shutil.copyfile(fixture_dir / "contributions.jsonl", tmp_path / "out" / "labels.tsv")
         text = (fixture_dir / "corpus.jsonl").read_text(encoding="utf-8")
         note = text.replace("{", '{"note": "kept", ', 1)
         (tmp_path / "corpus.jsonl").write_text(note, encoding="utf-8")
+        (tmp_path / "out" / "corpus.jsonl.tmp").write_text(note, encoding="utf-8")
         keys = {
             "corpus": "corpus.jsonl", "contributions": "contributions.jsonl", "output_dir": "out",
             **change,
@@ -1206,6 +1208,20 @@ class TestCli:
         assert error in capsys.readouterr().err
         # no artifact and no manifest: the run stopped before writing
         assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+    def test_file_in_place_of_an_output_directory_is_config_error(
+        self, pristine, tmp_path, fixture_dir, capsys
+    ):
+        # a regular file named export stands where export writes its tables
+        out = clone(pristine[0], tmp_path).output_dir
+        shutil.rmtree(out / "export")
+        (out / "export").write_text("not a directory\n", encoding="utf-8")
+        cfg_file = self.write_config(tmp_path, fixture_dir)
+        assert main(["--config", str(cfg_file), "all"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot make directory {out / 'export'}: " in err
+        assert "Traceback" not in err
+        assert (out / "export").read_text(encoding="utf-8") == "not a directory\n"
 
     def test_missing_corpus_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -53,6 +53,18 @@ def test_only_write_tsv_opens_a_file_for_writing():
     assert writers == {"records.write_tsv"}
 
 
+def test_only_the_engine_makes_directories():
+    # cache.run makes output_dir and the directory of each declared
+    # output, turning a failure into a ConfigError (exit 2)
+    makers = {
+        f"{path.stem}.{function}"
+        for path in sorted(SRC.glob("*.py"))
+        for function, call in calls(path)
+        if ast.unparse(call.func).endswith(("mkdir", "makedirs"))
+    }
+    assert makers == {"cache.run"}
+
+
 def test_opens_for_writing_reads_modes_and_flags():
     def writes(source: str) -> bool:
         return opens_for_writing(ast.parse(source, mode="eval").body)
