@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, MalformedRecord
 from .forecast import DEFAULT_CONFIDENCE, DEFAULT_HORIZON, DEFAULT_WINDOW
-from .leadmodel import DEFAULT_THRESHOLD, FAMILY_LINEAR, FAMILY_LOGISTIC
+from .leadmodel import DEFAULT_THRESHOLD, FAMILY_LINEAR
 from .metrics import COUNT_AUTHOR_PAPER, COUNT_UNIQUE_AUTHOR
+from .records import decode_utf8
 from .tables import AREA_TAGS, FIELD_TAGS, GLOBAL_REGIONS, HIGH_INCOME, LOW_INCOME
 
 DEFAULT_IF_EDGES = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -41,7 +42,7 @@ class PipelineConfig:
     seed: int = 0
     strict: bool = False
     counting_mode: str = COUNT_AUTHOR_PAPER
-    model_family: str = FAMILY_LINEAR
+    model_family: str = FAMILY_LINEAR  # only linear; kept for existing configs and fit-model's hash
     split_ratio: float = 0.9
     strict_binary_labels: bool = False
     focal_region: str = "China"
@@ -81,8 +82,8 @@ class PipelineConfig:
             raise ConfigError(f"split_ratio must be in (0,1), got {self.split_ratio}")
         if self.counting_mode not in (COUNT_AUTHOR_PAPER, COUNT_UNIQUE_AUTHOR):
             raise ConfigError(f"unknown counting_mode {self.counting_mode!r}")
-        if self.model_family not in (FAMILY_LINEAR, FAMILY_LOGISTIC):
-            raise ConfigError(f"unknown model_family {self.model_family!r}")
+        if self.model_family != FAMILY_LINEAR:
+            raise ConfigError(f"model_family must be {FAMILY_LINEAR!r}, got {self.model_family!r}")
         edges = self.if_bin_edges
         if not all(map(math.isfinite, edges)):
             raise ConfigError(f"if_bin_edges must be finite, got {edges}")
@@ -180,9 +181,11 @@ def load_config(path: Path) -> PipelineConfig:
     """Parse `key = value` lines; '#' starts a comment, blanks ignored."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = decode_utf8(path.read_bytes(), str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except MalformedRecord as exc:
+        raise ConfigError(f"{path}:{exc.line_no}: not valid UTF-8") from None
     mapping: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -1,11 +1,10 @@
 """Lead-probability model: seeded split, standardized fit, scoring.
 
-The default family is ordinary least squares on z-standardized features
-with predictions clamped to [0, 1]; a logistic family is available behind
-the config switch for sensitivity checks.  Zero-variance features are
-frozen out of the solve (std forced to 1, weight to 0).  A rank-deficient
-design falls back to a ridge solve with small damping, recorded in the
-model metadata so downstream artifacts show the fallback engaged.
+The model is ordinary least squares on z-standardized features with
+predictions clamped to [0, 1].  Zero-variance features are frozen out of
+the solve (std forced to 1, weight to 0).  A rank-deficient design falls
+back to a ridge solve with small damping, recorded in the model metadata
+so downstream artifacts show the fallback engaged.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ RIDGE_DAMPING = 1e-8
 _STD_FLOOR = 1e-12
 MIN_EXAMPLES = 20
 
-FAMILY_LINEAR = "linear"
-FAMILY_LOGISTIC = "logistic"
+FAMILY_LINEAR = "linear"  # the one family; model.tsv and the config name it
 
 
 @dataclass(frozen=True)
@@ -68,17 +66,10 @@ class EvalReport:
     tn: int
 
 
-def _raw_scores(model: LinearLeadModel, X: np.ndarray) -> np.ndarray:
+def predict_many(model: LinearLeadModel, X: np.ndarray) -> np.ndarray:
     Z = X - np.asarray(model.feature_means)
     Z /= np.asarray(model.feature_stds)  # in place: one temporary, the same values
-    return model.intercept + Z @ np.asarray(model.weights)
-
-
-def predict_many(model: LinearLeadModel, X: np.ndarray) -> np.ndarray:
-    raw = _raw_scores(model, X)
-    if model.family == FAMILY_LOGISTIC:
-        return 1.0 / (1.0 + np.exp(-raw))
-    return np.clip(raw, 0.0, 1.0)
+    return np.clip(model.intercept + Z @ np.asarray(model.weights), 0.0, 1.0)
 
 
 def predict(model: LinearLeadModel, v: LeadFeatureVector) -> float:
@@ -90,37 +81,14 @@ def classify(prob: float, threshold: float = DEFAULT_THRESHOLD) -> str:
     return LEADER if prob > threshold else SUPPORTER
 
 
-def _damped(M: np.ndarray) -> np.ndarray:
-    """M plus the ridge damping on its diagonal, the intercept unpenalized."""
-    return M + np.diag([0.0] + [RIDGE_DAMPING] * (M.shape[0] - 1))
-
-
 def _solve(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Normal-equation solve; ridge fallback when rank-deficient."""
+    """Normal-equation solve; a ridge fallback, intercept unpenalized, when rank-deficient."""
     AtA = A.T @ A
     Aty = A.T @ y
     if np.linalg.matrix_rank(AtA) == AtA.shape[0]:
         return np.linalg.solve(AtA, Aty), 0.0
-    return np.linalg.solve(_damped(AtA), Aty), RIDGE_DAMPING
-
-
-def _fit_logistic(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """IRLS with the same ridge escape hatch; fractional targets allowed."""
-    coef = np.zeros(A.shape[1])
-    damping_used = 0.0
-    for _ in range(100):
-        p = 1.0 / (1.0 + np.exp(-(A @ coef)))
-        W = np.maximum(p * (1.0 - p), 1e-10)
-        AtWA = A.T @ (A * W[:, None])
-        grad = A.T @ (y - p)
-        if np.linalg.matrix_rank(AtWA) < AtWA.shape[0]:
-            AtWA = _damped(AtWA)
-            damping_used = RIDGE_DAMPING
-        step = np.linalg.solve(AtWA, grad)
-        coef = coef + step
-        if np.max(np.abs(step)) < 1e-10:
-            break
-    return coef, damping_used
+    damped = AtA + np.diag([0.0] + [RIDGE_DAMPING] * (AtA.shape[0] - 1))
+    return np.linalg.solve(damped, Aty), RIDGE_DAMPING
 
 
 def evaluate(
@@ -147,13 +115,10 @@ def fit(
     seed: int = 0,
     *,
     threshold: float = DEFAULT_THRESHOLD,
-    family: str = FAMILY_LINEAR,
 ) -> tuple[LinearLeadModel, EvalReport]:
     """Seeded shuffle split, standardize on train, fit, evaluate held-out.
     Row i of X holds example i's nine features in LeadFeatureVector order,
     and y[i] its lead value."""
-    if family not in (FAMILY_LINEAR, FAMILY_LOGISTIC):
-        raise ConfigError(f"unknown model family {family!r}")
     if not 0.0 < split_ratio < 1.0:
         raise ConfigError(f"split ratio must be in (0,1), got {split_ratio}")
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
@@ -184,10 +149,7 @@ def fit(
     for j, column in enumerate(active.tolist(), start=1):
         np.subtract(X_train[:, column], means[column], out=A[:, j])
         A[:, j] /= stds[column]
-    if family == FAMILY_LOGISTIC:
-        coef, damping = _fit_logistic(A, y[train])
-    else:
-        coef, damping = _solve(A, y[train])
+    coef, damping = _solve(A, y[train])
     weights = np.zeros(X.shape[1])
     weights[active] = coef[1:]
 
@@ -200,7 +162,6 @@ def fit(
         split_ratio=split_ratio,
         n_train=n_train,
         damping=damping,
-        family=family,
     )
     report = evaluate(predict_many(model, X[test]), y[test], threshold)
     return model, report
@@ -270,6 +231,12 @@ def score_corpus(
     ), int(np.count_nonzero(bins < 0))
 
 
+def _family(text: str) -> str:
+    if text != FAMILY_LINEAR:
+        raise ValueError(f"expected {FAMILY_LINEAR!r}, got {text!r}")
+    return text
+
+
 def _vector(text: str) -> tuple[float, ...]:
     values = tuple(map(float, text.split()))
     if len(values) != len(FEATURE_NAMES):
@@ -285,7 +252,7 @@ def _format_vector(values: Iterable[float]) -> str:
 # LinearLeadModel attribute, its text and the parser of that text; floats
 # at 17 significant digits round-trip
 _MODEL_LINES = (
-    ("family", "family", str, str),
+    ("family", "family", str, _family),
     ("seed", "seed", str, int),
     ("split", "split_ratio", "{:.17g}".format, float),
     ("n_train", "n_train", str, int),

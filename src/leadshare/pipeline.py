@@ -144,7 +144,6 @@ def _stage_fit_model(config: PipelineConfig, artifacts: Artifacts) -> dict[str, 
         split_ratio=config.split_ratio,
         seed=config.seed,
         threshold=config.lead_threshold,
-        family=config.model_family,
     )
     # score reads model.tsv: written last, a crash between the two leaves it old
     write_eval(report, config.output_dir / "eval.tsv")

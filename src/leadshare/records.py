@@ -280,6 +280,17 @@ class FieldError(ValueError):
         self.field = field
 
 
+def decode_utf8(raw: bytes, source: str) -> str:
+    """raw as UTF-8 text; a byte that is not UTF-8 raises MalformedRecord
+    naming source and the byte's line and column."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = raw.rfind(b"\n", 0, exc.start) + 1  # the bad byte's line starts here
+        message = f"not valid UTF-8 at column {len(raw[start:exc.start].decode()) + 1}"
+        raise MalformedRecord(raw.count(b"\n", 0, start) + 1, "<line>", message, source) from None
+
+
 T = TypeVar("T")
 
 
@@ -293,11 +304,12 @@ def read_tsv(
     header line and `columns` columns.  The first line with another number
     of columns, or else the first line on which parse raises ValueError,
     raises MalformedRecord naming the file and line; parse names the field
-    by raising FieldError.  A RecordError that parse raises gets the file.
+    by raising FieldError.  A RecordError that parse raises gets the file;
+    so does a byte that is not UTF-8, with its line and column.
     """
     source = str(path)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    # no newline translation: a "\r" in a cell reads back as write_tsv wrote it
+    lines = decode_utf8(Path(path).read_bytes(), source).split("\n")
     if lines[-1] == "":
         lines.pop()
     first = 1

@@ -25,7 +25,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .errors import TableIntegrityError, UnknownCountry
+from .errors import MalformedRecord, TableIntegrityError, UnknownCountry
+from .records import decode_utf8
 
 GLOBAL_REGIONS = frozenset(
     {
@@ -107,7 +108,10 @@ def _packaged_bytes(name: str) -> bytes:
 def _read_rows(
     raw: bytes, source: str, header: tuple[str, str]
 ) -> list[tuple[str, str]]:
-    text = raw.decode("utf-8")
+    try:
+        text = decode_utf8(raw, source)
+    except MalformedRecord as exc:
+        raise TableIntegrityError(f"{source}: line {exc.line_no}: {exc.message}") from None
     reader = csv.reader(text.splitlines(), delimiter="\t")
     rows = list(reader)
     if not rows:

@@ -37,6 +37,8 @@ from leadshare.records import (
     publication_to_json,
     read_contributions,
     read_corpus,
+    read_tsv,
+    write_tsv,
 )
 from leadshare.tables import (
     AREA_TAGS,
@@ -208,6 +210,15 @@ def test_separators_rejected_in_contributions(field, sep):
     with pytest.raises(MalformedRecord) as exc:
         parse_contribution_line(json.dumps(obj), 2)
     assert (exc.value.field, exc.value.line_no) == (field, 2)
+
+
+def test_read_tsv_returns_the_lines_write_tsv_wrote(tmp_path):
+    # "\r" separates nothing, so an id may hold it; a stage run alone must
+    # read such an id back from its upstream artifact as it was written
+    path = tmp_path / "a.tsv"
+    lines = ["A\r1\tP1", "A2\tP\r", "\r\tP3"]
+    write_tsv(path, "author\tpaper", lines)
+    assert read_tsv(path, "author\tpaper", list) == lines
 
 
 def test_reader_errors_name_the_source():

@@ -25,7 +25,6 @@ from leadshare.leadmodel import (
     evaluate,
     fit,
     predict,
-    predict_many,
     read_model,
     read_scored,
     score_corpus,
@@ -171,26 +170,12 @@ def test_fit_rejects_bad_config():
     examples = separable_examples(seed=0)
     with pytest.raises(ConfigError):
         fit(*fit_inputs(examples), split_ratio=1.0)
-    with pytest.raises(ConfigError):
-        fit(*fit_inputs(examples), family="forest")
     bad = [(v, 2.0) for v, _ in examples[:30]]
     with pytest.raises(ConfigError):
         fit(*fit_inputs(bad))
     X, y = fit_inputs(examples)
     with pytest.raises(ConfigError, match="need 399 rows of 9 features"):
         fit(X, y[:-1])
-
-
-def test_logistic_family():
-    examples = separable_examples(seed=7)
-    model, report = fit(*fit_inputs(examples), seed=0, family="logistic")
-    assert model.family == "logistic"
-    assert report.precision >= 0.95 and report.recall >= 0.95
-    probs = predict_many(model, np.array([v.as_array() for v, _ in examples]))
-    labels = np.array([y for _, y in examples])
-    assert np.all((probs >= 0.0) & (probs <= 1.0))
-    # separable data saturates the sigmoid toward the true labels
-    assert np.all(np.abs(probs - labels) < 0.01)
 
 
 def test_fit_on_matrix_rows_matches_vectors():

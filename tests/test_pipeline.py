@@ -42,11 +42,10 @@ from leadshare.errors import (
     MissingUpstream,
     UnknownCountry,
 )
-from leadshare.leadmodel import FAMILY_LOGISTIC
 from leadshare.metrics import COUNT_UNIQUE_AUTHOR
 from leadshare.pipeline import STAGE_TABLE, STAGES, SWEEP_AXES, run_all, run_stage, run_sweep
 from leadshare.records import PublicationRecord
-from leadshare.tables import AREA_TAGS, FIELD_TAGS, HIGH_INCOME, LOW_INCOME
+from leadshare.tables import AREA_TAGS, FIELD_TAGS, HIGH_INCOME, LOW_INCOME, table_bytes
 
 ALL_ARTIFACTS = tuple(rel for stage in STAGES for rel in STAGE_TABLE[stage].writes)
 
@@ -543,7 +542,6 @@ ALTERNATIVES = {
     "seed": 1,
     "strict": True,
     "counting_mode": COUNT_UNIQUE_AUTHOR,
-    "model_family": FAMILY_LOGISTIC,
     "split_ratio": 0.8,
     "strict_binary_labels": True,
     "focal_region": "U.S.",
@@ -615,7 +613,9 @@ def reasons(monkeypatch) -> list[list[str]]:
 class TestConfigSlice:
     def test_alternatives_cover_every_key(self):
         fields = {f.name for f in dataclasses.fields(PipelineConfig)}
-        assert set(ALTERNATIVES) | set(PATH_KEYS) == fields
+        # model_family accepts only its default; the key stays so that
+        # existing configs load and fit-model's slice hash is unchanged
+        assert set(ALTERNATIVES) | set(PATH_KEYS) | {"model_family"} == fields
         for key, value in ALTERNATIVES.items():
             assert value != getattr(PipelineConfig(), key)
 
@@ -769,6 +769,7 @@ class TestConfig:
             {"if_bin_edges": (1.0, 1.0)},
             {"counting_mode": "per_city"},
             {"model_family": "forest"},
+            {"model_family": "logistic"},
             {"if_bin_edges": (2.0, 1.0)},
             {"if_bin_edges": ()},
             {"threshold_sweep": (0.5, 1.2)},
@@ -1004,24 +1005,29 @@ class TestCli:
             ("labels.tsv", 5, 2, None, "fit-model"),
             ("series.tsv", 5, 4, "20x15", "forecast"),
             ("model.tsv", 6, 1, "abc", "score"),
+            ("model.tsv", 1, 1, "logistic", "score"),
             ("scored.tsv", 5, 5, "yes", "aggregate"),
+            ("scored.tsv", 5, 1, "\udcff", "aggregate"),
             ("manifest.tsv", 2, 3, None, "aggregate"),
+            ("manifest.tsv", 2, 3, "\udcff", "aggregate"),
         ],
         ids=["features-columns", "labels-columns", "series-year", "model-intercept",
-             "scored-is_leader", "manifest-fields"],
+             "model-family", "scored-is_leader", "scored-not-utf8", "manifest-fields",
+             "manifest-not-utf8"],
     )
     def test_damaged_artifact_names_file_and_line(
         self, pristine, tmp_path, capsys, rel, line_no, column, value, stage
     ):
         # the cell at `column` of line `line_no` becomes `value`, or with
-        # value None the line is cut before that column
+        # value None the line is cut before that column; "\udcff" is
+        # written as the byte 0xff, which is not UTF-8
         out = clone(pristine[0], tmp_path).output_dir
         path = out / rel
         lines = path.read_text(encoding="utf-8").splitlines()
         cells = lines[line_no - 1].split("\t")
         cut = cells[:column] if value is None else [*cells[:column], value, *cells[column + 1:]]
         lines[line_no - 1] = "\t".join(cut)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
         if rel != MANIFEST_NAME:
             forget_producer(out, rel)
         cfg_file = tmp_path / "run.cfg"
@@ -1148,6 +1154,29 @@ class TestCli:
             fh.write(f"{key} = nope.tsv\n")
         assert main(["--config", str(cfg_file), "all"]) == 2
         assert f"error: {key} file not found: {tmp_path / 'nope.tsv'}\n" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+
+    @pytest.mark.parametrize("key, name", [
+        ("regions", "regions.tsv"), ("bri", "bri_countries.tsv"),
+        ("areas_table", "technology_areas.tsv"), ("fields_table", "scientific_fields.tsv"),
+    ])
+    def test_table_not_utf8_names_file_and_line(
+        self, pristine, tmp_path, fixture_dir, capsys, key, name
+    ):
+        # a copy of the packaged table with a row holding the byte 0xe9
+        # ("é" in Latin-1) appended
+        out = clone(pristine[0], tmp_path).output_dir
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        lines = table_bytes(name).splitlines()
+        table = tmp_path / name
+        table.write_bytes(b"\n".join([*lines, b"Caf\xe9land\tChina"]) + b"\n")
+        cfg_file = self.write_config(tmp_path, fixture_dir)
+        with open(cfg_file, "a", encoding="utf-8") as fh:
+            fh.write(f"{key} = {name}\n")
+        assert main(["--config", str(cfg_file), "all"]) == 3
+        assert capsys.readouterr().err.endswith(
+            f"error: {table}: line {len(lines) + 1}: not valid UTF-8 at column 4\n"
+        )
         assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
     @pytest.mark.parametrize("key", ["regions", "corpus"])
@@ -1317,3 +1346,10 @@ class TestCli:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("kernel = rbf\n", encoding="utf-8")
         assert main(["--config", str(cfg_file), "ingest"]) == 2
+
+    def test_config_file_not_utf8_exit_code(self, tmp_path, capsys):
+        # 0xe9 is "é" in Latin-1 and starts no UTF-8 sequence
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_bytes(b"seed = 1\n# caf\xe9\n")
+        assert main(["--config", str(cfg_file), "all"]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_file}:2: not valid UTF-8\n"

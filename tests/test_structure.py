@@ -76,6 +76,54 @@ def test_opens_for_writing_reads_modes_and_flags():
     assert not writes("os.open(p, os.O_RDONLY)") and not writes("p.open()")
 
 
+def decodes_text(call: ast.Call) -> bool:
+    """Whether a call decodes bytes as text: .read_text, .decode, or an
+    open for reading without "b" in its mode."""
+    name = ast.unparse(call.func)
+    if name.endswith((".read_text", ".decode")):
+        return True
+    if name == "os.open" or name != "open" and not name.endswith(".open"):
+        return False
+    modes = call.args[1:] if name == "open" else call.args
+    modes += [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return not opens_for_writing(call) and not any(
+        isinstance(node, ast.Constant) and "b" in str(node.value)
+        for mode in modes for node in ast.walk(mode)
+    )
+
+
+def test_text_is_decoded_only_by_guarded_readers():
+    # a byte that is not UTF-8 must name its file and line, not end in a
+    # traceback: decode_utf8 serves every artifact, the config and the
+    # tables, and the two raw-input readers decode with surrogateescape,
+    # which their parser checks for U+DC80-U+DCFF
+    decoders = {
+        (f"{path.stem}.{function}", any(
+            kw.arg == "errors" and getattr(kw.value, "value", None) == "surrogateescape"
+            for kw in call.keywords
+        ))
+        for path in sorted(SRC.glob("*.py"))
+        for function, call in calls(path)
+        if decodes_text(call)
+    }
+    assert decoders == {
+        ("records.decode_utf8", False),
+        ("pipeline._read_corpus_file", True),
+        ("pipeline._stage_train_roles", True),
+    }
+
+
+def test_decodes_text_reads_modes():
+    def decodes(source: str) -> bool:
+        return decodes_text(ast.parse(source, mode="eval").body)
+
+    assert decodes("open(p)") and decodes('open(p, "r", encoding="utf-8")')
+    assert decodes("p.open()") and decodes("p.read_text()") and decodes("raw.decode()")
+    assert not decodes('open(p, "rb")') and not decodes('p.open(mode="rb")')
+    assert not decodes('open(p, "w", encoding="utf-8")') and not decodes("p.read_bytes()")
+    assert not decodes("os.open(p, os.O_RDONLY)")
+
+
 def test_only_run_logs_in_pipeline():
     # each stage returns its counts, and the cache engine's run logs them
     # in one line; no stage code logs
