@@ -4,9 +4,11 @@ Every stage records (input hashes, config-slice hash, output hashes) in
 manifest.tsv.  A stage whose recorded line still matches is skipped, so
 re-running is a no-op and editing one config key recomputes only the
 stages whose slice contains it.  Caching is content based: timestamps
-never matter, and an artifact edited out-of-band is reported as stale
-rather than silently reused.  `stale_reasons` says why a line no longer
-matches.  The caller passes in its stage table and artifact readers.
+never decide a stage is cached, and an artifact edited out-of-band is
+reported as stale rather than silently reused; a file's stat only spares
+one call from hashing a file twice (`Artifacts.digest`).  `stale_reasons`
+says why a line no longer matches.  The caller passes in its stage table
+and artifact readers.
 """
 
 from __future__ import annotations
@@ -171,20 +173,20 @@ def _check_inputs_are_not_outputs(table: Mapping[str, Stage], config: PipelineCo
 
 def _stage_inputs(
     stage: Stage, config: PipelineConfig, manifest: dict[str, ManifestEntry],
-    table: Mapping[str, Stage],
+    table: Mapping[str, Stage], digest: Callable[[Path], str],
 ) -> dict[str, str]:
     inputs = {}
     if stage.raw is not None:
         path = _input_file(config, stage.raw)
         if path is None:
             raise ConfigError(f"config key {stage.raw!r} is required for this stage")
-        inputs[f"raw:{stage.raw}"] = _sha256_file(Path(path))
+        inputs[f"raw:{stage.raw}"] = digest(Path(path))
     for rel in stage.reads:
         path = config.output_dir / rel
         producer = next(s.name for s in table.values() if rel in s.writes)
         if not path.exists():
             raise MissingUpstream(f"missing {rel}; run the {producer!r} stage first")
-        inputs[rel] = _sha256_file(path)
+        inputs[rel] = digest(path)
         entry = manifest.get(producer)
         if entry is not None:
             recorded = entry.outputs.get(rel)
@@ -214,6 +216,17 @@ class Artifacts:
         self.entries: dict[tuple[str, str], object] = {}
         self.inputs: dict[str, str] = {}
         self.handed: dict[str, object] = {}
+        self.digests: dict[tuple, str] = {}
+
+    def digest(self, path: Path) -> str:
+        """path's SHA-256, hashed only if this call has not hashed the file
+        as it now stats: a rewrite or edit changes the stat, which is taken
+        before the hash, so a change during hashing misses next time."""
+        st = os.stat(path)
+        key = (str(path), st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+        if key not in self.digests:
+            self.digests[key] = _sha256_file(path)
+        return self.digests[key]
 
     def read(self, rel: str):
         """An artifact the running stage reads, decoded."""
@@ -236,10 +249,11 @@ class Artifacts:
 
 def stale_reasons(
     entry: Optional[ManifestEntry], inputs: dict[str, str], config_hash: str,
-    output_dir: Path, writes: Sequence[str],
+    output_dir: Path, writes: Sequence[str], digest: Callable[[Path], str] = _sha256_file,
 ) -> list[str]:
     """Why a stage's manifest line does not vouch for its outputs in
-    output_dir; empty when it does.  Hashes each output once."""
+    output_dir; empty when it does.  Hashes each output with digest: `run`
+    passes its call's `Artifacts.digest`; the default reads each afresh."""
     if entry is None:
         return ["no manifest line"]
     reasons = [
@@ -252,7 +266,7 @@ def stale_reasons(
         path = output_dir / rel
         if not path.exists():
             reasons.append(f"output {rel} missing")
-        elif entry.outputs.get(rel) != _sha256_file(path):
+        elif entry.outputs.get(rel) != digest(path):
             reasons.append(f"output {rel} changed")
     return reasons
 
@@ -278,10 +292,11 @@ def run(
         fcntl.flock(lock, fcntl.LOCK_EX)
         manifest_path = config.output_dir / MANIFEST_NAME
         manifest = read_manifest(manifest_path)
-        artifacts.inputs = inputs = _stage_inputs(stage, config, manifest, table)
+        artifacts.inputs = inputs = _stage_inputs(stage, config, manifest, table, artifacts.digest)
         config_hash = _config_slice_hash(config, stage)
         if not force and not stale_reasons(
-            manifest.get(name), inputs, config_hash, config.output_dir, stage.writes
+            manifest.get(name), inputs, config_hash, config.output_dir, stage.writes,
+            artifacts.digest,
         ):
             artifacts.done(stage, {})
             log.info("%s: cached", name)
@@ -302,7 +317,7 @@ def run(
         finally:
             if gc_was_enabled:
                 gc.enable()
-        outputs = {rel: _sha256_file(config.output_dir / rel) for rel in stage.writes}
+        outputs = {rel: artifacts.digest(config.output_dir / rel) for rel in stage.writes}
         manifest[name] = ManifestEntry(inputs, config_hash, outputs)
         write_manifest(manifest, manifest_path, table)
     finally:

@@ -76,8 +76,9 @@ from .tables import (
 
 def _read_corpus_file(path: Path, lines: Optional[list[str]] = None) -> CorpusTable:
     """The corpus file as a table, each record folded in as it is parsed;
-    given lines, each record's canonical line is appended to them."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    given lines, each record's canonical line is appended to them.  A line
+    ends only at \\n: JSON allows a \\r as whitespace inside a record."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         records = read_corpus(fh, source=str(path))
         if lines is None:
             return CorpusTable(records)
@@ -115,8 +116,9 @@ def _stage_ingest(config: PipelineConfig, artifacts: Artifacts) -> dict[str, flo
 
 
 def _stage_train_roles(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
-    with open(config.contributions, encoding="utf-8", errors="surrogateescape") as fh:
-        statements = code_statements(read_contributions(fh, source=str(config.contributions)))
+    path = config.contributions  # its lines, as the corpus's, end only at \n
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        statements = code_statements(read_contributions(fh, source=str(path)))
     matrix = build_cooccurrence(statements)
     model = label_clusters(cluster_roles(matrix, seed=config.seed))
     write_role_model(model, config.output_dir / "roles.tsv")

@@ -12,8 +12,9 @@ import os
 import shutil
 import threading
 import time
+from collections import Counter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import pytest
 
@@ -421,6 +422,87 @@ class TestDecodeOnce:
         for array in (features.X, scored.lead_prob, scored.is_leader, scored.run):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+
+def hashed_files(config: PipelineConfig, stages: Iterable[str]) -> list[Path]:
+    """The raw inputs and outputs of stages, whose digests a run takes."""
+    table = [STAGE_TABLE[name] for name in stages]
+    return [Path(getattr(config, stage.raw)) for stage in table if stage.raw] + [
+        config.output_dir / rel for stage in table for rel in stage.writes
+    ]
+
+
+class TestHashOnce:
+    """Within one call each version of a file is hashed at most once."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch) -> Counter:
+        """How often each path is hashed."""
+        counts: Counter = Counter()
+        sha256_file = leadshare.cache._sha256_file
+
+        def spy(path):
+            counts[Path(path)] += 1
+            return sha256_file(path)
+
+        monkeypatch.setattr(leadshare.cache, "_sha256_file", spy)
+        return counts
+
+    def test_cold_and_cached_all(self, fixture_config, hashed):
+        # a consumer's input is the file its producer just hashed
+        for status in ("ran", "cached"):
+            assert set(run_all(fixture_config).values()) == {status}
+            assert hashed == Counter(hashed_files(fixture_config, STAGES)), status
+            hashed.clear()
+
+    def test_edit_then_sweeps(self, swept, tmp_path, hashed):
+        config = clone(swept, tmp_path).replace(counting_mode=COUNT_UNIQUE_AUTHOR)
+        statuses = run_all(config)
+        # a stage that re-runs hashed the outputs it then replaced in its
+        # stale check; nothing else is hashed twice
+        ran = [stage for stage, status in statuses.items() if status == "ran"]
+        assert "score" not in ran and "aggregate" in ran
+        assert hashed == Counter(hashed_files(config, STAGES)) + Counter(
+            config.output_dir / rel for stage in ran for rel in STAGE_TABLE[stage].writes
+        )
+        # each sweep re-runs too (counting_mode is in its slice)
+        for stage in SWEEP_VALUES:
+            hashed.clear()
+            assert run_named(stage, config) == "ran"
+            assert hashed == Counter([config.output_dir / "scored.tsv"] + 2 * hashed_files(
+                config, [stage]
+            ))
+
+    @pytest.mark.parametrize("in_place", [True, False], ids=["in-place", "replaced"])
+    def test_edit_after_check_is_detected(self, pristine, tmp_path, monkeypatch, in_place):
+        # one byte of scored.tsv changes, its length kept, right after
+        # score's stale check hashed it: aggregate must hash it again and
+        # find it modified, whether it was edited in place or replaced
+        config = clone(pristine[0], tmp_path)
+        path = config.output_dir / "scored.tsv"
+        data = path.read_bytes()
+        at = data.index(b"\n") + 1  # the first row's first byte
+        edited = data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+        stale_reasons = leadshare.cache.stale_reasons
+
+        def edit_after_score(*args):
+            found = stale_reasons(*args)
+            if args[4] == STAGE_TABLE["score"].writes:
+                assert found == []
+                if in_place:
+                    with open(path, "r+b") as fh:
+                        fh.seek(at)
+                        fh.write(edited[at:at + 1])
+                else:
+                    tmp = path.with_name("scored.edited")
+                    tmp.write_bytes(edited)
+                    os.replace(tmp, path)
+                assert path.read_bytes() == edited
+            return found
+
+        monkeypatch.setattr(leadshare.cache, "stale_reasons", edit_after_score)
+        with pytest.raises(HashMismatch, match="scored.tsv .*'score'"):
+            run_all(config)
 
 
 class TestCollectorPause:
@@ -1128,6 +1210,34 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: {path}: line 5, field '<line>': not valid UTF-8 at column 4\n"
         )
+
+    def test_cr_inside_a_raw_line_is_whitespace(self, pristine, tmp_path, fixture_dir):
+        # JSON allows "\r" between tokens, so a line ends only at "\n"
+        path = tmp_path / "corpus.jsonl"
+        lines = (fixture_dir / "corpus.jsonl").read_bytes().split(b"\n")
+        lines[4] = lines[4].replace(b',"year"', b',\r"year"', 1)
+        assert b"\r" in lines[4]
+        path.write_bytes(b"\n".join(lines))
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            f"corpus = {path}\noutput_dir = {tmp_path / 'out'}\n", encoding="utf-8"
+        )
+        assert main(["--config", str(cfg_file), "ingest"]) == 0
+        assert (tmp_path / "out" / "corpus.jsonl").read_bytes() == (
+            pristine[0].output_dir / "corpus.jsonl"
+        ).read_bytes()
+
+    def test_crlf_raw_inputs_change_no_artifact(self, pristine, tmp_path):
+        config = pristine[0].replace(output_dir=tmp_path / "out")
+        for key in ("corpus", "contributions"):
+            path = tmp_path / f"{key}.jsonl"
+            path.write_bytes(getattr(config, key).read_bytes().replace(b"\n", b"\r\n"))
+            config = config.replace(**{key: path})
+        run_all(config)
+        for rel in ALL_ARTIFACTS:
+            assert (config.output_dir / rel).read_bytes() == (
+                pristine[0].output_dir / rel
+            ).read_bytes(), rel
 
     def test_repeated_manifest_stage_is_data_error(self, pristine, tmp_path, capsys):
         # a copy of the ingest line with its config hash zeroed is appended
