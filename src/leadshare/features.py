@@ -1,7 +1,8 @@
 """Per-author temporal profiles and the nine lead-prediction features.
 
 `build_profiles` computes them for every authorship at once, as sorts and
-joins over the columns of a `CorpusTable`.  "Prior" means dated strictly
+joins over the columns of a `CorpusTable`, into a `FeatureTable` of
+columns with no object per row.  "Prior" means dated strictly
 earlier than the focal paper, so same-day papers are not prior and
 feature vectors are invariant to how same-day ties are ordered.  Papers
 without a publication date sort at July 1.
@@ -28,13 +29,14 @@ prestige source.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DuplicatePaperId
 from .records import (
-    CorpusTable, check_unique, csr_entries, read_tsv, sorted_distinct, tsv_rows, write_tsv,
+    CorpusTable, chunks, code_keys, csr_entries, parse_cell, read_tsv, sorted_distinct, tsv_rows,
+    write_tsv,
 )
 
 
@@ -58,12 +60,41 @@ class LeadFeatureVector(NamedTuple):
 FEATURE_NAMES = LeadFeatureVector._fields
 
 
-class FeatureTable(NamedTuple):
-    """The features of every authorship: the row of each (paper_id,
-    author_id) in the read-only matrix `X`, keys listed in row order."""
+def _recode(pool: Sequence[str], codes: np.ndarray, into: Sequence[str]) -> np.ndarray:
+    """codes into the sorted pool as codes into the sorted, non-empty pool
+    `into`, -1 where it lacks the string: a binary search per distinct code."""
+    used, inverse = np.unique(codes, return_inverse=True)
+    strings = np.array([pool[c] for c in used.tolist()], dtype=object)
+    into = np.array(into, dtype=object)
+    at = np.minimum(np.searchsorted(into, strings), len(into) - 1)
+    return np.where(into[at] == strings, at, -1)[inverse]
 
-    rows: dict[tuple[str, str], int]
+
+class FeatureTable(NamedTuple):
+    """The features of every authorship as columns: row i of the read-only
+    matrix `X` is author `authors[author[i]]` on paper `papers[paper[i]]`.
+    The pools are sorted and the codes int32.  build_profiles fills the
+    rows in corpus order, one per first authorship of each paper."""
+
+    papers: tuple[str, ...]
+    paper: np.ndarray
+    authors: tuple[str, ...]
+    author: np.ndarray
     X: np.ndarray
+
+    def rows_of(self, papers: Sequence[str], paper: np.ndarray,
+                authors: Sequence[str], author: np.ndarray) -> np.ndarray:
+        """The row of each authorship (papers[paper[i]], authors[author[i]])
+        of sorted pools, -1 where the table has none, by a sort-merge."""
+        if not len(self.X):
+            return np.full(len(paper), -1)
+        n = len(self.authors)
+        key = self.paper.astype(np.int64) * n + self.author
+        p, a = _recode(papers, paper, self.papers), _recode(authors, author, self.authors)
+        want = p * n + a
+        order = np.argsort(key)
+        at = order[np.minimum(np.searchsorted(key, want, sorter=order), len(key) - 1)]
+        return np.where((p >= 0) & (a >= 0) & (key[at] == want), at, -1)
 
 
 # rows (or, in build_profiles, whole authors' rows) handled at a time
@@ -177,7 +208,12 @@ def build_profiles(table: CorpusTable) -> FeatureTable:
         X[o[lo:hi], :8] = features(o[lo:hi])
     X[:, 8] = _affiliation_ranks(table, at, paper)
     X.flags.writeable = False
-    return FeatureTable(dict(zip(table.keys(at), range(len(at)))), X)
+    code = np.empty(n, dtype=np.int32)  # each paper's place in paper id order
+    code[by_id] = np.arange(n)
+    return FeatureTable(
+        tuple(map(table.ids.__getitem__, table.paper[by_id].tolist())),
+        code[paper], table.authors, table.author[at], X,
+    )
 
 
 def _affiliation_ranks(table: CorpusTable, at: np.ndarray, paper: np.ndarray) -> np.ndarray:
@@ -203,39 +239,44 @@ def _affiliation_ranks(table: CorpusTable, at: np.ndarray, paper: np.ndarray) ->
 
 _FEATURES_HEADER = "paper_id\tauthor_id\t" + "\t".join(FEATURE_NAMES)
 _FEATURES_ROW = "%s\t%s" + "\t%d" * 8 + "\t%.9f"
+_KINDS = (int,) * 8 + (float,)  # each feature's type in features.tsv
 
 
 def write_features(table: FeatureTable, path: Path) -> FeatureTable:
-    """Write features.tsv; returns the table read_features decodes from it.
-    f1-f8 are formatted from an int64 copy of X, one chunk of rows at a time."""
-    keys, X = iter(table.rows), table.X
+    """Write features.tsv, a chunk of rows at a time, f1-f8 from an int64
+    copy of the chunk; returns the table read_features decodes from it:
+    `table`, its f9 rounded in place to the 9 decimals written (no copy)."""
+    X = table.X
     write_tsv(path, _FEATURES_HEADER, (
-        _FEATURES_ROW % (*key, *counts, f9)
-        for start in range(0, len(X), _CHUNK_ROWS)
-        # keys last: zip stops at the chunk's end before taking a key
-        for counts, f9, key in zip(X[start:start + _CHUNK_ROWS, :8].astype(np.int64).tolist(),
-                                   X[start:start + _CHUNK_ROWS, 8].tolist(), keys)
+        _FEATURES_ROW % (table.papers[p], table.authors[a], *counts, f9)
+        for rows in chunks(len(X), _CHUNK_ROWS)
+        for p, a, counts, f9 in zip(table.paper[rows].tolist(), table.author[rows].tolist(),
+                                    X[rows, :8].astype(np.int64).tolist(), X[rows, 8].tolist())
     ))
-    X = table.X.copy()
-    X[:, -1] = [float(f"{v:.9f}") for v in X[:, -1].tolist()]
+    X.flags.writeable = True
+    for rows in chunks(len(X), _CHUNK_ROWS):
+        X[rows, 8] = [float(f"{v:.9f}") for v in X[rows, 8].tolist()]
     X.flags.writeable = False
-    return FeatureTable(table.rows, X)
+    return table
 
 
 def _feature_table(lines: list[str]) -> FeatureTable:
-    keys: list[tuple[str, str]] = []
-
     def values() -> Iterator[float]:
         for cells in tsv_rows(lines):
-            keys.append((cells[0], cells[1]))
             yield from map(int, cells[2:10])
             yield float(cells[10])
 
     width = len(FEATURE_NAMES)
-    X = np.fromiter(values(), dtype=np.float64, count=len(lines) * width)
-    rows = check_unique(keys, "paper_id, author_id")
+    try:
+        X = np.fromiter(values(), dtype=np.float64, count=len(lines) * width)
+    except (ValueError, OverflowError):  # name the first bad cell's field
+        for cells in tsv_rows(lines):
+            for name, kind, cell in zip(FEATURE_NAMES, _KINDS, cells[2:]):
+                parse_cell(name, lambda: float(kind(cell)))
+        raise
     X.flags.writeable = False  # one decoded table may serve several stages
-    return FeatureTable(rows, X.reshape(len(lines), width))
+    keys = code_keys(line.split("\t", 2)[:2] for line in lines)
+    return FeatureTable(*keys, X.reshape(len(lines), width))
 
 
 def read_features(path: Path) -> FeatureTable:

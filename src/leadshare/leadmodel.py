@@ -12,7 +12,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from .errors import (
 from .features import FEATURE_NAMES, FeatureTable, LeadFeatureVector
 from .metrics import PaperTags, ScoredTable
 from .records import (
-    CorpusTable, FieldError, check_unique, read_tsv, sorted_distinct, tsv_rows, write_tsv,
+    CorpusTable, FieldError, check_unique, check_unique_pairs, chunks, parse_cell, read_tsv,
+    tsv_rows, write_tsv,
 )
 from .tables import BriClassification, RegionMap, TopicMap
 
@@ -66,9 +67,11 @@ class EvalReport:
     tn: int
 
 
-def predict_many(model: LinearLeadModel, X: np.ndarray) -> np.ndarray:
-    Z = X - np.asarray(model.feature_means)
-    Z /= np.asarray(model.feature_stds)  # in place: one temporary, the same values
+def predict_many(model: LinearLeadModel, X: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+    """The clamped predictions of the rows of X, standardized into a
+    temporary or, with overwrite (X a float64 array of the caller's), in X."""
+    Z = np.subtract(X, np.asarray(model.feature_means), out=X if overwrite else None)
+    Z /= np.asarray(model.feature_stds)
     return np.clip(model.intercept + Z @ np.asarray(model.weights), 0.0, 1.0)
 
 
@@ -114,17 +117,20 @@ def fit(
     split_ratio: float = 0.9,
     seed: int = 0,
     *,
+    rows: Optional[np.ndarray] = None,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> tuple[LinearLeadModel, EvalReport]:
     """Seeded shuffle split, standardize on train, fit, evaluate held-out.
-    Row i of X holds example i's nine features in LeadFeatureVector order,
-    and y[i] its lead value."""
+    Example i has the lead value y[i] and the nine features, in
+    LeadFeatureVector order, of row rows[i] of X (by default row i); the
+    examples' rows are gathered once, in split order."""
     if not 0.0 < split_ratio < 1.0:
         raise ConfigError(f"split ratio must be in (0,1), got {split_ratio}")
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    rows = np.arange(len(X)) if rows is None else np.asarray(rows)
     n = len(y)
-    if X.shape != (n, len(FEATURE_NAMES)):
-        raise ConfigError(f"need {n} rows of {len(FEATURE_NAMES)} features, got {X.shape}")
+    if (shape := (len(rows), *X.shape[1:])) != (n, len(FEATURE_NAMES)):
+        raise ConfigError(f"need {n} rows of {len(FEATURE_NAMES)} features, got {shape}")
     if n < MIN_EXAMPLES:
         raise TooFewExamples(f"need at least {MIN_EXAMPLES} examples, got {n}")
     if np.any(y < 0.0) or np.any(y > 1.0):
@@ -133,9 +139,8 @@ def fit(
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_train = min(max(int(round(split_ratio * n)), 1), n - 1)
-    train, test = perm[:n_train], perm[n_train:]
-
-    X_train = X[train]
+    X, y = X[rows[perm]], y[perm]  # the training rows, then the held-out ones
+    X_train = X[:n_train]
     means = X_train.mean(axis=0)
     stds = X_train.std(axis=0)
     degenerate = stds <= _STD_FLOOR
@@ -149,7 +154,7 @@ def fit(
     for j, column in enumerate(active.tolist(), start=1):
         np.subtract(X_train[:, column], means[column], out=A[:, j])
         A[:, j] /= stds[column]
-    coef, damping = _solve(A, y[train])
+    coef, damping = _solve(A, y[:n_train])
     weights = np.zeros(X.shape[1])
     weights[active] = coef[1:]
 
@@ -163,7 +168,7 @@ def fit(
         n_train=n_train,
         damping=damping,
     )
-    report = evaluate(predict_many(model, X[test]), y[test], threshold)
+    report = evaluate(predict_many(model, X[n_train:]), y[n_train:], threshold)
     return model, report
 
 
@@ -188,9 +193,10 @@ def score_corpus(
 ) -> tuple[ScoredTable, int]:
     """The scored table: one row per author of each paper, in table order.
 
-    Each authorship's feature row is looked up in features; all rows are
-    predicted in one batch.  Region, income class and tags are resolved
-    once per distinct country and paper topic.  The table equals what
+    Each authorship's feature row is found by a join of the id codes;
+    the rows are gathered once, standardized in place and predicted in one
+    batch.  Region, income class and tags are resolved once per distinct
+    country and paper topic.  The table equals what
     read_scored decodes from write_scored's file.  Papers below the first
     impact-factor edge are skipped; the second return value counts them.
     """
@@ -199,7 +205,7 @@ def score_corpus(
     owner = np.repeat(np.arange(len(table)), np.diff(table.auth_start))
     at = np.flatnonzero(table.first & (bins[owner] >= 0))
     paper, author = owner[at], table.author[at]
-    found = np.fromiter((features.rows.get(key, -1) for key in table.keys(at)), np.int64, len(at))
+    found = features.rows_of(table.ids, table.paper[paper], table.authors, author)
     if (missing := np.flatnonzero(found < 0)).size:
         i = missing[0]
         raise MissingUpstream(
@@ -218,7 +224,7 @@ def score_corpus(
     ]
     paper_codes, paper_code = _first_seen(paper)
     author_codes, author_code = _first_seen(author)
-    probs = predict_many(model, features.X[found])
+    probs = predict_many(model, features.X[found], overwrite=True)
     # the table must equal what read_scored decodes from write_scored's
     # file, which holds lead_prob at 9 decimals: lead_prob is rounded to
     # those 9, while is_leader is decided on the unrounded probability
@@ -278,10 +284,7 @@ def _model_values(lines: list[str]) -> dict:
     for key, text in rows:
         if key not in _MODEL_PARSERS:
             raise FieldError(key, "unknown model field")
-        try:
-            values[key] = _MODEL_PARSERS[key](text)
-        except ValueError as exc:
-            raise FieldError(key, str(exc)) from None
+        values[key] = parse_cell(key, _MODEL_PARSERS[key], text)
     return values
 
 
@@ -308,21 +311,22 @@ _IS_LEADER = {"true": True, "false": False}
 
 
 def write_scored(table: ScoredTable, path: Path) -> None:
-    """The scored table; tags are packed into one semicolon-keyed column,
-    each distinct tags cell formatted once."""
+    """The scored table, one chunk of rows at a time; tags are packed into
+    one semicolon-keyed column, each distinct tags cell formatted once."""
     cells = [
         f"areas={'|'.join(sorted(t.areas))};fields={'|'.join(sorted(t.fields))};"
         f"if_bin={t.if_bin};bri={t.bri_class};country={t.country}"
         for t in table.tags
     ]
+    columns = (
+        table.paper, table.author, table.region, table.year, table.lead_prob,
+        table.is_leader, table.tag,
+    )
     write_tsv(path, _SCORED_HEADER, (
         f"{table.papers[p]}\t{table.authors[a]}\t{table.regions[r]}\t{year}\t"
         f"{prob:.9f}\t{'true' if leader else 'false'}\t{cells[t]}"
-        for p, a, r, year, prob, leader, t in zip(
-            table.paper.tolist(), table.author.tolist(), table.region.tolist(),
-            table.year.tolist(), table.lead_prob.tolist(),
-            table.is_leader.tolist(), table.tag.tolist(),
-        )
+        for rows in chunks(len(table.paper))
+        for p, a, r, year, prob, leader, t in zip(*(c[rows].tolist() for c in columns))
     ))
 
 
@@ -340,13 +344,6 @@ def _parse_tags(text: str, sets: dict) -> PaperTags:
     return PaperTags(areas, fields, int(items["if_bin"]), items["bri"], items["country"])
 
 
-def _parse_cell(field: str, parse: Callable, *args):
-    try:
-        return parse(*args)
-    except ValueError as exc:
-        raise FieldError(field, str(exc)) from None
-
-
 def _scored_columns(lines: list[str]) -> tuple:
     """ScoredTable's arguments from one pass over the lines: ids, regions
     and tags cells are coded as they are read, and each distinct year and
@@ -361,7 +358,7 @@ def _scored_columns(lines: list[str]) -> tuple:
             raise FieldError("is_leader", f"expected true or false, got {leader!r}")
         is_leader.append(flag)
         if (value := years.get(y)) is None:
-            value = years[y] = _parse_cell("year", int, y)
+            value = years[y] = parse_cell("year", np.int64, y)  # an int that fits the column
         year.append(value)
         try:
             lead_prob.append(float(prob))
@@ -369,14 +366,13 @@ def _scored_columns(lines: list[str]) -> tuple:
             raise FieldError("lead_prob", str(exc)) from None
         tag.append(t := texts.setdefault(text, len(texts)))
         if t == len(tags):
-            tags.append(_parse_cell("tags", _parse_tags, text, sets))
+            tags.append(parse_cell("tags", _parse_tags, text, sets))
         paper.append(papers.setdefault(p, len(papers)))
         author.append(authors.setdefault(a, len(authors)))
         region.append(regions.setdefault(r, len(regions)))
+    papers, authors = tuple(papers), tuple(authors)  # ScoredTable keeps these tuples
     paper, author = np.frombuffer(paper, np.int64), np.frombuffer(author, np.int64)
-    if sorted_distinct(paper * len(authors) + author).size < len(paper):
-        ids, names = tuple(papers), tuple(authors)
-        check_unique([(ids[p], names[a]) for p, a in zip(paper, author)], "paper_id, author_id")
+    check_unique_pairs(papers, paper, authors, author, "paper_id, author_id")
     return (
         papers, paper, authors, author, regions, region,
         np.frombuffer(year, np.int64), np.frombuffer(lead_prob, np.float64),

@@ -138,11 +138,12 @@ def _stage_build_profiles(config: PipelineConfig, artifacts: Artifacts) -> dict[
 def _stage_fit_model(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
     labels = artifacts.read("labels.tsv")
     features = artifacts.read("features.tsv")
-    found = [features.rows.get((lab.paper_id, lab.author_id)) for lab in labels]
-    rows = [row for row in found if row is not None]
-    y = [lab.lead_value for lab, row in zip(labels, found) if row is not None]
+    # each label's feature row; a label without one is skipped
+    rows = features.rows_of(labels.papers, labels.paper, labels.authors, labels.author)
+    found = rows >= 0
     model, report = fit(
-        features.X[rows], y,
+        features.X, labels.lead_value[found],
+        rows=rows[found],
         split_ratio=config.split_ratio,
         seed=config.seed,
         threshold=config.lead_threshold,
@@ -152,7 +153,7 @@ def _stage_fit_model(config: PipelineConfig, artifacts: Artifacts) -> dict[str, 
     write_model(model, config.output_dir / "model.tsv")
     artifacts.hand_on("model.tsv", model)
     return {
-        "examples": len(rows), "labels_without_features": len(labels) - len(rows),
+        "examples": int(found.sum()), "labels_without_features": int((~found).sum()),
         "precision": report.precision, "recall": report.recall,
     }
 

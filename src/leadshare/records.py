@@ -37,7 +37,7 @@ from itertools import repeat
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -346,17 +346,52 @@ def tsv_rows(lines: Iterable[str]) -> Iterator[list[str]]:
     return map(str.split, lines, repeat("\t"))
 
 
-def check_unique(keys: list, field: str, first: int = 2) -> dict:
-    """Each key's index in keys, whose first key is on line `first` (line 1
-    is the header, if any); a repeated key raises InvariantViolation at its
-    line, naming the earlier one."""
-    index = dict(zip(keys, range(len(keys))))
-    if len(index) < len(keys):
-        first_line: dict = {}
-        for line_no, key in enumerate(keys, start=first):
-            if (earlier := first_line.setdefault(key, line_no)) != line_no:
-                raise InvariantViolation(line_no, field, f"{key!r} repeats line {earlier}")
-    return index
+def parse_cell(field: str, parse: Callable, *args):
+    """parse(*args); a ValueError, or an OverflowError from a number too
+    large for its column, raises FieldError naming field."""
+    try:
+        return parse(*args)
+    except (ValueError, OverflowError) as exc:
+        raise FieldError(field, str(exc)) from None
+
+
+def chunks(n: int, size: int = 8192) -> Iterator[slice]:
+    """n rows as slices of at most size rows, for writers that convert a
+    chunk of each column to Python values at a time."""
+    return (slice(start, start + size) for start in range(0, n, size))
+
+
+def check_unique(keys: Iterable, field: str, first: int = 2) -> None:
+    """A key of keys, the first on line `first` (line 1 is the header, if
+    any), that repeats raises InvariantViolation at its line, naming the
+    earlier one."""
+    first_line: dict = {}
+    for line_no, key in enumerate(keys, start=first):
+        if (earlier := first_line.setdefault(key, line_no)) != line_no:
+            raise InvariantViolation(line_no, field, f"{key!r} repeats line {earlier}")
+
+
+def check_unique_pairs(firsts: Sequence[str], first: np.ndarray,
+                       seconds: Sequence[str], second: np.ndarray, field: str) -> None:
+    """check_unique of the pairs (firsts[first[i]], seconds[second[i]]),
+    tested on the codes; the pairs of strings only name a repeat's line."""
+    key = first.astype(np.int64, copy=False) * len(seconds) + second
+    if sorted_distinct(key).size < len(first):
+        check_unique(zip(map(firsts.__getitem__, first.tolist()),
+                         map(seconds.__getitem__, second.tolist())), field)
+
+
+def code_keys(keys: Iterable[Sequence[str]]) -> tuple:
+    """(paper_id, author_id) pairs as two sorted pools of their distinct
+    strings and, per pair, int32 codes into each pool; a repeated pair
+    raises InvariantViolation as check_unique does."""
+    firsts, seconds, first, second = {}, {}, array("i"), array("i")
+    for a, b in keys:
+        first.append(firsts.setdefault(a, len(firsts)))
+        second.append(seconds.setdefault(b, len(seconds)))
+    coded = (*_sorted_pool(firsts, first), *_sorted_pool(seconds, second))
+    check_unique_pairs(*coded, "paper_id, author_id")
+    return coded
 
 
 TEMP_SUFFIX = ".tmp"  # write_tsv writes a file at its name plus this, then renames it
@@ -534,12 +569,6 @@ class CorpusTable:
 
     def __len__(self) -> int:
         return len(self.paper)
-
-    def keys(self, at: np.ndarray) -> Iterator[tuple[str, str]]:
-        """The (paper_id, author_id) of each authorship in at."""
-        papers = np.repeat(self.paper, np.diff(self.auth_start))[at]
-        return zip(map(self.ids.__getitem__, papers.tolist()),
-                   map(self.authors.__getitem__, self.author[at].tolist()))
 
     def take(self, rows: np.ndarray) -> CorpusTable:
         """The table of the given rows, in their order: the table that

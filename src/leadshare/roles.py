@@ -7,7 +7,8 @@ is its embedding; seeded k-means with k=3 partitions the vocabulary; the
 clusters are labeled Lead / DirectSupport / IndirectSupport by majority
 vote of a fixed seed-verb list.  An author's lead value on a paper is the
 fraction of their distinct known verbs that belong to the Lead cluster
-(the two support roles are collapsed).
+(the two support roles are collapsed).  The labels are a `LabelTable`,
+columns with no object per label.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from .errors import (
     VocabularyTooSmall,
 )
 from .kmeans import kmeans
-from .records import ContributionRecord, FieldError, check_unique, read_tsv, tsv_rows, write_tsv
+from .records import (
+    ContributionRecord, FieldError, chunks, code_keys, parse_cell, read_tsv, write_tsv,
+)
 
 log = logging.getLogger(__name__)
 
@@ -273,11 +276,20 @@ def fractional_lead_value(
     return lead / len(known)
 
 
-@dataclass(frozen=True, slots=True)
-class TrainingLabel:
-    paper_id: str
-    author_id: str
-    lead_value: float
+@dataclass(frozen=True, eq=False)
+class LabelTable:
+    """Labelled statements as columns: label i is the lead value
+    `lead_value[i]` of author `authors[author[i]]` on paper
+    `papers[paper[i]]`.  The pools are sorted and the codes int32."""
+
+    papers: tuple[str, ...]
+    paper: np.ndarray
+    authors: tuple[str, ...]
+    author: np.ndarray
+    lead_value: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lead_value)
 
 
 def training_labels(
@@ -285,23 +297,25 @@ def training_labels(
     model: RoleClusterModel,
     *,
     strict_binary: bool = False,
-) -> list[TrainingLabel]:
-    """Label each statement, skipping those with no known verbs.
+) -> LabelTable:
+    """Label each statement, in order, skipping those with no known verbs.
 
     Each unit is valued once, rounded to the 9 decimals labels.tsv holds.
     """
-    values: list[Optional[float]] = []
+    values: list[float] = []
     for verbs in statements.units:
         try:
             lead = fractional_lead_value(verbs, model, strict_binary=strict_binary)
             values.append(round(lead, 9))
         except NoKnownVerbs:
-            values.append(None)
-    rows = zip(statements.paper_ids, statements.author_ids, statements.unit)
-    labels = [TrainingLabel(p, a, values[code]) for p, a, code in rows if values[code] is not None]
-    if skipped := len(statements.unit) - len(labels):
+            values.append(np.nan)
+    value = np.array(values)[np.asarray(statements.unit, dtype=np.int64)]
+    known = ~np.isnan(value)
+    if skipped := len(known) - int(np.count_nonzero(known)):
         log.warning("skipped %d statement(s) with no known verbs", skipped)
-    return labels
+    keys = zip(itertools.compress(statements.paper_ids, known),
+               itertools.compress(statements.author_ids, known))
+    return LabelTable(*code_keys(keys), value[known])
 
 
 def write_role_model(model: RoleClusterModel, path: Path) -> None:
@@ -318,26 +332,29 @@ def write_role_model(model: RoleClusterModel, path: Path) -> None:
 _LABELS_HEADER = "paper_id\tauthor_id\tlead_value"
 
 
-def write_training_labels(labels: Iterable[TrainingLabel], path: Path) -> None:
-    rows = (f"{lab.paper_id}\t{lab.author_id}\t{lab.lead_value:.9f}" for lab in labels)
-    write_tsv(path, _LABELS_HEADER, rows)
+def write_training_labels(labels: LabelTable, path: Path) -> None:
+    write_tsv(path, _LABELS_HEADER, (
+        f"{labels.papers[p]}\t{labels.authors[a]}\t{value:.9f}"
+        for rows in chunks(len(labels))
+        for p, a, value in zip(labels.paper[rows].tolist(), labels.author[rows].tolist(),
+                               labels.lead_value[rows].tolist())
+    ))
 
 
 def _lead_value(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise FieldError("lead_value", str(exc)) from None
+    value = parse_cell("lead_value", float, text)
     if not 0.0 <= value <= 1.0:
         raise FieldError("lead_value", f"outside [0,1]: {value}")
     return value
 
 
-def _labels(lines: list[str]) -> list[TrainingLabel]:
-    labels = [TrainingLabel(p, a, _lead_value(v)) for p, a, v in tsv_rows(lines)]
-    check_unique([(lab.paper_id, lab.author_id) for lab in labels], "paper_id, author_id")
-    return labels
+def _labels(lines: list[str]) -> LabelTable:
+    values = (_lead_value(line.rsplit("\t", 1)[1]) for line in lines)
+    lead_value = np.fromiter(values, np.float64, len(lines))
+    return LabelTable(*code_keys(line.split("\t", 2)[:2] for line in lines), lead_value)
 
 
-def read_training_labels(path: Path) -> list[TrainingLabel]:
+def read_training_labels(path: Path) -> LabelTable:
+    """labels.tsv as the LabelTable training_labels made; each lead value
+    must lie in [0, 1] and each (paper_id, author_id) appear once."""
     return read_tsv(path, _LABELS_HEADER, _labels)

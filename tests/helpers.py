@@ -22,6 +22,7 @@ from leadshare.metrics import (
     ScoredTable,
 )
 from leadshare.records import AuthorshipRecord, PublicationRecord
+from leadshare.roles import LabelTable
 
 
 def assert_same(got, want, where: str = "value") -> None:
@@ -53,10 +54,25 @@ def fit_inputs(examples) -> tuple[np.ndarray, np.ndarray]:
     return X, np.array([y for _, y in examples], dtype=np.float64)
 
 
+def feature_keys(table: FeatureTable) -> list[tuple[str, str]]:
+    """The (paper_id, author_id) of each row of a feature table, in row order."""
+    return list(zip(map(table.papers.__getitem__, table.paper.tolist()),
+                    map(table.authors.__getitem__, table.author.tolist())))
+
+
 def feature_vector(table: FeatureTable, paper_id: str, author_id: str) -> LeadFeatureVector:
     """One authorship's row of a feature table, f1-f8 as int."""
-    x = table.X[table.rows[(paper_id, author_id)]].tolist()
+    p, a = table.papers.index(paper_id), table.authors.index(author_id)
+    (row,) = np.flatnonzero((table.paper == p) & (table.author == a))
+    x = table.X[row].tolist()
     return LeadFeatureVector(*map(int, x[:8]), x[8])
+
+
+def label_rows(labels: LabelTable) -> list[tuple[str, str, float]]:
+    """Each label's (paper_id, author_id, lead_value), in label order."""
+    return list(zip(map(labels.papers.__getitem__, labels.paper.tolist()),
+                    map(labels.authors.__getitem__, labels.author.tolist()),
+                    labels.lead_value.tolist()))
 
 
 def make_record(

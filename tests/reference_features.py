@@ -125,4 +125,10 @@ def build_profiles(corpus: Iterable[PublicationRecord]) -> FeatureTable:
             for y in citing_years.get(record.paper_id, ()):
                 h.cited_in[y] = h.cited_in.get(y, 0) + 1
     X.flags.writeable = False
-    return FeatureTable(rows, X)
+    # the paper and author ids as sorted pools, and int32 codes into them
+    columns: list = []
+    for i in (0, 1):
+        pool = tuple(sorted({key[i] for key in rows}))
+        code = {name: c for c, name in enumerate(pool)}
+        columns += [pool, np.array([code[key[i]] for key in rows], np.int32)]
+    return FeatureTable(*columns, X)

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from helpers import feature_vector, fit_inputs, oracle_features
+from helpers import feature_keys, feature_vector, fit_inputs, oracle_features
 from leadshare.cache import MANIFEST_NAME
 from leadshare.config import PipelineConfig
 from leadshare.features import build_profiles
@@ -52,7 +52,7 @@ def test_criterion_1_feature_oracle_agreement():
         corpus = random_corpus(seed, max_papers=50, max_authors=20)
         table = build_profiles(CorpusTable(corpus))
         by_id = {r.paper_id: r for r in corpus}
-        for paper_id, author_id in table.rows:
+        for paper_id, author_id in feature_keys(table):
             vec = feature_vector(table, paper_id, author_id)
             expected = oracle_features(corpus, by_id[paper_id], author_id)
             got = (

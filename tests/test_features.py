@@ -8,6 +8,9 @@ the per-authorship sweep in reference_features.py.
 
 import dataclasses
 import random
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +19,11 @@ from hypothesis import strategies as st
 
 import reference_features
 from leadshare import features
-from helpers import feature_vector, make_record, oracle_features
+from helpers import assert_same, feature_keys, feature_vector, make_record, oracle_features
 from leadshare.errors import DuplicatePaperId, InvariantViolation, MalformedRecord
 from leadshare.features import FEATURE_NAMES, build_profiles, read_features, write_features
 from leadshare.records import AuthorshipRecord, CorpusTable, PublicationRecord
-from synth import random_corpus
+from synth import perf_corpus, random_corpus
 
 
 def profiles_of(corpus):
@@ -139,10 +142,44 @@ def test_duplicate_paper_id():
 
 def test_empty_corpus_index():
     table = profiles_of([])
-    assert table.rows == {}
+    assert table.papers == table.authors == ()
+    assert table.paper.dtype == table.author.dtype == np.int32 and not len(table.paper)
     assert table.X.shape == (0, len(FEATURE_NAMES))
     assert table.X.dtype == np.float64 and not table.X.flags.writeable
     assert table.X.tobytes() == reference_features.build_profiles([]).X.tobytes()
+
+
+def test_table_holds_x_codes_and_pools():
+    # X, two int32 codes a row and the id pools: no dict and no key
+    # object per row (a dict keyed by id tuples held about 130 B a row)
+    table = CorpusTable(perf_corpus(seed=3, n_authorships=10_000)[0])
+    tracemalloc.start()
+    try:
+        built = build_profiles(table)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    # what the package's code allocated, not a module a first call imports
+    package = tracemalloc.Filter(True, str(Path(features.__file__).parent / "*"))
+    held = sum(stat.size for stat in snapshot.filter_traces([package]).statistics("filename"))
+    pools = sys.getsizeof(built.papers) + sys.getsizeof(built.authors)
+    assert len(built.X) == 10_000
+    assert held <= built.X.nbytes + 16 * len(built.X) + pools
+
+
+def test_rows_of_joins_keys_coded_in_other_pools(hand_table):
+    _, table = hand_table
+    keys = feature_keys(table)
+    # the rows reversed, then an unknown paper, an unknown author, and an
+    # author who is not on the paper
+    asked = keys[::-1] + [("P9", "A1"), ("P1", "A9"), ("P1", "A3")]
+    papers, authors = sorted({p for p, _ in asked}), sorted({a for _, a in asked})
+    codes = (
+        papers, np.array([papers.index(p) for p, _ in asked]),
+        authors, np.array([authors.index(a) for _, a in asked]),
+    )
+    assert table.rows_of(*codes).tolist() == [*range(len(keys))][::-1] + [-1, -1, -1]
+    assert profiles_of([]).rows_of(*codes).tolist() == [-1] * len(asked)
 
 
 def varied_corpus(seed: int, max_papers: int, max_authors: int) -> list[PublicationRecord]:
@@ -179,7 +216,7 @@ def test_matches_the_reference_sweep_byte_for_byte(seed, shape, chunk_rows):
         patch.setattr(features, "_CHUNK_ROWS", chunk_rows)
         got = profiles_of(corpus)
     want = reference_features.build_profiles(corpus)
-    assert list(got.rows.items()) == list(want.rows.items())
+    assert_same(got[:4], want[:4])  # the pools and codes
     assert got.X.tobytes() == want.X.tobytes()
 
 
@@ -201,7 +238,7 @@ def test_rows_in_input_order_then_position():
     random.Random(4).shuffle(corpus)
     table = profiles_of(corpus)
     keys = [(r.paper_id, a.author_id) for r in corpus for a in r.authorships]
-    assert list(table.rows.items()) == [(key, i) for i, key in enumerate(keys)]
+    assert feature_keys(table) == keys
     assert table.X.shape == (len(keys), len(FEATURE_NAMES))
     assert not table.X.flags.writeable
 
@@ -215,7 +252,7 @@ def test_repeated_author_gives_one_row_at_first_position():
         make_record("P2", 2011, date="2011-01-10", authors=("A1", "A2")),
     ]
     table = profiles_of(corpus)
-    assert list(table.rows) == [
+    assert feature_keys(table) == [
         ("P1", "A2"), ("P1", "A1"), ("P1", "A3"), ("P2", "A1"), ("P2", "A2"),
     ]
     # A1's first position on P1 is 1, not an end; its last is 3, an end
@@ -245,8 +282,8 @@ def test_oracle_equivalence_long_histories(seed):
     corpus = random_corpus(seed, max_papers=120, max_authors=3)
     by_id = {rec.paper_id: rec for rec in corpus}
     table = profiles_of(corpus)
-    assert len(table.rows) == sum(len(rec.authorships) for rec in corpus)
-    for paper_id, author_id in table.rows:
+    assert len(table.X) == sum(len(rec.authorships) for rec in corpus)
+    for paper_id, author_id in feature_keys(table):
         v = feature_vector(table, paper_id, author_id)
         expected = oracle_features(corpus, by_id[paper_id], author_id)
         assert tuple(v)[:8] == expected[:8]
@@ -328,13 +365,16 @@ def test_features_file_round_trip(tmp_path):
     # the random corpus holds f9 values that 9 decimals round
     for corpus in (hand_corpus(), random_corpus(0, max_papers=40, max_authors=8)):
         table = profiles_of(corpus)
-        write_features(table, path)
+        X = table.X.copy()
+        # the table handed on is the one given, its f9 rounded in place
+        assert write_features(table, path) is table
         decoded = read_features(path)
-        assert decoded.rows == table.rows
+        assert_same(decoded, table)
         # f9 is written with 9 decimals; every other value reads back exactly
-        assert decoded.X[:, :8].tobytes() == table.X[:, :8].tobytes()
-        assert decoded.X[:, 8].tolist() == [float(f"{v:.9f}") for v in table.X[:, 8]]
-        assert np.abs(decoded.X - table.X).max() <= 5e-10
+        assert decoded.X[:, :8].tobytes() == X[:, :8].tobytes()
+        assert decoded.X[:, 8].tolist() == [float(f"{v:.9f}") for v in X[:, 8]]
+        assert np.abs(decoded.X - X).max() <= 5e-10
+        assert not table.X.flags.writeable
 
 
 def test_features_file_rejects_repeated_authorship(tmp_path, hand_table):

@@ -179,15 +179,18 @@ def test_fit_rejects_bad_config():
 
 
 def test_fit_on_matrix_rows_matches_vectors():
-    # fit-model hands fit the rows of the read-only features.tsv matrix that
-    # one fancy index picks, and the lead values as a list
+    # fit-model hands fit the whole read-only features.tsv matrix and the
+    # row of each example, which fit gathers itself
     examples = separable_examples(seed=5)
     X, y = fit_inputs(examples)
     table = np.vstack([X[::-1], X])
     table.setflags(write=False)
-    rows = list(range(len(X), 2 * len(X)))
-    assert fit(table[rows], y.tolist(), seed=3) == fit(X, y, seed=3)
+    rows = np.arange(len(X), 2 * len(X))
+    assert fit(table, y, rows=rows, seed=3) == fit(X, y, seed=3)
+    assert fit(table, y.tolist(), rows=rows[::-1] - len(X), seed=3) == fit(X, y, seed=3)
     assert fit(table[len(X):], y, seed=3) == fit(X, y, seed=3)
+    with pytest.raises(ConfigError, match="need 399 rows of 9 features, got \\(400, 9\\)"):
+        fit(table, y[:-1], rows=rows)
 
 
 def test_feature_rescaling_invariance():

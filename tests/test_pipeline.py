@@ -1118,6 +1118,33 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: {path}: line {line_no}, ")
 
     @pytest.mark.parametrize(
+        "rel, column, digits, field, stage",
+        [
+            ("features.tsv", 6, 400, "f5_prior_pub_count", "fit-model"),
+            ("scored.tsv", 3, 30, "year", "aggregate"),
+        ],
+        ids=["features-f5", "scored-year"],
+    )
+    def test_int_too_large_names_file_line_and_field(
+        self, pristine, tmp_path, capsys, rel, column, digits, field, stage
+    ):
+        # an int cell too large for its column (a float64 or an int64 one)
+        # is a data error like a non-numeric cell, not an OverflowError
+        out = clone(pristine[0], tmp_path).output_dir
+        path = out / rel
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[4].split("\t")
+        cells[column] = "9" * digits
+        lines[4] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        forget_producer(out, rel)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"output_dir = {out}\n", encoding="utf-8")
+        assert main(["--config", str(cfg_file), stage]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 5, ") and repr(field) in err
+
+    @pytest.mark.parametrize(
         "rel, extra, stage",
         [
             ("features.tsv", None, "fit-model"),

@@ -26,8 +26,8 @@ from leadshare.roles import (
     CooccurrenceMatrix,
     RoleClusterModel,
     RolePartition,
+    LabelTable,
     StatementTable,
-    TrainingLabel,
     build_cooccurrence,
     cluster_roles,
     code_statements,
@@ -39,6 +39,7 @@ from leadshare.roles import (
     training_labels,
     write_training_labels,
 )
+from helpers import label_rows
 from synth import planted_blocks, planted_contributions
 
 
@@ -277,7 +278,7 @@ def test_training_labels_skip_unknown_only(planted_model):
     ])
     labels = training_labels(statements, planted_model)
     # each value is held at the 9 decimals labels.tsv writes
-    assert [(l.paper_id, l.lead_value) for l in labels] == [("P1", 0.333333333), ("P3", 0.0)]
+    assert [(p, v) for p, _, v in label_rows(labels)] == [("P1", 0.333333333), ("P3", 0.0)]
 
 
 def test_training_labels_log_once_per_unit(planted_model):
@@ -290,7 +291,7 @@ def test_training_labels_log_once_per_unit(planted_model):
     ])
     with mock.patch.object(roles, "log") as log:
         labels = training_labels(statements, planted_model)
-    assert [(l.paper_id, l.author_id) for l in labels] == [("P1", "A2"), ("P2", "A2"), ("P3", "A3")]
+    assert [(p, a) for p, a, _ in label_rows(labels)] == [("P1", "A2"), ("P2", "A2"), ("P3", "A3")]
     assert [c.args for c in log.warning.call_args_list] == [
         ("skipped %d statement(s) with no known verbs", 2),
     ]
@@ -318,8 +319,8 @@ def reference_cooccurrence(records):
 
 
 def reference_labels(records, model, strict_binary):
-    """training_labels valuing every statement, as labels.tsv holds the
-    values, and its skipped count."""
+    """training_labels valuing every statement, as (paper_id, author_id,
+    value) rows holding the values as labels.tsv does, and its skipped count."""
     labels, skipped = [], 0
     for record in records:
         try:
@@ -327,7 +328,7 @@ def reference_labels(records, model, strict_binary):
         except NoKnownVerbs:
             skipped += 1
             continue
-        labels.append(TrainingLabel(record.paper_id, record.author_id, float(f"{value:.9f}")))
+        labels.append((record.paper_id, record.author_id, float(f"{value:.9f}")))
     return labels, skipped
 
 
@@ -376,25 +377,26 @@ def test_distinct_verb_lists_counted_like_each_statement(verb_lists, picks, stri
     expected, skipped = reference_labels(normalized, _MODEL, strict_binary)
     with mock.patch.object(roles, "log") as log:
         labels = training_labels(table, _MODEL, strict_binary=strict_binary)
-    assert labels == expected
+    assert label_rows(labels) == expected
     logged = [c.args[1] for c in log.warning.call_args_list if c.args[0].startswith("skipped")]
     assert logged == ([skipped] if skipped else [])
 
 
 def test_training_labels_round_trip(tmp_path):
-    labels = [
-        TrainingLabel("P1", "A1", 1.0),
-        TrainingLabel("P2", "A2", 1 / 3),
-        TrainingLabel("P3", "A3", 0.0),
-    ]
+    # label order is kept; the pools are sorted whatever the order
+    labels = LabelTable(
+        ("P1", "P2", "P3"), np.array([1, 0, 2], np.int32),
+        ("A1", "A2", "A3"), np.array([1, 0, 2], np.int32),
+        np.array([1.0, 1 / 3, 0.0]),
+    )
     path = tmp_path / "labels.tsv"
     write_training_labels(labels, path)
     again = read_training_labels(path)
-    assert [(l.paper_id, l.author_id) for l in again] == [
-        ("P1", "A1"), ("P2", "A2"), ("P3", "A3")
+    assert [(p, a) for p, a, _ in label_rows(again)] == [
+        ("P2", "A2"), ("P1", "A1"), ("P3", "A3")
     ]
-    for before, after in zip(labels, again):
-        assert after.lead_value == pytest.approx(before.lead_value, abs=1e-9)
+    assert again.papers == ("P1", "P2", "P3") and again.paper.dtype == np.int32
+    assert again.lead_value == pytest.approx(labels.lead_value, abs=1e-9)
 
 
 def test_training_labels_reject_out_of_range(tmp_path):

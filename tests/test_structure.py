@@ -1,7 +1,14 @@
 """Invariants of the package source that no run would show."""
 
 import ast
+import typing
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from leadshare.features import FeatureTable, read_features
+from leadshare.roles import LabelTable, read_training_labels
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "leadshare"
 WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND"}
@@ -259,7 +266,7 @@ def test_only_the_parser_builds_records():
 def test_record_constructions_sees_bare_and_qualified_calls():
     assert record_constructions(
         "ContributionRecord(p, a, v)\nx = records.PublicationRecord(**kw)\n"
-        "AuthorshipRecord(*row)\nContributionRecord\nTrainingLabel(p, a, 1.0)"
+        "AuthorshipRecord(*row)\nContributionRecord\nLabelTable(p, a, 1.0)"
     ) == [
         "1: ContributionRecord(p, a, v)", "2: records.PublicationRecord(**kw)",
         "3: AuthorshipRecord(*row)",
@@ -361,3 +368,21 @@ def test_every_error_class_is_used():
         if path.name != "errors.py":
             classes -= names_used(path)
     assert classes == set()
+
+
+@pytest.mark.parametrize("table, read, rel", [
+    (FeatureTable, read_features, "features.tsv"),
+    (LabelTable, read_training_labels, "labels.tsv"),
+], ids=["features", "labels"])
+def test_per_authorship_tables_hold_columns_and_pools(fixture_dir, table, read, rel):
+    # numpy columns and sorted pools of the distinct ids: no dict, and no
+    # Python object per row
+    fields = typing.get_type_hints(table)
+    assert set(fields.values()) == {np.ndarray, tuple[str, ...]}
+    decoded = read(fixture_dir / "out" / rel)
+    for name, kind in fields.items():
+        value = getattr(decoded, name)
+        if kind is np.ndarray:
+            assert value.dtype.kind in "if", name
+        else:
+            assert list(value) == sorted(set(value)) and {type(s) for s in value} == {str}, name
