@@ -29,14 +29,14 @@ prestige source.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DuplicatePaperId
 from .records import (
-    CorpusTable, chunks, code_keys, csr_entries, parse_cell, read_tsv, sorted_distinct, tsv_rows,
-    write_tsv,
+    CorpusTable, check_unique_pairs, chunks, code_keys, csr_entries, parse_cell, read_tsv,
+    sorted_distinct, tsv_rows, write_tsv,
 )
 
 
@@ -239,13 +239,11 @@ def _affiliation_ranks(table: CorpusTable, at: np.ndarray, paper: np.ndarray) ->
 
 _FEATURES_HEADER = "paper_id\tauthor_id\t" + "\t".join(FEATURE_NAMES)
 _FEATURES_ROW = "%s\t%s" + "\t%d" * 8 + "\t%.9f"
-_KINDS = (int,) * 8 + (float,)  # each feature's type in features.tsv
 
 
-def write_features(table: FeatureTable, path: Path) -> FeatureTable:
+def write_features(table: FeatureTable, path: Path) -> None:
     """Write features.tsv, a chunk of rows at a time, f1-f8 from an int64
-    copy of the chunk; returns the table read_features decodes from it:
-    `table`, its f9 rounded in place to the 9 decimals written (no copy)."""
+    copy of the chunk."""
     X = table.X
     write_tsv(path, _FEATURES_HEADER, (
         _FEATURES_ROW % (table.papers[p], table.authors[a], *counts, f9)
@@ -253,6 +251,13 @@ def write_features(table: FeatureTable, path: Path) -> FeatureTable:
         for p, a, counts, f9 in zip(table.paper[rows].tolist(), table.author[rows].tolist(),
                                     X[rows, :8].astype(np.int64).tolist(), X[rows, 8].tolist())
     ))
+
+
+def as_read_back(table: FeatureTable) -> FeatureTable:
+    """The table read_features decodes from write_features' file of table:
+    table itself, its f9 rounded in place to the 9 decimals written, so
+    only for a table that nothing else holds."""
+    X = table.X
     X.flags.writeable = True
     for rows in chunks(len(X), _CHUNK_ROWS):
         X[rows, 8] = [float(f"{v:.9f}") for v in X[rows, 8].tolist()]
@@ -261,22 +266,24 @@ def write_features(table: FeatureTable, path: Path) -> FeatureTable:
 
 
 def _feature_table(lines: list[str]) -> FeatureTable:
-    def values() -> Iterator[float]:
-        for cells in tsv_rows(lines):
+    def values(rows: Iterable[list[str]]) -> Iterator[float]:
+        for cells in rows:
             yield from map(int, cells[2:10])
             yield float(cells[10])
 
-    width = len(FEATURE_NAMES)
     try:
-        X = np.fromiter(values(), dtype=np.float64, count=len(lines) * width)
+        X = np.fromiter(values(tsv_rows(lines)), np.float64, len(lines) * len(FEATURE_NAMES))
     except (ValueError, OverflowError):  # name the first bad cell's field
         for cells in tsv_rows(lines):
-            for name, kind, cell in zip(FEATURE_NAMES, _KINDS, cells[2:]):
-                parse_cell(name, lambda: float(kind(cell)))
+            row = values([cells])
+            for name in FEATURE_NAMES:
+                parse_cell(name, lambda: float(next(row)))
         raise
+    X = X.reshape(len(lines), len(FEATURE_NAMES))
     X.flags.writeable = False  # one decoded table may serve several stages
     keys = code_keys(line.split("\t", 2)[:2] for line in lines)
-    return FeatureTable(*keys, X.reshape(len(lines), width))
+    check_unique_pairs(*keys, "paper_id, author_id")
+    return FeatureTable(*keys, X)
 
 
 def read_features(path: Path) -> FeatureTable:

@@ -67,12 +67,12 @@ class EvalReport:
     tn: int
 
 
-def predict_many(model: LinearLeadModel, X: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
-    """The clamped predictions of the rows of X, standardized into a
-    temporary or, with overwrite (X a float64 array of the caller's), in X."""
-    Z = np.subtract(X, np.asarray(model.feature_means), out=X if overwrite else None)
-    Z /= np.asarray(model.feature_stds)
-    return np.clip(model.intercept + Z @ np.asarray(model.weights), 0.0, 1.0)
+def predict_many(model: LinearLeadModel, X: np.ndarray) -> np.ndarray:
+    """The clamped predictions of the rows of X, a float64 array that this
+    consumes: the rows are standardized in place."""
+    X -= np.asarray(model.feature_means)
+    X /= np.asarray(model.feature_stds)
+    return np.clip(model.intercept + X @ np.asarray(model.weights), 0.0, 1.0)
 
 
 def predict(model: LinearLeadModel, v: LeadFeatureVector) -> float:
@@ -224,7 +224,7 @@ def score_corpus(
     ]
     paper_codes, paper_code = _first_seen(paper)
     author_codes, author_code = _first_seen(author)
-    probs = predict_many(model, features.X[found], overwrite=True)
+    probs = predict_many(model, features.X[found])
     # the table must equal what read_scored decodes from write_scored's
     # file, which holds lead_prob at 9 decimals: lead_prob is rounded to
     # those 9, while is_leader is decided on the unrounded probability

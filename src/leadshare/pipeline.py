@@ -21,7 +21,7 @@ from .cache import Artifacts, Stage, run
 from .config import PipelineConfig
 from .corpus import filter_corpus
 from .errors import ConfigError, TooFewPoints, ZeroVariance
-from .features import build_profiles, read_features, write_features
+from .features import as_read_back, build_profiles, read_features, write_features
 from .forecast import ForecastRow, confidence_band, forecast_series, write_forecast
 from .leadmodel import (
     fit,
@@ -125,13 +125,14 @@ def _stage_train_roles(config: PipelineConfig, artifacts: Artifacts) -> dict[str
     labels = training_labels(statements, model, strict_binary=config.strict_binary_labels)
     write_training_labels(labels, config.output_dir / "labels.tsv")
     artifacts.hand_on("labels.tsv", labels)
-    return {"verbs": len(matrix.vocabulary), "labels": len(labels)}
+    return {"verbs": len(matrix.vocabulary), "labels": len(labels.lead_value)}
 
 
 def _stage_build_profiles(config: PipelineConfig, artifacts: Artifacts) -> dict[str, float]:
     table = artifacts.read("corpus.jsonl")
-    features = write_features(build_profiles(table), config.output_dir / "features.tsv")
-    artifacts.hand_on("features.tsv", features)
+    features = build_profiles(table)
+    write_features(features, config.output_dir / "features.tsv")
+    artifacts.hand_on("features.tsv", as_read_back(features))
     return {"papers": len(table)}
 
 

@@ -361,14 +361,15 @@ def chunks(n: int, size: int = 8192) -> Iterator[slice]:
     return (slice(start, start + size) for start in range(0, n, size))
 
 
-def check_unique(keys: Iterable, field: str, first: int = 2) -> None:
+def check_unique(keys: list, field: str, first: int = 2) -> None:
     """A key of keys, the first on line `first` (line 1 is the header, if
     any), that repeats raises InvariantViolation at its line, naming the
-    earlier one."""
-    first_line: dict = {}
-    for line_no, key in enumerate(keys, start=first):
-        if (earlier := first_line.setdefault(key, line_no)) != line_no:
-            raise InvariantViolation(line_no, field, f"{key!r} repeats line {earlier}")
+    earlier one; the keys are walked line by line only if one repeats."""
+    if len(set(keys)) < len(keys):
+        first_line: dict = {}
+        for line_no, key in enumerate(keys, start=first):
+            if (earlier := first_line.setdefault(key, line_no)) != line_no:
+                raise InvariantViolation(line_no, field, f"{key!r} repeats line {earlier}")
 
 
 def check_unique_pairs(firsts: Sequence[str], first: np.ndarray,
@@ -377,21 +378,19 @@ def check_unique_pairs(firsts: Sequence[str], first: np.ndarray,
     tested on the codes; the pairs of strings only name a repeat's line."""
     key = first.astype(np.int64, copy=False) * len(seconds) + second
     if sorted_distinct(key).size < len(first):
-        check_unique(zip(map(firsts.__getitem__, first.tolist()),
-                         map(seconds.__getitem__, second.tolist())), field)
+        check_unique(list(zip(map(firsts.__getitem__, first.tolist()),
+                              map(seconds.__getitem__, second.tolist()))), field)
 
 
 def code_keys(keys: Iterable[Sequence[str]]) -> tuple:
     """(paper_id, author_id) pairs as two sorted pools of their distinct
-    strings and, per pair, int32 codes into each pool; a repeated pair
-    raises InvariantViolation as check_unique does."""
+    strings and, per pair, int32 codes into each pool: check_unique_pairs'
+    first four arguments."""
     firsts, seconds, first, second = {}, {}, array("i"), array("i")
     for a, b in keys:
         first.append(firsts.setdefault(a, len(firsts)))
         second.append(seconds.setdefault(b, len(seconds)))
-    coded = (*_sorted_pool(firsts, first), *_sorted_pool(seconds, second))
-    check_unique_pairs(*coded, "paper_id, author_id")
-    return coded
+    return (*_sorted_pool(firsts, first), *_sorted_pool(seconds, second))
 
 
 TEMP_SUFFIX = ".tmp"  # write_tsv writes a file at its name plus this, then renames it

@@ -17,7 +17,7 @@ import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import AbstractSet, Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .errors import (
 )
 from .kmeans import kmeans
 from .records import (
-    ContributionRecord, FieldError, chunks, code_keys, parse_cell, read_tsv, write_tsv,
+    ContributionRecord, FieldError, check_unique_pairs, chunks, code_keys, parse_cell, read_tsv,
+    write_tsv,
 )
 
 log = logging.getLogger(__name__)
@@ -276,8 +277,7 @@ def fractional_lead_value(
     return lead / len(known)
 
 
-@dataclass(frozen=True, eq=False)
-class LabelTable:
+class LabelTable(NamedTuple):
     """Labelled statements as columns: label i is the lead value
     `lead_value[i]` of author `authors[author[i]]` on paper
     `papers[paper[i]]`.  The pools are sorted and the codes int32."""
@@ -287,9 +287,6 @@ class LabelTable:
     authors: tuple[str, ...]
     author: np.ndarray
     lead_value: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.lead_value)
 
 
 def training_labels(
@@ -335,7 +332,7 @@ _LABELS_HEADER = "paper_id\tauthor_id\tlead_value"
 def write_training_labels(labels: LabelTable, path: Path) -> None:
     write_tsv(path, _LABELS_HEADER, (
         f"{labels.papers[p]}\t{labels.authors[a]}\t{value:.9f}"
-        for rows in chunks(len(labels))
+        for rows in chunks(len(labels.lead_value))
         for p, a, value in zip(labels.paper[rows].tolist(), labels.author[rows].tolist(),
                                labels.lead_value[rows].tolist())
     ))
@@ -351,7 +348,9 @@ def _lead_value(text: str) -> float:
 def _labels(lines: list[str]) -> LabelTable:
     values = (_lead_value(line.rsplit("\t", 1)[1]) for line in lines)
     lead_value = np.fromiter(values, np.float64, len(lines))
-    return LabelTable(*code_keys(line.split("\t", 2)[:2] for line in lines), lead_value)
+    keys = code_keys(line.split("\t", 2)[:2] for line in lines)
+    check_unique_pairs(*keys, "paper_id, author_id")
+    return LabelTable(*keys, lead_value)
 
 
 def read_training_labels(path: Path) -> LabelTable:

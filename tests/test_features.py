@@ -21,7 +21,9 @@ import reference_features
 from leadshare import features
 from helpers import assert_same, feature_keys, feature_vector, make_record, oracle_features
 from leadshare.errors import DuplicatePaperId, InvariantViolation, MalformedRecord
-from leadshare.features import FEATURE_NAMES, build_profiles, read_features, write_features
+from leadshare.features import (
+    FEATURE_NAMES, as_read_back, build_profiles, read_features, write_features,
+)
 from leadshare.records import AuthorshipRecord, CorpusTable, PublicationRecord
 from synth import perf_corpus, random_corpus
 
@@ -366,15 +368,29 @@ def test_features_file_round_trip(tmp_path):
     for corpus in (hand_corpus(), random_corpus(0, max_papers=40, max_authors=8)):
         table = profiles_of(corpus)
         X = table.X.copy()
-        # the table handed on is the one given, its f9 rounded in place
-        assert write_features(table, path) is table
+        write_features(table, path)
+        assert table.X.tobytes() == X.tobytes()  # writing leaves the table alone
         decoded = read_features(path)
-        assert_same(decoded, table)
+        assert_same(decoded[:4], table[:4])
         # f9 is written with 9 decimals; every other value reads back exactly
         assert decoded.X[:, :8].tobytes() == X[:, :8].tobytes()
         assert decoded.X[:, 8].tolist() == [float(f"{v:.9f}") for v in X[:, 8]]
         assert np.abs(decoded.X - X).max() <= 5e-10
+        # the table the build-profiles stage hands on: the given one, f9 rounded
+        assert as_read_back(table) is table
+        assert_same(table, decoded)
         assert not table.X.flags.writeable
+
+
+def test_decoded_features_write_back_the_same_bytes(tmp_path):
+    path, again = tmp_path / "features.tsv", tmp_path / "again.tsv"
+    write_features(profiles_of(random_corpus(0, max_papers=40, max_authors=8)), path)
+    decoded = read_features(path)
+    write_features(decoded, again)
+    assert again.read_bytes() == path.read_bytes()
+    assert as_read_back(decoded) is decoded
+    write_features(decoded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_features_file_rejects_repeated_authorship(tmp_path, hand_table):
